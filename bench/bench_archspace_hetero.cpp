@@ -11,8 +11,8 @@
 //   family: the full candidate family is explored cold against a throwaway
 //     persistent store (every candidate explores, solves, writes through),
 //     then the in-memory caches are wiped to simulate a fresh process and
-//     the identical exploration runs store-warm — every whole-result must
-//     come off disk with zero reachability explorations and zero solves,
+//     the identical exploration runs store-warm — every rewards-stage
+//     result must come off disk with zero reachability explorations and zero solves,
 //     bit-identical to cold.
 //
 //   quality: a weighted exploration (hardened group votes with weight 2)
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   // places roughly square the per-group state count, so q > 0 candidates
   // are kept to modest N to bound the cold cost). Homogeneous candidates
   // recur across sub-families with identical parameters; they are served
-  // by the whole-result cache after their first solve, exactly as one
+  // by the rewards cache after their first solve, exactly as one
   // process exploring several hardening levels would experience.
   core::ArchitectureSpaceExplorer::Options family;
   family.max_versions = max_n;
@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
   families[2].max_versions = std::min(max_n, 7);
 
   const ExplorePhase cold = run_explore(engine, base, families);
-  core::ReliabilityAnalyzer::cache().clear();
   core::clear_stage_caches();
   const ExplorePhase warm = run_explore(engine, base, families);
 

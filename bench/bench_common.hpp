@@ -151,9 +151,9 @@ class JsonResult {
 
 /// Argument harness for the experiment binaries: the same shared option
 /// surface as nvpcli (--jobs/--seed/--format/--output plus --metrics-json
-/// and --trace, with the deprecated aliases), parsed by util/cli so the two
-/// front ends cannot drift. Construct at the top of main(); the destructor
-/// (or an explicit finish()) emits the trace/manifest.
+/// and --trace), parsed by util/cli so the two front ends cannot drift.
+/// Construct at the top of main(); the destructor (or an explicit finish())
+/// emits the trace/manifest.
 class Harness {
  public:
   Harness(int argc, const char* const* argv, const std::string& id,

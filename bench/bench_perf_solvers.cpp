@@ -8,6 +8,7 @@
 #include "src/core/analyzer.hpp"
 #include "src/core/model_factory.hpp"
 #include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/core/sweep.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
@@ -159,13 +160,13 @@ void BM_SweepIntervalColdCache(benchmark::State& state) {
   const auto base = core::SystemParameters::paper_six_version();
   const auto values = core::linspace(200.0, 3000.0, 12);
   for (auto _ : state) {
-    core::ReliabilityAnalyzer::cache().clear();
+    core::clear_stage_caches();
     auto points = core::sweep_parameter(
         analyzer, base, core::set_rejuvenation_interval(), values);
     benchmark::DoNotOptimize(points.data());
   }
   state.counters["cache_hit_rate"] =
-      core::ReliabilityAnalyzer::cache().stats().hit_rate();
+      core::stage_cache_stats().rewards.hit_rate();
   runtime::set_default_jobs(0);
 }
 BENCHMARK(BM_SweepIntervalColdCache)
@@ -181,7 +182,7 @@ void BM_SweepIntervalWarmCache(benchmark::State& state) {
   const core::ReliabilityAnalyzer analyzer;
   const auto base = core::SystemParameters::paper_six_version();
   const auto values = core::linspace(200.0, 3000.0, 12);
-  core::ReliabilityAnalyzer::cache().clear();
+  core::clear_stage_caches();
   // Warm the cache once; every timed iteration then hits on all 12 points.
   core::sweep_parameter(analyzer, base, core::set_rejuvenation_interval(),
                         values);
@@ -191,7 +192,7 @@ void BM_SweepIntervalWarmCache(benchmark::State& state) {
     benchmark::DoNotOptimize(points.data());
   }
   state.counters["cache_hit_rate"] =
-      core::ReliabilityAnalyzer::cache().stats().hit_rate();
+      core::stage_cache_stats().rewards.hit_rate();
   runtime::set_default_jobs(0);
 }
 BENCHMARK(BM_SweepIntervalWarmCache)

@@ -8,9 +8,9 @@
 //     point explores, solves, and is written through to disk (the memory
 //     caches start empty, so this is the "first process ever" cost).
 //
-//   warm: the in-memory caches (whole-result LRU + stage caches) are
-//     cleared to simulate a fresh process, then the identical sweep runs
-//     again. Every whole-result must now come off disk: the phase is gated
+//   warm: the in-memory stage caches are cleared to simulate a fresh
+//     process, then the identical sweep runs again. Every rewards-stage
+//     result must now come off disk: the phase is gated
 //     on zero reachability explorations, zero MRGP/CTMC solves, store hits
 //     covering every point, and a bit-identical curve.
 //
@@ -133,8 +133,7 @@ int main(int argc, char** argv) {
   const SweepPhase cold = run_sweep(analyzer, base, values);
 
   // Warm: wipe the in-memory tiers to simulate a fresh process; the disk
-  // tier must satisfy every whole-result lookup.
-  core::ReliabilityAnalyzer::cache().clear();
+  // tier must satisfy every rewards-stage lookup.
   core::clear_stage_caches();
   const SweepPhase warm = run_sweep(analyzer, base, values);
 
@@ -170,13 +169,13 @@ int main(int argc, char** argv) {
   store::Store* disk = store::global();
   const auto write_start = Clock::now();
   for (std::size_t i = 0; i < ops; ++i)
-    disk->put(store::Kind::kWholeResult, 0xBE9C000000000000ULL + i,
+    disk->put(store::Kind::kRewards, 0xBE9C000000000000ULL + i,
               payload.data(), payload.size());
   const double write_ms = ms_since(write_start) / static_cast<double>(ops);
   const auto read_start = Clock::now();
   std::size_t read_ok = 0;
   for (std::size_t i = 0; i < ops; ++i)
-    if (disk->get(store::Kind::kWholeResult, 0xBE9C000000000000ULL + i))
+    if (disk->get(store::Kind::kRewards, 0xBE9C000000000000ULL + i))
       ++read_ok;
   const double read_ms = ms_since(read_start) / static_cast<double>(ops);
   const store::Stats stats = disk->stats();
@@ -191,7 +190,7 @@ int main(int argc, char** argv) {
 
   bench::JsonResult json("bench_store_persistence (Release); warm = same "
                          "process with in-memory caches cleared, all "
-                         "whole-results served from disk");
+                         "rewards-stage results served from disk");
   json.section(
       "warm_sweep",
       "6v rejuvenation-interval sweep, cold (populating the store) vs warm "

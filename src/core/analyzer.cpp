@@ -1,99 +1,12 @@
 #include "src/core/analyzer.hpp"
 
-#include "src/core/artifact_codec.hpp"
 #include "src/core/staged.hpp"
-#include "src/obs/metrics.hpp"
-#include "src/runtime/fnv.hpp"
-#include "src/store/store.hpp"
 
 namespace nvp::core {
 
-std::uint64_t analysis_cache_key(const SystemParameters& raw,
-                                 const ReliabilityAnalyzer::Options& options) {
-  // Canonicalized so a single perfect-repair group shares the scalar
-  // configuration's entries (their results are identical by construction).
-  const SystemParameters params = raw.canonicalized();
-  runtime::Fnv1a h;
-  // Model-structure identity: which factory builds the net and the schema
-  // version of this key. Bump the version when the generated DSPN, the
-  // parameter set, or AnalysisResult's layout changes semantically
-  // (v4: module-group configurations).
-  h.str("core::PerceptionModelFactory/v4");
-  h.i32(params.n_versions)
-      .i32(params.max_faulty)
-      .i32(params.max_rejuvenating)
-      .f64(params.alpha)
-      .f64(params.p)
-      .f64(params.p_prime)
-      .f64(params.mean_time_to_compromise)
-      .f64(params.mean_time_to_failure)
-      .f64(params.mean_time_to_repair)
-      .f64(params.rejuvenation_duration)
-      .f64(params.rejuvenation_interval)
-      .boolean(params.rejuvenation)
-      .i32(static_cast<int>(params.semantics))
-      .f64(params.detection_rate)
-      .boolean(params.voter_can_fail)
-      .f64(params.voter_mtbf)
-      .f64(params.voter_mttr);
-  h.u64(params.groups.size());
-  for (const ModuleGroup& g : params.groups)
-    h.i32(g.count)
-        .f64(g.mean_time_to_compromise)
-        .f64(g.mean_time_to_failure)
-        .f64(g.mean_time_to_repair)
-        .f64(g.p)
-        .f64(g.p_prime)
-        .f64(g.weight)
-        .f64(g.repair_degradation);
-  h.i32(static_cast<int>(options.convention))
-      .i32(static_cast<int>(options.attachment));
-  // Every solver knob changes the solve's floating-point path (LU vs
-  // Krylov vs matrix-free, chain order, GMRES controls), so cached results
-  // must never alias across configs. SolverConfig::canonical_hash covers
-  // the complete config in one schema-tagged value — the same value the
-  // rates-stage key and the nvpd coalescing key embed.
-  h.u64(options.solver.canonical_hash());
-  return h.digest();
-}
-
-ReliabilityAnalyzer::Cache& ReliabilityAnalyzer::cache() {
-  // Sized for the dense sweeps this library runs (a full Fig. 3/4
-  // reproduction touches a few hundred distinct parameter points); entries
-  // are small (the aggregated class distribution, not the state space).
-  // Labeled so hit/miss/eviction land in the obs registry (and thus in run
-  // manifests) as core.analysis_cache.*.
-  static Cache instance(/*capacity=*/8192, /*shards=*/16,
-                        "core.analysis_cache");
-  return instance;
-}
-
 AnalysisResult ReliabilityAnalyzer::analyze(
     const SystemParameters& params) const {
-  // Whole-result memoization is the outermost cache level; a miss falls
-  // through to the persistent store's whole-result tier (when one is
-  // open), then to the staged structure / rates / rewards pipeline, which
-  // has its own per-stage caches and store tiers (see staged.hpp).
-  auto solve = [&] { return staged_analyze(params, options_); };
-  if (!options_.use_cache) return solve();
-  const std::uint64_t key = analysis_cache_key(params, options_);
-  return cache().get_or_compute(key, [&]() -> AnalysisResult {
-    store::Store* disk = store::global();
-    if (disk == nullptr) return solve();
-    if (auto bytes = disk->get(store::Kind::kWholeResult, key)) {
-      try {
-        return decode_analysis_result(bytes->data(), bytes->size());
-      } catch (const std::exception&) {
-        static obs::Counter& corrupt =
-            obs::Registry::global().counter("store.corrupt");
-        corrupt.add();
-      }
-    }
-    AnalysisResult result = solve();
-    const std::vector<std::uint8_t> payload = encode_analysis_result(result);
-    disk->put(store::Kind::kWholeResult, key, payload.data(), payload.size());
-    return result;
-  });
+  return staged_analyze(params, options_);
 }
 
 AnalysisResult ReliabilityAnalyzer::analyze(

@@ -8,7 +8,6 @@
 #include "src/core/params.hpp"
 #include "src/core/reliability.hpp"
 #include "src/markov/dspn_solver.hpp"
-#include "src/runtime/lru_cache.hpp"
 
 namespace nvp::core {
 
@@ -32,10 +31,6 @@ struct AnalysisResult {
   std::size_t tangible_states = 0;
   /// True when the model needed the MRGP solver (deterministic clock).
   bool used_dspn_solver = false;
-  /// True when the explicit-sparse (CSR + Krylov) backend performed the
-  /// solve. Kept for callers that predate `backend_used`, which is the
-  /// authoritative field (the matrix-free backend reports false here).
-  bool used_sparse_backend = false;
   /// The solver backend that actually produced the stationary vector
   /// (never kAuto; reflects whole-solve dense degradation when it fired).
   markov::SolverBackend backend_used = markov::SolverBackend::kDense;
@@ -71,47 +66,33 @@ class ReliabilityAnalyzer {
     RewardConvention convention = RewardConvention::kPaperVerbatim;
     RewardAttachment attachment = RewardAttachment::kOperationalStatesOnly;
     markov::DspnSteadyStateSolver::Options solver{};
-    /// Use the process-wide caches: the whole-result cache() plus every
-    /// per-stage cache of the staged pipeline (structure / rates / reward
-    /// table / rewards — see staged.hpp). The result is a pure function of
-    /// params + Options, so sweeps, bisection refinement, and optimizer
-    /// re-evaluation hit instead of re-solving. false runs the fully cold
-    /// path, bypassing all cache levels (benchmark baselines, equivalence
-    /// tests). The two-argument analyze(params, rewards) overload reuses
-    /// the structure and rates stages but never caches its final result: a
-    /// caller-supplied reward model has no canonical identity to key on.
+    /// Use the process-wide per-stage caches of the staged pipeline
+    /// (structure / rates / reward table / rewards — see staged.hpp). The
+    /// result is a pure function of params + Options, so sweeps, bisection
+    /// refinement, and optimizer re-evaluation hit instead of re-solving.
+    /// false runs the fully cold path, bypassing all cache levels
+    /// (benchmark baselines, equivalence tests). The two-argument
+    /// analyze(params, rewards) overload reuses the structure and rates
+    /// stages but never caches its final result: a caller-supplied reward
+    /// model has no canonical identity to key on.
     bool use_cache = true;
   };
-
-  /// Memoization table shared by every analyzer in the process, keyed by
-  /// analysis_cache_key(). Thread-safe; bounded LRU.
-  using Cache = runtime::ShardedLruCache<AnalysisResult>;
 
   ReliabilityAnalyzer() = default;
   explicit ReliabilityAnalyzer(Options options) : options_(options) {}
 
-  /// Analyzes with the reward model chosen by make_reliability_model().
+  /// Analyzes with the reward model chosen by make_reliability_model();
+  /// rewards_stage_key() is its cache and store identity.
   AnalysisResult analyze(const SystemParameters& params) const;
 
   /// Analyzes with a caller-supplied reward model (must match N).
   AnalysisResult analyze(const SystemParameters& params,
                          const ReliabilityModel& rewards) const;
 
-  /// The process-wide solver-result cache (for stats reporting and for
-  /// clearing between timed benchmark phases).
-  static Cache& cache();
-
   const Options& options() const { return options_; }
 
  private:
   Options options_{};
 };
-
-/// Canonical FNV-1a key of one analysis: every SystemParameters field, the
-/// analyzer options that change the result, and a model-structure identity
-/// tag (factory name + schema version, bumped whenever the generated DSPN or
-/// the result layout changes so stale processes never alias).
-std::uint64_t analysis_cache_key(const SystemParameters& params,
-                                 const ReliabilityAnalyzer::Options& options);
 
 }  // namespace nvp::core

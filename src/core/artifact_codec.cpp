@@ -16,14 +16,15 @@ using store::Writer;
 
 // Per-kind payload schema tags. Bump when a codec's field sequence changes;
 // old payloads then decode as "unknown schema" and are recomputed.
-// Structure v2: per-group state classes (module-group models). The other
-// three layouts are unchanged by the module-group refactor — their store
-// keys were version-bumped instead, so pre-refactor entries simply stop
-// being addressed and expire.
+// Structure v2: per-group state classes (module-group models). Analysis
+// v2: the legacy sparse-backend flag byte is gone (backend_used carries
+// it); the rewards key tag was bumped with it, so v1 entries are never
+// looked up. Version-bumped keys likewise retire other stale layouts:
+// their entries stop being addressed and expire.
 constexpr std::uint32_t kStructureSchema = 2;
 constexpr std::uint32_t kRatesSchema = 1;
 constexpr std::uint32_t kRewardTableSchema = 1;
-constexpr std::uint32_t kAnalysisSchema = 1;
+constexpr std::uint32_t kAnalysisSchema = 2;
 
 void check(bool ok, const char* what) {
   if (!ok) throw SerializationError(what);
@@ -315,7 +316,6 @@ std::vector<std::uint8_t> encode_analysis_result(
   }
   w.u64(result.tangible_states);
   w.boolean(result.used_dspn_solver);
-  w.boolean(result.used_sparse_backend);
   w.i32(static_cast<std::int32_t>(result.backend_used));
   w.u64(result.matrix_nonzeros);
   return w.take();
@@ -340,7 +340,6 @@ AnalysisResult decode_analysis_result(const void* data, std::size_t size) {
   }
   result.tangible_states = static_cast<std::size_t>(r.u64());
   result.used_dspn_solver = r.boolean();
-  result.used_sparse_backend = r.boolean();
   result.backend_used = read_backend(r);
   result.matrix_nonzeros = static_cast<std::size_t>(r.u64());
   r.expect_done();

@@ -17,9 +17,9 @@ namespace nvp::core {
 /// exactly like a checksum failure, a payload is either fully trusted or
 /// not used at all.
 ///
-/// Bit-identity with cold: rates / reward-table / rewards / whole-result
-/// payloads carry their doubles as exact IEEE-754 bytes, and the structure
-/// payload carries only the *symbolic* exploration skeleton — the decoder
+/// Bit-identity with cold: rates / reward-table / rewards payloads carry
+/// their doubles as exact IEEE-754 bytes, and the structure payload carries
+/// only the *symbolic* exploration skeleton — the decoder
 /// rebuilds the net from the (key-pinned) parameters and re-pours the rates
 /// through TangibleReachabilityGraph::from_structure, the same arithmetic a
 /// fresh build() runs.

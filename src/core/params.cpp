@@ -23,24 +23,24 @@ SystemParameters SystemParameters::canonicalized() const {
   if (g.repair_degradation != 0.0) return *this;
   SystemParameters folded = *this;
   folded.groups.clear();
-  folded.mean_time_to_compromise = g.mean_time_to_compromise;
-  folded.mean_time_to_failure = g.mean_time_to_failure;
-  folded.mean_time_to_repair = g.mean_time_to_repair;
-  folded.p = g.p;
-  folded.p_prime = g.p_prime;
+  for (const ParameterField& field : parameter_fields())
+    if (field.system != nullptr && field.group != nullptr)
+      folded.*field.system = g.*field.group;
   return folded;
 }
 
 std::vector<ModuleGroup> SystemParameters::effective_groups() const {
   if (!groups.empty()) return groups;
+  return {inherited_group(n_versions)};
+}
+
+ModuleGroup SystemParameters::inherited_group(int count) const {
   ModuleGroup g;
-  g.count = n_versions;
-  g.mean_time_to_compromise = mean_time_to_compromise;
-  g.mean_time_to_failure = mean_time_to_failure;
-  g.mean_time_to_repair = mean_time_to_repair;
-  g.p = p;
-  g.p_prime = p_prime;
-  return {g};
+  g.count = count;
+  for (const ParameterField& field : parameter_fields())
+    if (field.system != nullptr && field.group != nullptr)
+      g.*field.group = this->*field.system;
+  return g;
 }
 
 std::vector<double> SystemParameters::module_weights() const {
@@ -187,6 +187,40 @@ SystemParameters SystemParameters::paper_six_version() {
   params.n_versions = 6;
   params.rejuvenation = true;
   return params;
+}
+
+namespace {
+
+using SP = SystemParameters;
+using MG = ModuleGroup;
+constexpr ParameterStage kRates = ParameterStage::kRates;
+constexpr ParameterStage kRewards = ParameterStage::kRewards;
+
+constexpr ParameterField kParameterFields[] = {
+    {"mttc", kRates, &SP::mean_time_to_compromise,
+     &MG::mean_time_to_compromise},
+    {"mttf", kRates, &SP::mean_time_to_failure, &MG::mean_time_to_failure},
+    {"mttr", kRates, &SP::mean_time_to_repair, &MG::mean_time_to_repair},
+    {"p", kRewards, &SP::p, &MG::p},
+    {"p-prime", kRewards, &SP::p_prime, &MG::p_prime},
+    {"weight", kRewards, nullptr, &MG::weight},
+    {"repair-degradation", kRates, nullptr, &MG::repair_degradation},
+    {"alpha", kRewards, &SP::alpha, nullptr},
+    {"interval", kRates, &SP::rejuvenation_interval, nullptr},
+    {"duration", kRates, &SP::rejuvenation_duration, nullptr},
+    {"detection-rate", kRates, &SP::detection_rate, nullptr},
+};
+
+}  // namespace
+
+std::span<const ParameterField> parameter_fields() {
+  return kParameterFields;
+}
+
+const ParameterField* find_parameter_field(std::string_view name) {
+  for (const ParameterField& field : kParameterFields)
+    if (name == field.name) return &field;
+  return nullptr;
 }
 
 }  // namespace nvp::core

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nvp::core {
@@ -121,6 +123,12 @@ struct SystemParameters {
   /// uniform view every group-generalized consumer iterates over.
   std::vector<ModuleGroup> effective_groups() const;
 
+  /// A group of `count` modules whose fields inherit this configuration's
+  /// system-wide values; per-group-only fields keep their ModuleGroup{}
+  /// defaults. The base that `--groups` specs and nvpd `groups` entries
+  /// override field by field.
+  ModuleGroup inherited_group(int count) const;
+
   /// Per-module voting weights in module order (group by group). All 1.0
   /// for the scalar form.
   std::vector<double> module_weights() const;
@@ -160,5 +168,29 @@ struct SystemParameters {
   /// time-based rejuvenation mechanism).
   static SystemParameters paper_six_version();
 };
+
+/// The staged-pipeline stage whose cache key a settable parameter feeds.
+/// Structural parameters (N, f, r, rejuvenation, ...) are not settable by
+/// name and are hashed by hand in structure_stage_key.
+enum class ParameterStage { kRates, kRewards };
+
+/// One user-settable double. `name` is at once the nvpcli flag, the nvpd
+/// `params` key and the sweep `--param` value. `system` is null for a
+/// per-group-only row, `group` for a system-wide-only row.
+struct ParameterField {
+  const char* name;
+  ParameterStage stage;
+  double SystemParameters::*system;
+  double ModuleGroup::*group;
+};
+
+/// Every settable double, once: parsers, sweep setters, group inheritance
+/// and the rates / reward-table / rewards stage keys all loop over it.
+/// Rows with a group member come in `--groups` positional order (after the
+/// count): mttc, mttf, mttr, p, p-prime, weight, repair-degradation.
+std::span<const ParameterField> parameter_fields();
+
+/// The row called `name`, or null.
+const ParameterField* find_parameter_field(std::string_view name);
 
 }  // namespace nvp::core

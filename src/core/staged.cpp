@@ -52,8 +52,8 @@ using RewardsCache = runtime::ShardedLruCache<AnalysisResult>;
 
 // Structures are the heavy artifacts (graph skeleton + plan); an
 // architecture-space exploration touches tens of distinct structures, not
-// thousands. Rates/rewards entries are one vector each; size them like the
-// whole-result cache so dense sweeps never thrash.
+// thousands. Rates/rewards entries are one vector each, sized so a full
+// Fig. 3/4 reproduction (a few hundred distinct points) never thrashes.
 StructureCache& structure_cache() {
   static StructureCache instance(/*capacity=*/256, /*shards=*/8,
                                  "core.structure_cache");
@@ -91,8 +91,6 @@ AnalysisResult assemble_result(const StructureArtifact& structure,
   AnalysisResult result;
   result.tangible_states = structure.graph.size();
   result.used_dspn_solver = !rates.pure_ctmc;
-  result.used_sparse_backend =
-      rates.backend_used == markov::SolverBackend::kSparse;
   result.backend_used = rates.backend_used;
   result.matrix_nonzeros = rates.matrix_nonzeros;
 
@@ -136,6 +134,38 @@ bool reward_gate(const StructureArtifact::StateClass& sc,
   return !degraded_zeroed && sc.voter_up;
 }
 
+/// Hashes the parameter-table rows of `stage`: the system-wide values, then
+/// each group's.
+void hash_stage_fields(runtime::Fnv1a& h, const SystemParameters& params,
+                       ParameterStage stage) {
+  for (const ParameterField& field : parameter_fields())
+    if (field.stage == stage && field.system != nullptr)
+      h.f64(params.*field.system);
+  for (const ModuleGroup& g : params.groups)
+    for (const ParameterField& field : parameter_fields())
+      if (field.stage == stage && field.group != nullptr)
+        h.f64(g.*field.group);
+}
+
+/// Runs one analysis that no cache answered under the `core.analyze` span,
+/// counting it in core.analyzer.solves and timing it in
+/// core.analyzer.solve_s.
+template <typename Analyze>
+AnalysisResult timed_analysis(Analyze&& analyze) {
+  static obs::Counter& solves =
+      obs::Registry::global().counter("core.analyzer.solves");
+  static obs::Histogram& solve_s =
+      obs::Registry::global().histogram("core.analyzer.solve_s");
+  const obs::ScopedSpan span("core.analyze");
+  const auto t0 = std::chrono::steady_clock::now();
+  solves.add();
+  AnalysisResult result = analyze();
+  solve_s.observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count());
+  return result;
+}
+
 }  // namespace
 
 std::uint64_t structure_stage_key(const SystemParameters& raw) {
@@ -173,21 +203,11 @@ std::uint64_t rates_stage_key(
     const markov::DspnSteadyStateSolver::Options& solver) {
   const SystemParameters params = raw.canonicalized();
   runtime::Fnv1a h;
-  h.str("core::staged/rates/v4");
+  h.str("core::staged/rates/v5");
   h.u64(structure_stage_key(params));
-  h.f64(params.mean_time_to_compromise)
-      .f64(params.mean_time_to_failure)
-      .f64(params.mean_time_to_repair)
-      .f64(params.rejuvenation_duration)
-      .f64(params.rejuvenation_interval)
-      .f64(params.detection_rate)
-      .f64(params.voter_mtbf)
-      .f64(params.voter_mttr);
-  for (const ModuleGroup& g : params.groups)
-    h.f64(g.mean_time_to_compromise)
-        .f64(g.mean_time_to_failure)
-        .f64(g.mean_time_to_repair)
-        .f64(g.repair_degradation);
+  hash_stage_fields(h, params, ParameterStage::kRates);
+  // The voter extension's timings have no flag or nvpd key, so no table row.
+  h.f64(params.voter_mtbf).f64(params.voter_mttr);
   // Every solver knob changes the solve's floating-point path (backend,
   // chain order, GMRES controls, warm start ...), so distributions must
   // never alias across configs; the canonical hash covers the complete
@@ -200,15 +220,13 @@ std::uint64_t reward_table_stage_key(const SystemParameters& raw,
                                      RewardConvention convention) {
   const SystemParameters params = raw.canonicalized();
   runtime::Fnv1a h;
-  h.str("core::staged/reward_table/v2");
+  h.str("core::staged/reward_table/v3");
   // R_{i,j,k} depends on the class set (structure) and the error-model
   // parameters — not on any timing value, so the table survives every
   // rate-only mutation.
   h.u64(structure_stage_key(params));
-  h.f64(params.alpha).f64(params.p).f64(params.p_prime);
+  hash_stage_fields(h, params, ParameterStage::kRewards);
   h.i32(static_cast<int>(convention));
-  for (const ModuleGroup& g : params.groups)
-    h.f64(g.p).f64(g.p_prime).f64(g.weight);
   return h.digest();
 }
 
@@ -216,13 +234,11 @@ std::uint64_t rewards_stage_key(const SystemParameters& raw,
                                 const ReliabilityAnalyzer::Options& options) {
   const SystemParameters params = raw.canonicalized();
   runtime::Fnv1a h;
-  h.str("core::staged/rewards/v2");
+  h.str("core::staged/rewards/v3");
   h.u64(rates_stage_key(params, options.solver));
-  h.f64(params.alpha).f64(params.p).f64(params.p_prime);
+  hash_stage_fields(h, params, ParameterStage::kRewards);
   h.i32(static_cast<int>(options.convention))
       .i32(static_cast<int>(options.attachment));
-  for (const ModuleGroup& g : params.groups)
-    h.f64(g.p).f64(g.p_prime).f64(g.weight);
   return h.digest();
 }
 
@@ -397,48 +413,36 @@ AnalysisResult staged_analyze(const SystemParameters& raw,
                               const ReliabilityAnalyzer::Options& options) {
   raw.validate();
   const SystemParameters params = raw.canonicalized();
-  static obs::Counter& solves =
-      obs::Registry::global().counter("core.analyzer.solves");
-  static obs::Histogram& solve_s =
-      obs::Registry::global().histogram("core.analyzer.solve_s");
-  const obs::ScopedSpan span("core.analyze");
-  const auto t0 = std::chrono::steady_clock::now();
-  solves.add();
-
+  // Runs only when neither the rewards cache nor its store tier answered,
+  // so the solve counters record real work, never a hit.
   auto compute = [&] {
-    const auto structure = staged_structure(params, options.use_cache);
-    const auto rates = staged_rates(params, *structure, options.solver,
-                                    options.use_cache);
-    const auto table = staged_reward_table(params, options.convention,
-                                           *structure, options.use_cache);
-    const obs::ScopedSpan rewards_span("core.stage.rewards");
-    return assemble_result(
-        *structure, *rates, [&](std::size_t s) {
-          const StructureArtifact::StateClass& sc = structure->state_class[s];
-          return reward_gate(sc, options.attachment)
-                     ? (*table)[structure->class_of_state[s]]
-                     : 0.0;
-        });
+    return timed_analysis([&] {
+      const auto structure = staged_structure(params, options.use_cache);
+      const auto rates = staged_rates(params, *structure, options.solver,
+                                      options.use_cache);
+      const auto table = staged_reward_table(params, options.convention,
+                                             *structure, options.use_cache);
+      const obs::ScopedSpan rewards_span("core.stage.rewards");
+      return assemble_result(
+          *structure, *rates, [&](std::size_t s) {
+            const StructureArtifact::StateClass& sc =
+                structure->state_class[s];
+            return reward_gate(sc, options.attachment)
+                       ? (*table)[structure->class_of_state[s]]
+                       : 0.0;
+          });
+    });
   };
-  const std::uint64_t key =
-      options.use_cache ? rewards_stage_key(params, options) : 0;
-  AnalysisResult result =
-      options.use_cache
-          ? rewards_cache().get_or_compute(key, [&] {
-              return store_tiered(
-                  store::Kind::kRewards, key, compute,
-                  [](const void* data, std::size_t size) {
-                    return decode_analysis_result(data, size);
-                  },
-                  [](const AnalysisResult& r) {
-                    return encode_analysis_result(r);
-                  });
-            })
-          : compute();
-  solve_s.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
-  return result;
+  if (!options.use_cache) return compute();
+  const std::uint64_t key = rewards_stage_key(params, options);
+  return rewards_cache().get_or_compute(key, [&] {
+    return store_tiered(
+        store::Kind::kRewards, key, compute,
+        [](const void* data, std::size_t size) {
+          return decode_analysis_result(data, size);
+        },
+        [](const AnalysisResult& r) { return encode_analysis_result(r); });
+  });
 }
 
 AnalysisResult staged_analyze(const SystemParameters& raw,
@@ -450,30 +454,20 @@ AnalysisResult staged_analyze(const SystemParameters& raw,
   const SystemParameters params = raw.canonicalized();
   NVP_EXPECTS_MSG(rewards.versions() == params.n_versions,
                   "reward model does not match the number of versions");
-  static obs::Counter& solves =
-      obs::Registry::global().counter("core.analyzer.solves");
-  static obs::Histogram& solve_s =
-      obs::Registry::global().histogram("core.analyzer.solve_s");
-  const obs::ScopedSpan span("core.analyze");
-  const auto t0 = std::chrono::steady_clock::now();
-  solves.add();
-
-  const auto structure = staged_structure(params, options.use_cache);
-  const auto rates =
-      staged_rates(params, *structure, options.solver, options.use_cache);
-  const obs::ScopedSpan rewards_span("core.stage.rewards");
-  AnalysisResult result = assemble_result(
-      *structure, *rates, [&](std::size_t s) {
-        const StructureArtifact::StateClass& sc = structure->state_class[s];
-        return reward_gate(sc, options.attachment)
-                   ? rewards.state_reliability(sc.healthy, sc.compromised,
-                                               sc.down)
-                   : 0.0;
-      });
-  solve_s.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
-  return result;
+  return timed_analysis([&] {
+    const auto structure = staged_structure(params, options.use_cache);
+    const auto rates =
+        staged_rates(params, *structure, options.solver, options.use_cache);
+    const obs::ScopedSpan rewards_span("core.stage.rewards");
+    return assemble_result(
+        *structure, *rates, [&](std::size_t s) {
+          const StructureArtifact::StateClass& sc = structure->state_class[s];
+          return reward_gate(sc, options.attachment)
+                     ? rewards.state_reliability(sc.healthy, sc.compromised,
+                                                 sc.down)
+                     : 0.0;
+        });
+  });
 }
 
 StageCacheStats stage_cache_stats() {
@@ -482,7 +476,6 @@ StageCacheStats stage_cache_stats() {
   stats.rates = rates_cache().stats();
   stats.reward_table = reward_table_cache().stats();
   stats.rewards = rewards_cache().stats();
-  stats.whole_result = ReliabilityAnalyzer::cache().stats();
   return stats;
 }
 
@@ -491,7 +484,6 @@ void clear_stage_caches() {
   rates_cache().clear();
   reward_table_cache().clear();
   rewards_cache().clear();
-  ReliabilityAnalyzer::cache().clear();
 }
 
 }  // namespace nvp::core

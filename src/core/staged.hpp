@@ -25,16 +25,20 @@ namespace nvp::core {
 ///               stationary distribution. Depends on the structure key plus
 ///               every timing parameter and the solver options.
 ///   rewards   — R_{i,j,k} evaluated over the cached distribution. Depends
-///               on the rates key plus (alpha, p, p', convention,
-///               attachment). A separate per-class reward *table* cache is
-///               keyed by structure + reward parameters only, so rate-only
-///               sweeps skip the reward-model evaluation too.
+///               on the rates key plus the reward parameters, convention
+///               and attachment. A separate per-class reward *table* cache
+///               is keyed by structure + reward parameters only, so
+///               rate-only sweeps skip the reward-model evaluation too.
+///
+/// Which settable parameter feeds the rates or the reward keys is read from
+/// the parameter table (params.hpp). The rewards stage is the outermost
+/// cache and store tier: ReliabilityAnalyzer::analyze(params) is
+/// staged_analyze.
 ///
 /// Every stage result is bit-identical to the cold monolithic path: the
 /// cold path itself runs through the same explore/pour/plan/pour code, and
 /// all floating-point accumulation orders are preserved (see DESIGN.md
-/// §10). ReliabilityAnalyzer's whole-result cache sits outermost, above
-/// these stages.
+/// §10).
 
 /// Stage-1 artifact: everything derivable from the structural parameters.
 /// Immutable and shared (the graph's symbolic skeleton is itself shared
@@ -104,9 +108,10 @@ std::shared_ptr<const std::vector<double>> staged_reward_table(
     const SystemParameters& params, RewardConvention convention,
     const StructureArtifact& structure, bool use_cache);
 
-/// Full staged analysis with the convention-derived reward model. This is
-/// what ReliabilityAnalyzer::analyze(params) runs under its whole-result
-/// cache.
+/// Full staged analysis with the convention-derived reward model; what
+/// ReliabilityAnalyzer::analyze(params) runs. Only an analysis that neither
+/// the rewards cache nor its store tier answers counts in
+/// core.analyzer.solves.
 AnalysisResult staged_analyze(const SystemParameters& params,
                               const ReliabilityAnalyzer::Options& options);
 
@@ -123,12 +128,12 @@ struct StageCacheStats {
   runtime::CacheStats rates;
   runtime::CacheStats reward_table;
   runtime::CacheStats rewards;
-  runtime::CacheStats whole_result;
+  runtime::CacheStats whole_result;  ///< tier removed; always zero
 };
 StageCacheStats stage_cache_stats();
 
-/// Drops every stage cache and resets its counters, including the
-/// whole-result cache (benchmark phase separation; tests).
+/// Drops every stage cache and resets its counters (benchmark phase
+/// separation; tests).
 void clear_stage_caches();
 
 }  // namespace nvp::core

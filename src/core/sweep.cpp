@@ -172,6 +172,14 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
   return out;
 }
 
+ParameterSetter setter_for(std::string_view name) {
+  const ParameterField* field = find_parameter_field(name);
+  if (field == nullptr || field->system == nullptr) return nullptr;
+  return [member = field->system](SystemParameters& p, double v) {
+    p.*member = v;
+  };
+}
+
 ParameterSetter set_mean_time_to_compromise() {
   return [](SystemParameters& p, double v) { p.mean_time_to_compromise = v; };
 }

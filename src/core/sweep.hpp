@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/analyzer.hpp"
@@ -57,6 +58,11 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
                                        const std::vector<double>& values,
                                        double tolerance = 1.0,
                                        const fault::Policy& policy = {});
+
+/// Setter of the system-wide parameter-table row `name` (the sweep
+/// `--param` value); null when no row has that name or the row is
+/// per-group only.
+ParameterSetter setter_for(std::string_view name);
 
 /// Named setters for the Table II parameters, for the benches and CLI.
 ParameterSetter set_mean_time_to_compromise();

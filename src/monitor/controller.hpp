@@ -39,7 +39,7 @@ struct ControlRecord {
 /// Estimates are quantized to a fixed relative grid before they reach the
 /// model. That keeps the control loop deterministic in the face of
 /// floating-point noise AND makes consecutive updates with statistically
-/// indistinguishable estimates hit the staged/whole-result caches (and the
+/// indistinguishable estimates hit the stage caches (and the
 /// persistent store) instead of re-solving: the structure stage is shared
 /// by every update (same architecture — one reachability exploration per
 /// process), and repeated quantized points cost nothing at all.

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/core/staged.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/fallback.hpp"
 #include "src/markov/solver_config.hpp"
@@ -137,21 +138,10 @@ bool parse_params(const wire::Value& node, core::SystemParameters* params,
       static_cast<int>(node.number_or("f", params->max_faulty));
   params->max_rejuvenating =
       static_cast<int>(node.number_or("r", params->max_rejuvenating));
-  params->alpha = node.number_or("alpha", params->alpha);
-  params->p = node.number_or("p", params->p);
-  params->p_prime = node.number_or("p-prime", params->p_prime);
-  params->mean_time_to_compromise =
-      node.number_or("mttc", params->mean_time_to_compromise);
-  params->mean_time_to_failure =
-      node.number_or("mttf", params->mean_time_to_failure);
-  params->mean_time_to_repair =
-      node.number_or("mttr", params->mean_time_to_repair);
-  params->rejuvenation_interval =
-      node.number_or("interval", params->rejuvenation_interval);
-  params->rejuvenation_duration =
-      node.number_or("duration", params->rejuvenation_duration);
-  params->detection_rate =
-      node.number_or("detection-rate", params->detection_rate);
+  for (const core::ParameterField& field : core::parameter_fields())
+    if (field.system != nullptr)
+      params->*field.system =
+          node.number_or(field.name, params->*field.system);
   params->rejuvenation = node.bool_or("rejuvenation", params->rejuvenation);
   if (const wire::Value* groups = node.get("groups")) {
     if (!groups->is_array()) {
@@ -164,20 +154,14 @@ bool parse_params(const wire::Value& node, core::SystemParameters* params,
         *error = "params.groups entries must be objects";
         return false;
       }
-      core::ModuleGroup group;
       // Scalars the request leaves out inherit the campaign-level values,
       // so a request can harden one group without restating the rest.
-      group.count = static_cast<int>(entry.number_or("count", 0));
-      group.mean_time_to_compromise =
-          entry.number_or("mttc", params->mean_time_to_compromise);
-      group.mean_time_to_failure =
-          entry.number_or("mttf", params->mean_time_to_failure);
-      group.mean_time_to_repair =
-          entry.number_or("mttr", params->mean_time_to_repair);
-      group.p = entry.number_or("p", params->p);
-      group.p_prime = entry.number_or("p-prime", params->p_prime);
-      group.weight = entry.number_or("weight", 1.0);
-      group.repair_degradation = entry.number_or("repair-degradation", 0.0);
+      core::ModuleGroup group = params->inherited_group(
+          static_cast<int>(entry.number_or("count", 0)));
+      for (const core::ParameterField& field : core::parameter_fields())
+        if (field.group != nullptr)
+          group.*field.group =
+              entry.number_or(field.name, group.*field.group);
       params->groups.push_back(group);
     }
     // Group counts fully determine N; an absent "n" means "derive it"
@@ -332,10 +316,14 @@ bool parse_request(const wire::Value& payload, Request* request,
       return false;
     }
     request->sweep_param = sweep->string_or("param", "interval");
-    if (request->sweep_param != "interval" && request->sweep_param != "mttc" &&
-        request->sweep_param != "alpha" && request->sweep_param != "p" &&
-        request->sweep_param != "p-prime") {
-      *error = "sweep.param must be one of interval|mttc|alpha|p|p-prime";
+    const core::ParameterField* field =
+        core::find_parameter_field(request->sweep_param);
+    if (field == nullptr || field->system == nullptr) {
+      std::string names;
+      for (const core::ParameterField& f : core::parameter_fields())
+        if (f.system != nullptr)
+          names += std::string(names.empty() ? "" : "|") + f.name;
+      *error = "sweep.param must be one of " + names;
       return false;
     }
     request->sweep_from = sweep->number_or("from", 0.0);
@@ -430,17 +418,17 @@ bool parse_request(const wire::Value& payload, Request* request,
 std::uint64_t coalesce_key(const Request& request) {
   switch (request.method) {
     case Method::kAnalyze: {
-      // The staged pipeline's canonical key: requests that would hit the
-      // same whole-result cache entry share one solve.
+      // The rewards stage's key: requests that would hit the same rewards
+      // cache entry share one solve.
       runtime::Fnv1a h;
       h.str("service.analyze");
-      h.u64(core::analysis_cache_key(request.params, request.options));
+      h.u64(core::rewards_stage_key(request.params, request.options));
       return h.digest();
     }
     case Method::kSweep: {
       runtime::Fnv1a h;
       h.str("service.sweep");
-      h.u64(core::analysis_cache_key(request.params, request.options));
+      h.u64(core::rewards_stage_key(request.params, request.options));
       h.str(request.sweep_param);
       h.f64(request.sweep_from);
       h.f64(request.sweep_to);

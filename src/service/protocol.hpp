@@ -127,7 +127,7 @@ bool parse_request(const wire::Value& payload, Request* request,
 /// Canonical identity of a request for in-flight coalescing: requests with
 /// equal keys are guaranteed to produce identical result payloads, so they
 /// can share one solve. analyze keys reuse the staged pipeline's
-/// analysis_cache_key; sweep keys extend it with the sweep spec. Returns 0
+/// rewards_stage_key; sweep keys extend it with the sweep spec. Returns 0
 /// for methods that never coalesce (simulate and monitor are seed-dependent
 /// stochastic work; ping/stats/shutdown are trivial).
 std::uint64_t coalesce_key(const Request& request);

@@ -75,15 +75,6 @@ obs::Histogram& request_seconds() {
   return h;
 }
 
-core::ParameterSetter setter_for_name(const std::string& name) {
-  if (name == "interval") return core::set_rejuvenation_interval();
-  if (name == "mttc") return core::set_mean_time_to_compromise();
-  if (name == "alpha") return core::set_alpha();
-  if (name == "p") return core::set_p();
-  if (name == "p-prime") return core::set_p_prime();
-  return nullptr;
-}
-
 fault::ErrorInfo make_error(fault::Category category, std::string message,
                             std::string site) {
   fault::ErrorInfo info;
@@ -139,7 +130,6 @@ std::string stats_result_json(const ServiceStats& stats) {
   cache_block("rates", caches.rates);
   cache_block("reward_table", caches.reward_table);
   cache_block("rewards", caches.rewards);
-  cache_block("whole_result", caches.whole_result);
   json.end_object();
   if (store::Store* disk = store::global()) {
     const store::Stats s = disk->stats();
@@ -674,7 +664,7 @@ std::string Server::run_engine(const Request& request, bool* ok,
     }
     case Method::kSweep: {
       const core::ParameterSetter setter =
-          setter_for_name(request.sweep_param);
+          core::setter_for(request.sweep_param);
       // parse_request validated the name; a null setter here is a bug.
       if (!setter) {
         *ok = false;

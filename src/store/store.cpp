@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <utility>
 
 #include "src/fault/injector.hpp"
@@ -24,8 +25,18 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kKindNames[kKindCount] = {
-    "structure", "rates", "reward_table", "rewards", "whole_result"};
+// Entry-file prefix of each kind value, value - 1 indexed. The last one
+// names the retired whole-result kind, whose leftover entries are purged.
+constexpr const char* kKindNames[] = {"structure", "rates", "reward_table",
+                                      "rewards", "whole_result"};
+constexpr std::uint32_t kRetiredKind = 5;
+static_assert(std::size(kKindNames) == kRetiredKind &&
+              kRetiredKind == kKindCount + 1);
+
+const char* file_prefix(std::uint32_t kind) {
+  return kind >= 1 && kind <= std::size(kKindNames) ? kKindNames[kind - 1]
+                                                    : "?";
+}
 
 constexpr std::uint64_t kIndexMagic = 0x3158444950564EULL;  // "NVPIDX1"
 constexpr std::uint32_t kIndexVersion = 1;
@@ -186,13 +197,22 @@ std::unique_ptr<Store> Store::open(const std::string& dir,
     store->load_index_locked();
     store->unlock();
   }
+  // A store written before the whole-result tier was removed: drop its
+  // entries, so eviction and `stats` account only for live kinds.
+  if (!store->retired_.empty() && store->lock_exclusive()) {
+    std::lock_guard<std::mutex> guard(store->mutex_);
+    store->load_index_locked();
+    store->write_index_locked();
+    store->unlock();
+  }
   Counters::instance().open_seconds.observe(seconds_since(t0));
   return store;
 }
 
 std::string Store::entry_path(Kind kind, std::uint64_t key) const {
   return (fs::path(dir_) / "entries" /
-          (std::string(to_string(kind)) + "-" + hex16(key) + ".nvps"))
+          (std::string(file_prefix(static_cast<std::uint32_t>(kind))) +
+           "-" + hex16(key) + ".nvps"))
       .string();
 }
 
@@ -204,7 +224,7 @@ bool Store::parse_entry_name(const std::string& name, IndexKey* out) {
   const std::string kind_name = name.substr(0, name.size() - kSuffix - 1);
   if (name[name.size() - kSuffix - 1] != '-') return false;
   std::uint32_t kind = 0;
-  for (std::size_t i = 0; i < kKindCount; ++i)
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i)
     if (kind_name == kKindNames[i]) kind = static_cast<std::uint32_t>(i + 1);
   if (kind == 0) return false;
   const std::string hex = name.substr(name.size() - kSuffix, 16);
@@ -236,6 +256,7 @@ bool Store::lock_exclusive() {
 void Store::unlock() { ::flock(lock_fd_, LOCK_UN); }
 
 void Store::load_index_locked() {
+  retired_.clear();  // re-collected from the index (or scan) read below
   std::map<IndexKey, IndexEntry> loaded;
   std::uint64_t disk_clock = 0;
   bool ok = false;
@@ -268,7 +289,10 @@ void Store::load_index_locked() {
               IndexEntry entry;
               entry.size = r.u64();
               entry.last_access = r.u64();
-              loaded[key] = entry;
+              if (key.first == kRetiredKind)
+                retired_.push_back(key.second);
+              else
+                loaded[key] = entry;
             }
             r.expect_done();
             ok = true;
@@ -307,6 +331,9 @@ void Store::load_index_locked() {
 }
 
 bool Store::write_index_locked() {
+  for (const std::uint64_t key : retired_)
+    ::unlink(entry_path(static_cast<Kind>(kRetiredKind), key).c_str());
+  retired_.clear();
   Writer w;
   w.u64(kIndexMagic);
   w.u32(kIndexVersion);
@@ -336,6 +363,10 @@ void Store::scan_entries_locked() {
     const std::string name = de.path().filename().string();
     IndexKey key;
     if (!parse_entry_name(name, &key)) continue;
+    if (key.first == kRetiredKind) {
+      retired_.push_back(key.second);
+      continue;
+    }
     std::error_code size_ec;
     const std::uint64_t size = de.file_size(size_ec);
     if (size_ec) continue;

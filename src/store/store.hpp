@@ -12,16 +12,17 @@ namespace nvp::store {
 
 /// Artifact kinds the store holds, one per staged-pipeline cache level.
 /// The numeric value is part of the on-disk format — append, never renumber.
+/// Value 5 belonged to the retired whole-result tier and stays unused;
+/// Store::open purges the entries a store still holds under it.
 enum class Kind : std::uint32_t {
   kStructure = 1,    ///< core::StructureArtifact (graph skeleton + plan)
   kRates = 2,        ///< core::RatesArtifact (stationary vector)
   kRewardTable = 3,  ///< per-class reward table
   kRewards = 4,      ///< staged rewards-stage AnalysisResult
-  kWholeResult = 5,  ///< ReliabilityAnalyzer whole-result AnalysisResult
 };
-inline constexpr std::size_t kKindCount = 5;
+inline constexpr std::size_t kKindCount = 4;
 
-/// "structure" / "rates" / "reward_table" / "rewards" / "whole_result".
+/// "structure" / "rates" / "reward_table" / "rewards".
 const char* to_string(Kind kind);
 
 /// One entry file on disk:
@@ -152,7 +153,11 @@ class Store {
 
   /// Loads index.v1, merging this process's pending recency bumps; falls
   /// back to a directory scan when the file is missing or malformed.
+  /// Entries of the retired kind go to `retired_` (replacing its previous
+  /// contents), never into the index.
   void load_index_locked();
+  /// Persists the index; first unlinks the files of `retired_` (the caller
+  /// holds the exclusive lock, and the new index no longer lists them).
   bool write_index_locked();
   void scan_entries_locked();
   /// Evicts least-recently-used entries until total size <= cap. Caller
@@ -168,6 +173,7 @@ class Store {
   std::map<IndexKey, IndexEntry> index_;
   std::uint64_t clock_ = 0;
   bool recency_dirty_ = false;  ///< reads bumped recency since last persist
+  std::vector<std::uint64_t> retired_;  ///< retired-kind keys to unlink
 };
 
 /// Process-wide store used by the staged pipeline's second cache tier.

@@ -1,7 +1,7 @@
 #include "src/util/cli.hpp"
 
-#include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace nvp::util {
 
@@ -64,50 +64,37 @@ std::vector<std::string> CliArgs::keys() const {
 
 namespace {
 
-void warn_deprecated(const char* old_flag, const char* replacement) {
-  std::fprintf(stderr, "warning: %s is deprecated, use %s\n", old_flag,
-               replacement);
-}
+/// Removed flag spellings and their replacements. CliArgs keeps unknown
+/// flags and callers ignore them, so a removed spelling must fail loudly.
+constexpr std::pair<const char*, const char*> kRemovedFlags[] = {
+    {"threads", "--jobs"},
+    {"rng-seed", "--seed"},
+    {"csv", "--format csv"},
+    {"json", "--format json"},
+    {"out", "--output"},
+    {"solver", "--solver-config backend=<name>"},
+    {"fallback", "--solver-config fallback=<stage+stage+...>"},
+};
 
 }  // namespace
 
-const std::vector<std::string>& CommonOptions::known_flags() {
-  static const std::vector<std::string> kFlags = {
-      "jobs",   "seed", "format",      "output",      "metrics-json",
-      "trace",  "metrics", "cache-stats",
-      // deprecated aliases
-      "threads", "rng-seed", "csv", "json", "out"};
-  return kFlags;
-}
-
 CommonOptions parse_common_options(const CliArgs& args) {
+  for (const auto& [flag, replacement] : kRemovedFlags)
+    if (args.has(flag))
+      throw std::invalid_argument("--" + std::string(flag) +
+                                  " was removed, use " + replacement);
   CommonOptions options;
 
-  if (args.has("threads") && !args.has("jobs"))
-    warn_deprecated("--threads", "--jobs");
-  options.jobs = args.get_int("jobs", args.get_int("threads", 0));
+  options.jobs = args.get_int("jobs", 0);
   if (options.jobs < 0)
     throw std::invalid_argument("--jobs must be >= 0 (0 = default)");
 
-  if (args.has("rng-seed") && !args.has("seed"))
-    warn_deprecated("--rng-seed", "--seed");
-  const int seed = args.get_int("seed", args.get_int("rng-seed", 1));
+  const int seed = args.get_int("seed", 1);
   if (seed < 0) throw std::invalid_argument("--seed must be >= 0");
   options.seed = static_cast<std::uint64_t>(seed);
 
-  std::string format = args.get("format", "");
-  if (format.empty()) {
-    if (args.has("csv")) {
-      warn_deprecated("--csv", "--format csv");
-      format = "csv";
-    } else if (args.has("json")) {
-      warn_deprecated("--json", "--format json");
-      format = "json";
-    } else {
-      format = "table";
-    }
-  }
-  if (format == "table")
+  const std::string format = args.get("format", "");
+  if (format.empty() || format == "table")
     options.format = OutputFormat::kTable;
   else if (format == "csv")
     options.format = OutputFormat::kCsv;
@@ -117,10 +104,7 @@ CommonOptions parse_common_options(const CliArgs& args) {
     throw std::invalid_argument("--format expects table|csv|json, got '" +
                                 format + "'");
 
-  if (args.has("out") && !args.has("output"))
-    warn_deprecated("--out", "--output");
-  options.output = args.get("output", args.get("out", ""));
-
+  options.output = args.get("output", "");
   options.metrics_json = args.get("metrics-json", "");
   options.trace = args.has("trace");
   options.metrics_dump = args.has("metrics");

@@ -50,12 +50,11 @@ enum class OutputFormat { kTable, kCsv, kJson };
 ///   --metrics-json PATH write a run manifest (implies tracing)
 ///   --trace             collect spans; print the span tree on exit
 ///   --cache-stats       print the per-stage pipeline cache table
-///                       (structure / rates / reward_table / rewards /
-///                       whole_result hit/miss/eviction counts) to stderr
+///                       (structure / rates / reward_table / rewards
+///                       hit/miss/eviction counts) to stderr
 ///
-/// Deprecated aliases (accepted with a stderr warning): --threads -> --jobs,
-/// --rng-seed -> --seed, --csv / --json (boolean) -> --format, --out ->
-/// --output.
+/// Removed spellings (--threads, --rng-seed, --csv, --json, --out, --solver,
+/// --fallback) are rejected with an error naming their replacement.
 struct CommonOptions {
   int jobs = 0;
   std::uint64_t seed = 1;
@@ -65,14 +64,11 @@ struct CommonOptions {
   bool trace = false;
   bool metrics_dump = false;  ///< print counters to stderr on exit
   bool cache_stats = false;   ///< print per-stage cache table on exit
-
-  /// Flag names consumed by parse_common_options (for typo validation).
-  static const std::vector<std::string>& known_flags();
 };
 
-/// Parses the shared quartet + observability flags from `args`, warning on
-/// stderr for each deprecated alias. Throws std::invalid_argument on
-/// malformed values (bad number, unknown format).
+/// Parses the shared quartet + observability flags from `args`. Throws
+/// std::invalid_argument on malformed values (bad number, unknown format)
+/// and on a removed flag spelling.
 CommonOptions parse_common_options(const CliArgs& args);
 
 }  // namespace nvp::util

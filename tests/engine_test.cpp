@@ -173,11 +173,10 @@ TEST(Engine, RunResultCarriesProvenanceAndMetrics) {
   EXPECT_EQ(result.provenance.params, params.describe());
   EXPECT_EQ(result.provenance.git_sha, obs::build_git_sha());
   EXPECT_GT(result.provenance.jobs, 0u);
-  // The analyzer counters ticked during this run, so the envelope's
-  // metrics snapshot must mention them.
+  // The analyzer counters ticked during this run (a solve, or a rewards
+  // cache hit), so the envelope's metrics snapshot must mention them.
   EXPECT_TRUE(result.metrics.counters.count("core.analyzer.solves") == 1 ||
-              result.metrics.counters.count("core.analysis_cache.hits") ==
-                  1);
+              result.metrics.counters.count("core.rewards_cache.hits") == 1);
 
   core::Engine::SimulateOptions sim_options;
   sim_options.horizon = 1e4;

@@ -302,7 +302,7 @@ TEST(HeterogeneousStaged, StructureArtifactRoundTripsThroughCodec) {
               structure->state_class[i].groups);
 }
 
-TEST(HeterogeneousStaged, RepeatAnalysisHitsTheWholeResultCache) {
+TEST(HeterogeneousStaged, RepeatAnalysisHitsTheRewardsCache) {
   SystemParameters params = SystemParameters::paper_six_version();
   ModuleGroup heavy = group_of(params, 5);
   heavy.weight = 2.0;
@@ -314,9 +314,9 @@ TEST(HeterogeneousStaged, RepeatAnalysisHitsTheWholeResultCache) {
   options.convention = RewardConvention::kGeneralized;
   const core::ReliabilityAnalyzer analyzer(options);
   const auto cold = analyzer.analyze(params);
-  const auto before = core::stage_cache_stats().whole_result;
+  const auto before = core::stage_cache_stats().rewards;
   const auto warm = analyzer.analyze(params);
-  const auto after = core::stage_cache_stats().whole_result;
+  const auto after = core::stage_cache_stats().rewards;
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(cold.expected_reliability, warm.expected_reliability);
 }

@@ -574,14 +574,14 @@ TEST(SolverConfigTest, CacheKeysFollowTheCanonicalHash) {
   core::ReliabilityAnalyzer::Options a;
   core::ReliabilityAnalyzer::Options b;
   b.solver.gmres_restart = 81;  // any knob, not just the historic subset
-  EXPECT_NE(core::analysis_cache_key(params, a),
-            core::analysis_cache_key(params, b));
+  EXPECT_NE(core::rewards_stage_key(params, a),
+            core::rewards_stage_key(params, b));
   EXPECT_NE(core::rates_stage_key(params, a.solver),
             core::rates_stage_key(params, b.solver));
   core::ReliabilityAnalyzer::Options c;
   c.solver.lumped_warm_start = false;
-  EXPECT_NE(core::analysis_cache_key(params, a),
-            core::analysis_cache_key(params, c));
+  EXPECT_NE(core::rewards_stage_key(params, a),
+            core::rewards_stage_key(params, c));
 }
 
 }  // namespace

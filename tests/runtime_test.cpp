@@ -17,7 +17,9 @@
 #include "src/core/model_factory.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/core/sweep.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/runtime/fnv.hpp"
 #include "src/runtime/lru_cache.hpp"
 #include "src/runtime/thread_pool.hpp"
@@ -207,27 +209,42 @@ TEST(SeedSequence, NextAndAtAgree) {
 TEST(AnalysisCache, KeyIsSensitiveToParamsAndOptions) {
   const auto params = core::SystemParameters::paper_six_version();
   core::ReliabilityAnalyzer::Options options;
-  const std::uint64_t base_key = core::analysis_cache_key(params, options);
+  const std::uint64_t base_key = core::rewards_stage_key(params, options);
 
   auto perturbed = params;
   perturbed.rejuvenation_interval += 1.0;
-  EXPECT_NE(core::analysis_cache_key(perturbed, options), base_key);
+  EXPECT_NE(core::rewards_stage_key(perturbed, options), base_key);
 
   auto other_options = options;
   other_options.convention = core::RewardConvention::kGeneralized;
-  EXPECT_NE(core::analysis_cache_key(params, other_options), base_key);
-  EXPECT_EQ(core::analysis_cache_key(params, options), base_key);
+  EXPECT_NE(core::rewards_stage_key(params, other_options), base_key);
+  other_options = options;
+  other_options.attachment = core::RewardAttachment::kAppendixMatrices;
+  EXPECT_NE(core::rewards_stage_key(params, other_options), base_key);
+  EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
+}
+
+std::uint64_t analyzer_solves() {
+  for (const auto& [name, value] :
+       obs::Registry::global().snapshot().counters)
+    if (name == "core.analyzer.solves") return value;
+  return 0;
 }
 
 TEST(AnalysisCache, RepeatAnalysisHitsTheCache) {
-  core::ReliabilityAnalyzer::cache().clear();
+  core::clear_stage_caches();
   const core::ReliabilityAnalyzer analyzer;
   const auto params = core::SystemParameters::paper_four_version();
+  const std::uint64_t cold_solves = analyzer_solves();
   const auto first = analyzer.analyze(params);
-  const auto before = core::ReliabilityAnalyzer::cache().stats();
+  // A cold point is one solve; a warm repeat is a rewards-cache hit that
+  // the solve counter does not see.
+  EXPECT_EQ(analyzer_solves(), cold_solves + 1);
+  const auto before = core::stage_cache_stats().rewards;
   const auto second = analyzer.analyze(params);
-  const auto after = core::ReliabilityAnalyzer::cache().stats();
+  const auto after = core::stage_cache_stats().rewards;
   EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(analyzer_solves(), cold_solves + 1);
   EXPECT_DOUBLE_EQ(first.expected_reliability, second.expected_reliability);
   EXPECT_EQ(first.tangible_states, second.tangible_states);
 }
@@ -239,7 +256,7 @@ std::vector<core::SweepPoint> run_sweep_with_jobs(std::size_t jobs,
   runtime::set_default_jobs(jobs);
   core::ReliabilityAnalyzer::Options options;
   options.use_cache = use_cache;
-  core::ReliabilityAnalyzer::cache().clear();
+  core::clear_stage_caches();
   const core::ReliabilityAnalyzer analyzer(options);
   const auto base = core::SystemParameters::paper_six_version();
   return core::sweep_parameter(analyzer, base,
@@ -309,7 +326,7 @@ TEST(Determinism, ReplicatedEstimateIsIdenticalForAnyJobCount) {
 TEST(Determinism, OptimizerIsIdenticalForAnyJobCount) {
   auto optimize_with = [](std::size_t jobs) {
     runtime::set_default_jobs(jobs);
-    core::ReliabilityAnalyzer::cache().clear();
+    core::clear_stage_caches();
     const core::ReliabilityAnalyzer analyzer;
     return core::optimize_rejuvenation_interval(
         analyzer, core::SystemParameters::paper_six_version(), 200.0, 1500.0,

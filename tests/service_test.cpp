@@ -15,6 +15,7 @@
 
 #include "src/core/engine.hpp"
 #include "src/core/staged.hpp"
+#include "src/obs/json.hpp"
 #include "src/service/client.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/server.hpp"
@@ -204,6 +205,65 @@ TEST(RequestTest, OptionsOverlaySeededDefaults) {
   reset.options.solver.backend = markov::SolverBackend::kSparse;
   ASSERT_TRUE(service::parse_request(*payload, &reset, &error)) << error;
   EXPECT_EQ(reset.options.solver.backend, markov::SolverBackend::kAuto);
+}
+
+/// An analyze request for the 6v paper preset carrying `key` = `value`,
+/// system-wide, or in the second group of a 5+2 split when `in_group`.
+std::string analyze_with(const char* key, double value, bool in_group) {
+  obs::JsonWriter json;
+  json.begin_object();
+  json.kv("id", 1);
+  json.kv("method", "analyze");
+  json.key("params").begin_object();
+  json.kv("paper", "6v");
+  if (in_group) {
+    json.key("groups").begin_array();
+    json.begin_object().kv("count", 5).end_object();
+    json.begin_object().kv("count", 2).kv(key, value).end_object();
+    json.end_array();
+  } else {
+    json.kv(key, value);
+  }
+  json.end_object().end_object();
+  return json.str();
+}
+
+TEST(RequestTest, EveryParameterRowParsesIntoItsField) {
+  // Each table row's key lands in the field the row names: system-wide in
+  // `params`, per group in a `groups` entry (the other group inherits).
+  // Values are the defaults scaled by 0.9 (0.01 where the default is 0),
+  // valid for the 5+2 split.
+  const auto value_for = [](double base) {
+    return base == 0.0 ? 0.01 : base * 0.9;
+  };
+  const auto paper = core::SystemParameters::paper_six_version();
+  for (const core::ParameterField& field : core::parameter_fields()) {
+    SCOPED_TRACE(field.name);
+    if (field.system != nullptr) {
+      const double v = value_for(paper.*field.system);
+      const auto request = must_parse(analyze_with(field.name, v, false));
+      EXPECT_EQ(request.params.*field.system, v);
+    }
+    if (field.group != nullptr) {
+      const double inherited = paper.inherited_group(2).*field.group;
+      const double v = value_for(inherited);
+      const auto request = must_parse(analyze_with(field.name, v, true));
+      ASSERT_EQ(request.params.groups.size(), 2u);
+      EXPECT_EQ(request.params.n_versions, 7);
+      EXPECT_EQ(request.params.groups[1].*field.group, v);
+      EXPECT_EQ(request.params.groups[0].*field.group, inherited);
+    }
+    // Sweeps accept exactly the system-wide rows.
+    const auto payload = parse(
+        std::string(R"({"id": 1, "method": "sweep", "sweep": {"param": ")") +
+        field.name + R"(", "from": 1, "to": 2, "points": 3}})");
+    ASSERT_TRUE(payload.has_value());
+    service::Request request;
+    std::string error;
+    EXPECT_EQ(service::parse_request(*payload, &request, &error),
+              field.system != nullptr)
+        << error;
+  }
 }
 
 TEST(RequestTest, RejectsBadRequests) {

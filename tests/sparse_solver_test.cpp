@@ -10,6 +10,7 @@
 
 #include "src/core/analyzer.hpp"
 #include "src/core/model_factory.hpp"
+#include "src/core/staged.hpp"
 #include "src/linalg/iterative.hpp"
 #include "src/linalg/lu.hpp"
 #include "src/linalg/sparse_matrix.hpp"
@@ -214,8 +215,8 @@ void expect_backends_agree(const core::SystemParameters& params) {
   const auto sparse =
       core::ReliabilityAnalyzer(sparse_options).analyze(params);
 
-  EXPECT_FALSE(dense.used_sparse_backend);
-  EXPECT_TRUE(sparse.used_sparse_backend);
+  EXPECT_EQ(dense.backend_used, markov::SolverBackend::kDense);
+  EXPECT_EQ(sparse.backend_used, markov::SolverBackend::kSparse);
   EXPECT_NEAR(sparse.expected_reliability, dense.expected_reliability,
               1e-10);
   ASSERT_EQ(sparse.state_distribution.size(),
@@ -364,18 +365,18 @@ TEST(BackendDispatchTest, SparseReportsFewerStoredEntriesOnCtmcModels) {
 TEST(CacheKeyTest, BackendAndThresholdChangeTheKey) {
   const auto params = core::SystemParameters::paper_six_version();
   core::ReliabilityAnalyzer::Options options;
-  const auto base_key = core::analysis_cache_key(params, options);
+  const auto base_key = core::rewards_stage_key(params, options);
   options.solver.backend = markov::SolverBackend::kSparse;
-  EXPECT_NE(core::analysis_cache_key(params, options), base_key);
+  EXPECT_NE(core::rewards_stage_key(params, options), base_key);
   options.solver.backend = markov::SolverBackend::kAuto;
   options.solver.sparse_threshold = 1;
-  EXPECT_NE(core::analysis_cache_key(params, options), base_key);
+  EXPECT_NE(core::rewards_stage_key(params, options), base_key);
   options.solver.sparse_threshold = 128;  // back to defaults -> same key
-  EXPECT_EQ(core::analysis_cache_key(params, options), base_key);
+  EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
   options.solver.mrgp_sparse_threshold = 1;
-  EXPECT_NE(core::analysis_cache_key(params, options), base_key);
+  EXPECT_NE(core::rewards_stage_key(params, options), base_key);
   options.solver.mrgp_sparse_threshold = 512;  // default restored
-  EXPECT_EQ(core::analysis_cache_key(params, options), base_key);
+  EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
 }
 
 }  // namespace

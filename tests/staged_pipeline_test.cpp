@@ -25,8 +25,7 @@ void expect_bit_identical(const AnalysisResult& staged,
   EXPECT_EQ(staged.tangible_states, cold.tangible_states) << "step " << step;
   EXPECT_EQ(staged.used_dspn_solver, cold.used_dspn_solver)
       << "step " << step;
-  EXPECT_EQ(staged.used_sparse_backend, cold.used_sparse_backend)
-      << "step " << step;
+  EXPECT_EQ(staged.backend_used, cold.backend_used) << "step " << step;
   EXPECT_EQ(staged.matrix_nonzeros, cold.matrix_nonzeros) << "step " << step;
   ASSERT_EQ(staged.state_distribution.size(), cold.state_distribution.size())
       << "step " << step;
@@ -155,41 +154,95 @@ TEST(StagedPipeline, UseCacheFalseBypassesEveryStage) {
   EXPECT_EQ(stats.rates.lookups(), 0u);
   EXPECT_EQ(stats.reward_table.lookups(), 0u);
   EXPECT_EQ(stats.rewards.lookups(), 0u);
-  EXPECT_EQ(stats.whole_result.lookups(), 0u);
+}
+
+/// Which stage keys differ between two parameter points.
+struct KeyDiff {
+  bool structure, rates, reward_table, rewards;
+};
+
+KeyDiff key_diff(const SystemParameters& a, const SystemParameters& b) {
+  const ReliabilityAnalyzer::Options options;
+  return {structure_stage_key(a) != structure_stage_key(b),
+          rates_stage_key(a, options.solver) !=
+              rates_stage_key(b, options.solver),
+          reward_table_stage_key(a, options.convention) !=
+              reward_table_stage_key(b, options.convention),
+          rewards_stage_key(a, options) != rewards_stage_key(b, options)};
+}
+
+void expect_only_stage_changes(const KeyDiff& diff, ParameterStage stage) {
+  EXPECT_FALSE(diff.structure);
+  EXPECT_EQ(diff.rates, stage == ParameterStage::kRates);
+  EXPECT_EQ(diff.reward_table, stage == ParameterStage::kRewards);
+  EXPECT_TRUE(diff.rewards);
+}
+
+void expect_every_key_changes(const KeyDiff& diff) {
+  EXPECT_TRUE(diff.structure);
+  EXPECT_TRUE(diff.rates);
+  EXPECT_TRUE(diff.reward_table);
+  EXPECT_TRUE(diff.rewards);
 }
 
 TEST(StagedPipeline, StageKeysEmbedUpstreamKeys) {
-  // Changing a structural parameter must change every stage key; changing
-  // a timing parameter only the rates key and below; changing alpha only
-  // the reward keys.
-  const ReliabilityAnalyzer::Options options;
+  // Every parameter-table row feeds exactly its own stage: perturbing it
+  // leaves the structure key alone, changes the rates key iff it is a
+  // rates row and the reward-table key iff it is a rewards row, and always
+  // changes the rewards key. The 0-vs-positive predicates of detection and
+  // imperfect repair are structural, so the base values are positive.
   auto base = SystemParameters::paper_six_version();
+  base.detection_rate = 0.01;
+  auto grouped = base;
+  grouped.groups = {base.inherited_group(4), base.inherited_group(2)};
+  grouped.groups[1].repair_degradation = 0.1;
 
-  auto structural = base;
-  structural.n_versions = 7;
-  EXPECT_NE(structure_stage_key(base), structure_stage_key(structural));
-  EXPECT_NE(rates_stage_key(base, options.solver),
-            rates_stage_key(structural, options.solver));
-  EXPECT_NE(rewards_stage_key(base, options),
-            rewards_stage_key(structural, options));
+  for (const ParameterField& field : parameter_fields()) {
+    SCOPED_TRACE(field.name);
+    if (field.system != nullptr) {
+      auto perturbed = base;
+      perturbed.*field.system *= 1.5;
+      expect_only_stage_changes(key_diff(base, perturbed), field.stage);
+    }
+    if (field.group != nullptr) {
+      auto perturbed = grouped;
+      perturbed.groups[1].*field.group *= 1.5;
+      expect_only_stage_changes(key_diff(grouped, perturbed), field.stage);
+    }
+  }
 
-  auto timing = base;
-  timing.mean_time_to_compromise *= 2.0;
-  EXPECT_EQ(structure_stage_key(base), structure_stage_key(timing));
-  EXPECT_NE(rates_stage_key(base, options.solver),
-            rates_stage_key(timing, options.solver));
-  EXPECT_EQ(reward_table_stage_key(base, options.convention),
-            reward_table_stage_key(timing, options.convention));
+  // The voter timings have no table row and are hashed by hand.
+  for (double SystemParameters::*voter :
+       {&SystemParameters::voter_mtbf, &SystemParameters::voter_mttr}) {
+    auto perturbed = base;
+    perturbed.*voter *= 2.0;
+    expect_only_stage_changes(key_diff(base, perturbed),
+                              ParameterStage::kRates);
+  }
 
-  auto reward = base;
-  reward.alpha = 0.75;
-  EXPECT_EQ(structure_stage_key(base), structure_stage_key(reward));
-  EXPECT_EQ(rates_stage_key(base, options.solver),
-            rates_stage_key(reward, options.solver));
-  EXPECT_NE(reward_table_stage_key(base, options.convention),
-            reward_table_stage_key(reward, options.convention));
-  EXPECT_NE(rewards_stage_key(base, options),
-            rewards_stage_key(reward, options));
+  // Structural parameters change every key.
+  const auto paper = SystemParameters::paper_six_version();
+  std::vector<SystemParameters> structural(8, paper);
+  structural[0].n_versions = 7;
+  structural[1].max_faulty = 2;
+  structural[2].max_rejuvenating = 2;
+  structural[3].rejuvenation = false;
+  structural[4].semantics = FiringSemantics::kInfiniteServer;
+  structural[5].voter_can_fail = true;
+  structural[6].detection_rate = 0.01;
+  structural[7].groups = {paper.inherited_group(4), paper.inherited_group(2)};
+  structural[7].groups[1].repair_degradation = 0.1;
+  for (std::size_t i = 0; i < structural.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_every_key_changes(key_diff(paper, structural[i]));
+  }
+  auto recounted = grouped;
+  recounted.groups[0].count = 3;
+  recounted.groups[1].count = 3;
+  expect_every_key_changes(key_diff(grouped, recounted));
+  auto perfect_repair = grouped;
+  perfect_repair.groups[1].repair_degradation = 0.0;
+  expect_every_key_changes(key_diff(grouped, perfect_repair));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -250,7 +251,7 @@ TEST(StoreTest, PutGetRoundTripsExactBytes) {
 TEST(StoreTest, MissingKeyIsAMiss) {
   ScratchDir dir("nvp_store_miss");
   auto s = open_store(dir);
-  EXPECT_FALSE(s->get(store::Kind::kWholeResult, 42).has_value());
+  EXPECT_FALSE(s->get(store::Kind::kRewards, 42).has_value());
 }
 
 TEST(StoreTest, OverwriteReplacesThePayload) {
@@ -318,7 +319,7 @@ TEST(StoreTest, PayloadBitFlipIsACountedMiss) {
   ScratchDir dir("nvp_store_bitflip");
   auto s = open_store(dir);
   std::vector<std::uint8_t> payload(256, 0xC3);
-  ASSERT_TRUE(s->put(store::Kind::kWholeResult, 5, payload.data(),
+  ASSERT_TRUE(s->put(store::Kind::kRewards, 5, payload.data(),
                      payload.size()));
   const fs::path path = only_entry(dir);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -331,7 +332,7 @@ TEST(StoreTest, PayloadBitFlipIsACountedMiss) {
   f.close();
 
   const std::uint64_t corrupt_before = counter_value("store.corrupt");
-  EXPECT_FALSE(s->get(store::Kind::kWholeResult, 5).has_value());
+  EXPECT_FALSE(s->get(store::Kind::kRewards, 5).has_value());
   EXPECT_GT(counter_value("store.corrupt"), corrupt_before);
 }
 
@@ -395,6 +396,74 @@ TEST(StoreTest, GcAdoptsOrphansSweepsTempsAndEvicts) {
     EXPECT_GT(fresh->gc(store::kHeaderBytes + 600), 0u);
     EXPECT_LE(fresh->stats().bytes, store::kHeaderBytes + 600);
   }
+}
+
+// Kind 5 held the whole-result tier, which is gone. A store written while it
+// existed holds such entries: the file, kind 5 in its header, and a kind-5
+// index record. Opening the store must unlink them and keep them out of the
+// byte accounting; an index rebuild must do the same for a lone file.
+TEST(StoreTest, OpenPurgesRetiredWholeResultEntries) {
+  ScratchDir dir("nvp_store_retired");
+  const std::string live = "rewards payload";
+  const std::string retired = "whole-result payload";
+  {
+    auto s = open_store(dir);
+    ASSERT_TRUE(s->put(store::Kind::kRewards, 7, live.data(), live.size()));
+    ASSERT_TRUE(
+        s->put(store::Kind::kRewards, 9, retired.data(), retired.size()));
+  }
+  const fs::path entries = dir.path() / "entries";
+  const fs::path live_path = entries / "rewards-0000000000000007.nvps";
+  const fs::path rewards_path = entries / "rewards-0000000000000009.nvps";
+  const fs::path retired_path = entries / "whole_result-0000000000000009.nvps";
+  std::vector<char> bytes(fs::file_size(rewards_path));
+  std::ifstream(rewards_path, std::ios::binary)
+      .read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  const std::uint32_t kind = 5;
+  std::memcpy(bytes.data() + 12, &kind, sizeof(kind));
+  const std::uint64_t header_checksum = store::fnv1a(bytes.data(), 40);
+  std::memcpy(bytes.data() + 40, &header_checksum, sizeof(header_checksum));
+  const auto write_retired = [&] {
+    std::ofstream(retired_path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  write_retired();
+  fs::remove(rewards_path);
+  const std::uint64_t live_size = fs::file_size(live_path);
+  // index.v1: magic, version, pad, clock, count, then (kind, pad, key,
+  // size, last access) per entry and a trailing FNV-1a checksum.
+  store::Writer index;
+  index.u64(0x3158444950564EULL);
+  index.u32(1);
+  index.u32(0);
+  index.u64(2);
+  index.u64(2);
+  for (const auto& [k, key, size, clock] :
+       {std::array<std::uint64_t, 4>{4, 7, live_size, 1},
+        std::array<std::uint64_t, 4>{5, 9, bytes.size(), 2}}) {
+    index.u32(static_cast<std::uint32_t>(k));
+    index.u32(0);
+    index.u64(key);
+    index.u64(size);
+    index.u64(clock);
+  }
+  index.u64(store::fnv1a(index.buffer().data(), index.buffer().size()));
+  std::ofstream(dir.path() / "index.v1", std::ios::binary)
+      .write(reinterpret_cast<const char*>(index.buffer().data()),
+             static_cast<std::streamsize>(index.buffer().size()));
+
+  const auto expect_only_live = [&] {
+    auto s = open_store(dir);
+    EXPECT_FALSE(fs::exists(retired_path));
+    const store::Stats stats = s->stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.bytes, live_size);
+    EXPECT_TRUE(s->get(store::Kind::kRewards, 7).has_value());
+  };
+  expect_only_live();
+  write_retired();
+  fs::remove(dir.path() / "index.v1");
+  expect_only_live();
 }
 
 // ---------------------------------------------------------------------------
@@ -462,12 +531,10 @@ class StoreWarmStart : public ::testing::Test {
   void SetUp() override {
     store::close_global();
     core::clear_stage_caches();
-    core::ReliabilityAnalyzer::cache().clear();
   }
   void TearDown() override {
     store::close_global();
     core::clear_stage_caches();
-    core::ReliabilityAnalyzer::cache().clear();
   }
 
   void open_global(const ScratchDir& dir) {
@@ -481,7 +548,6 @@ class StoreWarmStart : public ::testing::Test {
   void restart(const ScratchDir& dir) {
     store::close_global();
     core::clear_stage_caches();
-    core::ReliabilityAnalyzer::cache().clear();
     open_global(dir);
   }
 };

@@ -426,6 +426,33 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_THROW(args.get_double("x", 0.0), std::invalid_argument);
 }
 
+TEST(Cli, RemovedSpellingsFailNamingTheirReplacement) {
+  const std::pair<const char*, const char*> removed[] = {
+      {"--threads=2", "--jobs"},
+      {"--rng-seed=3", "--seed"},
+      {"--csv", "--format csv"},
+      {"--json", "--format json"},
+      {"--out=x.txt", "--output"},
+      {"--solver=dense", "--solver-config backend="},
+      {"--fallback=power", "--solver-config fallback="}};
+  for (const auto& [flag, replacement] : removed) {
+    const char* argv[] = {"prog", flag};
+    const CliArgs args(2, argv);
+    try {
+      parse_common_options(args);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(replacement), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* argv[] = {"prog", "--jobs=2", "--format=csv", "--output=x"};
+  const CommonOptions options = parse_common_options(CliArgs(4, argv));
+  EXPECT_EQ(options.jobs, 2);
+  EXPECT_EQ(options.format, OutputFormat::kCsv);
+  EXPECT_EQ(options.output, "x");
+}
+
 // ---- string_util -------------------------------------------------------------
 
 TEST(StringUtil, Format) {

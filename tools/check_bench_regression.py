@@ -31,7 +31,8 @@ Store mode (``--store``) reads the document written by
 ``bench_store_persistence`` (``bench_results/BENCH_store.json``) and gates
 the persistent solve store's warm-start contract: the warm sweep must be
 bit-identical to cold, perform zero explorations and zero solves (every
-whole-result served from disk, hits covering every point, zero misses),
+rewards-stage result served from disk, hits covering every point, zero
+misses),
 and beat the cold run by at least the recorded speedup floor; the
 primitive-latency section must have measured positive open/put/get costs
 with every probe read hitting. Apart from the speedup floor — itself an
@@ -53,10 +54,10 @@ Archspace mode (``--archspace``) reads the document written by
 gates the heterogeneous architecture-space contract: the candidate family
 must span at least 200 architectures, the store-warm re-exploration must be
 bit-identical to cold with zero reachability explorations and zero solves
-(every whole-result served from disk) and at least 5x faster, no candidate
-may have degraded into an error envelope, and the weighted-vs-homogeneous
-quality comparison must have compared at least one module budget with the
-heterogeneous candidate winning somewhere. Apart from the speedup floor —
+(every rewards-stage result served from disk) and at least 5x faster, no
+candidate may have degraded into an error envelope, and the
+weighted-vs-homogeneous quality comparison must have compared at least one
+module budget with the heterogeneous candidate winning somewhere. Apart from the speedup floor —
 an order-of-magnitude bound, the warm path replaces full DSPN solves with
 store reads — these restate deterministic counters and model mathematics,
 so they take no tolerance.

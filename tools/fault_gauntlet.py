@@ -411,9 +411,10 @@ def run_store_gauntlet(args):
            check_store_run(cold, None, require=["store.write"],
                            forbid=["store.hit", "store.corrupt"]))
 
-    # Warm: every whole-result must come off disk — zero state-space
-    # explorations, zero solves (both counters are lazily registered, so
-    # "absent" is the passing shape) — bit-identical and faster.
+    # Warm: every rewards-stage result must come off disk — zero
+    # state-space explorations, zero solves (both counters are lazily
+    # registered, so "absent" is the passing shape) — bit-identical and
+    # faster.
     warm = run_store_sweep(args.cli, args.points, store_dir)
     warm_errors = check_store_run(
         warm, cold, require=["store.hit"],

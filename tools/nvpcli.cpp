@@ -19,8 +19,10 @@
 // --metrics-json <path> (write a run manifest; implies --trace), --trace
 // (print the span tree to stderr), and --cache-stats (print the staged
 // pipeline's per-stage cache table — structure / rates / reward_table /
-// rewards / whole_result — to stderr). NVP_METRICS=0 disables metrics; a
-// path-valued NVP_METRICS acts like --metrics-json.
+// rewards — to stderr). NVP_METRICS=0 disables metrics; a path-valued
+// NVP_METRICS acts like --metrics-json. Removed flag spellings (--threads,
+// --rng-seed, --csv, --json, --out, --solver, --fallback) fail with an
+// error naming their replacement.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on model/solver errors.
 
@@ -70,11 +72,10 @@ int usage() {
       "<file.dspn> --reward <expr>)\n"
       "  nvpcli simulate    (--paper 4v|6v | --model <file.dspn> --reward "
       "<expr>) [--horizon 1e6] [--reps 8]\n"
-      "  nvpcli sweep       --paper 4v|6v --param "
-      "interval|mttc|alpha|p|p-prime --from <x> --to <x> [--points 15]\n"
+      "  nvpcli sweep       --paper 4v|6v --param <override> --from <x> "
+      "--to <x> [--points 15]\n"
       "  nvpcli crossovers  --paper 4v|6v --vs plain|4v|6v --param "
-      "interval|mttc|alpha|p|p-prime --from <x> --to <x> [--points 15] "
-      "[--tolerance 1.0]\n"
+      "<override> --from <x> --to <x> [--points 15] [--tolerance 1.0]\n"
       "  nvpcli optimize    --paper 6v --from <x> --to <x>\n"
       "  nvpcli sensitivity --paper 4v|6v [--step 0.1]\n"
       "  nvpcli archspace   --paper 4v|6v [--max-n 10] [--max-f 2] "
@@ -118,7 +119,8 @@ int usage() {
       "deadline-exceeded error.\n"
       "\n"
       "paper parameter overrides: --n --f --r --alpha --p --p-prime --mttc "
-      "--mttf --mttr --interval --duration --detection-rate\n"
+      "--mttf --mttr --interval --duration --detection-rate (every one but "
+      "n/f/r is also a sweep/crossovers --param value)\n"
       "heterogeneous architectures: --groups "
       "\"count[:mttc[:mttf[:mttr[:p[:p-prime[:weight[:repair-degradation"
       "]]]]]]];...\" splits the N modules into groups with per-group rates, "
@@ -145,11 +147,7 @@ int usage() {
       "observability: --metrics-json <path> (write run manifest; implies "
       "--trace), --trace (span tree to stderr), --metrics (counter dump to "
       "stderr), --cache-stats (per-stage pipeline cache table to stderr); "
-      "NVP_METRICS=0 disables collection\n"
-      "deprecated aliases: --threads->--jobs --rng-seed->--seed "
-      "--csv/--json->--format --out->--output "
-      "--solver-> --solver-config backend=... "
-      "--fallback-> --solver-config fallback=...\n");
+      "NVP_METRICS=0 disables collection\n");
   return 1;
 }
 
@@ -242,7 +240,6 @@ void dump_cache_stats() {
   row("rates", stats.rates);
   row("reward_table", stats.reward_table);
   row("rewards", stats.rewards);
-  row("whole_result", stats.whole_result);
   // Service counters ride along: zeros in batch runs, live totals when this
   // process hosted nvpd (`serve` prints them on shutdown). The same numbers
   // are served remotely by the `stats` protocol request.
@@ -315,16 +312,15 @@ void apply_groups_spec(const std::string& spec,
       if (i >= fields.size() || fields[i].empty()) return fallback;
       return std::strtod(fields[i].c_str(), nullptr);
     };
-    core::ModuleGroup group;
-    group.count = static_cast<int>(field(0, 0.0));
-    group.mean_time_to_compromise =
-        field(1, params.mean_time_to_compromise);
-    group.mean_time_to_failure = field(2, params.mean_time_to_failure);
-    group.mean_time_to_repair = field(3, params.mean_time_to_repair);
-    group.p = field(4, params.p);
-    group.p_prime = field(5, params.p_prime);
-    group.weight = field(6, 1.0);
-    group.repair_degradation = field(7, 0.0);
+    core::ModuleGroup group =
+        params.inherited_group(static_cast<int>(field(0, 0.0)));
+    // The fields after the count are the table's group rows, in order.
+    std::size_t position = 1;
+    for (const core::ParameterField& row : core::parameter_fields())
+      if (row.group != nullptr) {
+        group.*row.group = field(position, group.*row.group);
+        ++position;
+      }
     params.groups.push_back(group);
     total += group.count;
   }
@@ -341,24 +337,14 @@ core::SystemParameters paper_params(const util::CliArgs& args) {
   params.n_versions = args.get_int("n", params.n_versions);
   params.max_faulty = args.get_int("f", params.max_faulty);
   params.max_rejuvenating = args.get_int("r", params.max_rejuvenating);
-  params.alpha = args.get_double("alpha", params.alpha);
-  params.p = args.get_double("p", params.p);
-  params.p_prime = args.get_double("p-prime", params.p_prime);
-  params.mean_time_to_compromise =
-      args.get_double("mttc", params.mean_time_to_compromise);
-  params.mean_time_to_failure =
-      args.get_double("mttf", params.mean_time_to_failure);
-  params.mean_time_to_repair =
-      args.get_double("mttr", params.mean_time_to_repair);
-  params.rejuvenation_interval =
-      args.get_double("interval", params.rejuvenation_interval);
-  params.rejuvenation_duration =
-      args.get_double("duration", params.rejuvenation_duration);
-  params.detection_rate =
-      args.get_double("detection-rate", params.detection_rate);
+  for (const core::ParameterField& field : core::parameter_fields())
+    if (field.system != nullptr)
+      params.*field.system =
+          args.get_double(field.name, params.*field.system);
   if (args.has("groups")) {
-    for (const char* key : {"p", "p-prime", "mttc", "mttf", "mttr"})
-      if (args.has(key))
+    for (const core::ParameterField& field : core::parameter_fields())
+      if (field.system != nullptr && field.group != nullptr &&
+          args.has(field.name))
         warn_once("groups-scalars",
                   "scalar rate/accuracy flags combined with --groups act "
                   "as per-group defaults; prefer the --groups spec fields");
@@ -372,16 +358,6 @@ core::SystemParameters paper_params(const util::CliArgs& args) {
   return params;
 }
 
-/// Warn-once helper for the deprecated solver flags (repeated subcommand
-/// dispatch within one process must not repeat the warning).
-void warn_deprecated_once(const char* old_flag, const char* replacement) {
-  static std::set<std::string> warned;
-  if (!warned.insert(old_flag).second) return;
-  std::fprintf(stderr, "warning: %s is deprecated, use %s\n", old_flag,
-               replacement);
-}
-
-
 core::ReliabilityAnalyzer::Options analyzer_options(
     const util::CliArgs& args) {
   core::ReliabilityAnalyzer::Options options;
@@ -393,24 +369,6 @@ core::ReliabilityAnalyzer::Options analyzer_options(
   const std::string attachment = args.get("attachment", "operational");
   if (attachment == "appendix")
     options.attachment = core::RewardAttachment::kAppendixMatrices;
-  if (args.has("solver")) {
-    warn_deprecated_once("--solver", "--solver-config backend=<name>");
-    const std::string solver = args.get("solver", "auto");
-    const auto backend = markov::parse_backend(solver);
-    if (!backend)
-      throw std::invalid_argument(
-          "--solver must be auto, dense, sparse, or mfree (got '" + solver +
-          "')");
-    options.solver.backend = *backend;
-  }
-  if (args.has("fallback")) {
-    warn_deprecated_once("--fallback",
-                         "--solver-config fallback=<stage+stage+...>");
-    options.solver.fallback.stages =
-        markov::parse_fallback_stages(args.get("fallback", ""));
-  }
-  // The consolidated spec applies last: an explicit --solver-config always
-  // wins over the deprecated aliases it replaces.
   if (args.has("solver-config"))
     options.solver.apply(args.get("solver-config", ""));
   return options;
@@ -599,21 +557,11 @@ int simulate_paper(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-/// Maps a --param name to its setter; nullptr for unknown names.
-core::ParameterSetter setter_for(const std::string& name) {
-  if (name == "interval") return core::set_rejuvenation_interval();
-  if (name == "mttc") return core::set_mean_time_to_compromise();
-  if (name == "alpha") return core::set_alpha();
-  if (name == "p") return core::set_p();
-  if (name == "p-prime") return core::set_p_prime();
-  return nullptr;
-}
-
 int sweep(const core::Engine& engine, const util::CliArgs& args,
           const util::CommonOptions& common, std::string& out) {
   const auto params = paper_params(args);
   const std::string name = args.get("param", "interval");
-  const core::ParameterSetter setter = setter_for(name);
+  const core::ParameterSetter setter = core::setter_for(name);
   if (!setter) return usage();
   const double from = args.get_double("from", 0.0);
   const double to = args.get_double("to", 0.0);
@@ -670,7 +618,7 @@ int crossovers(const core::Engine& engine, const util::CliArgs& args,
     return 1;
   }
   const std::string name = args.get("param", "mttc");
-  const core::ParameterSetter setter = setter_for(name);
+  const core::ParameterSetter setter = core::setter_for(name);
   if (!setter) return usage();
   const double from = args.get_double("from", 0.0);
   const double to = args.get_double("to", 0.0);
@@ -976,9 +924,9 @@ std::string remote_request_json(std::uint64_t id, const std::string& method,
     for (const char* key : {"n", "f", "r"})
       if (args.has(key))
         json.kv(key, static_cast<std::int64_t>(args.get_int(key, 0)));
-    for (const char* key : {"alpha", "p", "p-prime", "mttc", "mttf", "mttr",
-                            "interval", "duration", "detection-rate"})
-      if (args.has(key)) json.kv(key, args.get_double(key, 0.0));
+    for (const core::ParameterField& field : core::parameter_fields())
+      if (field.system != nullptr && args.has(field.name))
+        json.kv(field.name, args.get_double(field.name, 0.0));
     if (args.has("groups")) {
       // Expand the --groups spec locally (inheriting this invocation's
       // scalars) so the daemon sees fully-specified group objects.
@@ -989,24 +937,17 @@ std::string remote_request_json(std::uint64_t id, const std::string& method,
       for (const core::ModuleGroup& g : params.groups) {
         json.begin_object();
         json.kv("count", static_cast<std::int64_t>(g.count));
-        json.kv("mttc", g.mean_time_to_compromise);
-        json.kv("mttf", g.mean_time_to_failure);
-        json.kv("mttr", g.mean_time_to_repair);
-        json.kv("p", g.p);
-        json.kv("p-prime", g.p_prime);
-        json.kv("weight", g.weight);
-        json.kv("repair-degradation", g.repair_degradation);
+        for (const core::ParameterField& field : core::parameter_fields())
+          if (field.group != nullptr) json.kv(field.name, g.*field.group);
         json.end_object();
       }
       json.end_array();
     }
     json.end_object();
     if (args.has("convention") || args.has("attachment") ||
-        args.has("solver") || args.has("fallback") ||
         args.has("solver-config")) {
       json.key("options").begin_object();
-      for (const char* key :
-           {"convention", "attachment", "solver", "fallback"})
+      for (const char* key : {"convention", "attachment"})
         if (args.has(key)) json.kv(key, args.get(key, ""));
       if (args.has("solver-config"))
         json.kv("solver_config", args.get("solver-config", ""));
