@@ -16,12 +16,14 @@ using store::Writer;
 
 // Per-kind payload schema tags. Bump when a codec's field sequence changes;
 // old payloads then decode as "unknown schema" and are recomputed.
-// Structure v2: per-group state classes (module-group models). Analysis
+// Structure v2: per-group state classes (module-group models); v3: the
+// assembly plan's lumping hint is gone (the structure key tag was bumped
+// with it, so v2 entries are never looked up). Analysis
 // v2: the legacy sparse-backend flag byte is gone (backend_used carries
 // it); the rewards key tag was bumped with it, so v1 entries are never
 // looked up. Version-bumped keys likewise retire other stale layouts:
 // their entries stop being addressed and expire.
-constexpr std::uint32_t kStructureSchema = 2;
+constexpr std::uint32_t kStructureSchema = 3;
 constexpr std::uint32_t kRatesSchema = 1;
 constexpr std::uint32_t kRewardTableSchema = 1;
 constexpr std::uint32_t kAnalysisSchema = 2;
@@ -149,8 +151,6 @@ std::vector<std::uint8_t> encode_structure_artifact(
     w.vec_char(g.in_set);
     write_pattern(w, g.subordinated);
   }
-  w.vec_sizes(plan.lumping);
-  w.u64(plan.lumping_classes);
 
   // (i, j, k) classification (plus per-group counts for heterogeneous
   // structures).
@@ -212,8 +212,6 @@ std::shared_ptr<const StructureArtifact> decode_structure_artifact(
     check(g.in_set.size() == n, "group mask does not match state count");
     g.subordinated = read_pattern(r);
   }
-  plan.lumping = r.vec_sizes();
-  plan.lumping_classes = static_cast<std::size_t>(r.u64());
 
   auto artifact = std::make_shared<StructureArtifact>();
   const std::uint64_t class_rows = r.u64();
@@ -245,8 +243,6 @@ std::shared_ptr<const StructureArtifact> decode_structure_artifact(
         "class map does not match state count");
   for (std::size_t ci : artifact->class_of_state)
     check(ci < artifact->classes.size(), "class index out of range");
-  check(plan.lumping.empty() || plan.lumping.size() == n,
-        "lumping does not match state count");
   r.expect_done();
 
   // Re-pour the concrete net's rates through the deserialized skeleton —

@@ -178,8 +178,10 @@ std::uint64_t structure_stage_key(const SystemParameters& raw) {
   // transitions, arcs, guards, and immediate weights the factory emits —
   // and therefore the reachability graph's shape. Timing values are
   // deliberately absent. Bump the tag when the factory's structural
-  // mapping changes (v2: module-group models).
-  h.str("core::staged/structure/v2");
+  // mapping changes (v2: module-group models) or the structure codec's
+  // layout does (v3: the assembly plan lost its lumping hint), so entries
+  // of an older layout are never looked up.
+  h.str("core::staged/structure/v3");
   h.i32(params.n_versions)
       .i32(params.max_faulty)
       .i32(params.max_rejuvenating)
@@ -209,7 +211,7 @@ std::uint64_t rates_stage_key(
   // The voter extension's timings have no flag or nvpd key, so no table row.
   h.f64(params.voter_mtbf).f64(params.voter_mttr);
   // Every solver knob changes the solve's floating-point path (backend,
-  // chain order, GMRES controls, warm start ...), so distributions must
+  // chain order, GMRES controls ...), so distributions must
   // never alias across configs; the canonical hash covers the complete
   // SolverConfig in one schema-tagged value.
   h.u64(solver.canonical_hash());
@@ -316,13 +318,6 @@ std::shared_ptr<const StructureArtifact> staged_structure(
         artifact->class_of_state[s] =
             class_index.at(artifact->state_class[s].groups);
     }
-    // Hand the (i, j, k) classification to the solver as the assembly
-    // plan's lumping hint: matrix-free solves warm-start from the lumped
-    // chain's stationary vector (see lumped_warm_start). The class count
-    // stays O(N^2) while states grow much faster, so the hint is cheap to
-    // carry on every cached structure.
-    artifact->plan.lumping = artifact->class_of_state;
-    artifact->plan.lumping_classes = artifact->classes.size();
     return artifact;
   };
   if (!use_cache) return build();

@@ -8,8 +8,10 @@ namespace nvp::linalg {
 using Vector = std::vector<double>;
 
 /// Row-major dense matrix of doubles. Sized for the moderate state spaces of
-/// the DSPN analyses (tens to a few thousand states); no SIMD heroics, just
-/// cache-friendly loops and correctness.
+/// the DSPN analyses (tens to a few thousand states). The matrix product is
+/// a register-tiled kernel on two-lane vectors whose output is bit-identical
+/// to the plain i-k-j loop (see multiply_into); everything else is plain
+/// loops.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
@@ -42,6 +44,12 @@ class DenseMatrix {
 
   /// Matrix product (this * other). Requires conforming shapes.
   DenseMatrix multiply(const DenseMatrix& other) const;
+
+  /// out = this * other, into a buffer the caller owns (reshaped only when
+  /// its shape differs). `out` must be neither operand. Each element sums
+  /// a(i, k) * b(k, j) for k ascending from +0, so the result has the same
+  /// bits as the textbook i-k-j loop for finite inputs.
+  void multiply_into(const DenseMatrix& other, DenseMatrix& out) const;
 
   /// Matrix-vector product y = A x.
   Vector multiply(const Vector& x) const;

@@ -187,24 +187,18 @@ struct Preconditioner {
 /// The restarted-GMRES body, shared by the CSR and matrix-free entry points:
 /// templated on the matvec (y = A x) and the preconditioner application so
 /// the CSR instantiation compiles to exactly the code it was before the
-/// operator seam existed (bit-identical results). `x0` seeds the first cycle
-/// when non-null; each cycle recomputes the true residual b - A x, so a warm
-/// start changes only the iterate path, never the convergence criterion.
+/// operator seam existed (bit-identical results). The first cycle starts
+/// from x = 0.
 template <typename Matvec, typename Precond>
 IterativeResult gmres_core(std::size_t n, const Matvec& matvec,
                            const Precond& precond, const Vector& b,
-                           const GmresOptions& opts, const Vector* x0) {
+                           const GmresOptions& opts) {
   NVP_EXPECTS(b.size() == n);
   NVP_EXPECTS(opts.restart >= 1);
   const std::size_t m = opts.restart;
 
   IterativeResult res;
-  if (x0 != nullptr) {
-    NVP_EXPECTS(x0->size() == n);
-    res.x = *x0;
-  } else {
-    res.x.assign(n, 0.0);
-  }
+  res.x.assign(n, 0.0);
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
     res.converged = true;
@@ -337,35 +331,29 @@ IterativeResult gmres(const SparseMatrixCsr& a, const Vector& b,
   const Preconditioner precond = Preconditioner::make(a, opts.preconditioner);
   return gmres_core(
       a.rows(), [&](const Vector& v) { return a.multiply(v); },
-      [&](const Vector& v) { return precond.apply(v); }, b, opts, nullptr);
+      [&](const Vector& v) { return precond.apply(v); }, b, opts);
 }
 
 IterativeResult gmres(const LinearOperator& a, const Vector& b,
-                      const GmresOptions& opts, const Vector* x0) {
+                      const GmresOptions& opts) {
   NVP_EXPECTS(a.rows() == a.cols());
   NVP_EXPECTS(b.size() == a.rows());
   return gmres_core(
       a.rows(), [&](const Vector& v) { return a.apply(v); },
-      [](const Vector& v) { return v; }, b, opts, x0);
+      [](const Vector& v) { return v; }, b, opts);
 }
 
 namespace {
 
 /// Power-iteration body shared by the matrix and matrix-free entry points:
-/// `step` computes the left action x -> x^T P. Matrix instantiations call it
-/// with a null x0 so they remain bit-identical to the pre-operator code.
+/// `step` computes the left action x -> x^T P; the iteration starts from the
+/// uniform distribution.
 template <typename Step>
 IterativeResult stationary_core(std::size_t n, const Step& step,
-                                const IterativeOptions& opts,
-                                const Vector* x0) {
+                                const IterativeOptions& opts) {
   NVP_EXPECTS(n > 0);
   IterativeResult res;
-  if (x0 != nullptr) {
-    NVP_EXPECTS(x0->size() == n);
-    res.x = *x0;
-  } else {
-    res.x.assign(n, 1.0 / static_cast<double>(n));
-  }
+  res.x.assign(n, 1.0 / static_cast<double>(n));
   if (fault::fire(fault::Site::kPowerIteration)) {
     res.residual = std::numeric_limits<double>::infinity();
     return res;
@@ -397,8 +385,7 @@ IterativeResult stationary_impl(const Matrix& p,
                                 const IterativeOptions& opts) {
   NVP_EXPECTS(p.rows() == p.cols());
   return stationary_core(
-      p.rows(), [&](const Vector& x) { return p.left_multiply(x); }, opts,
-      nullptr);
+      p.rows(), [&](const Vector& x) { return p.left_multiply(x); }, opts);
 }
 
 }  // namespace
@@ -414,12 +401,10 @@ IterativeResult stationary_power_iteration(const DenseMatrix& p,
 }
 
 IterativeResult stationary_power_iteration(const LinearOperator& p_left,
-                                           const IterativeOptions& opts,
-                                           const Vector* x0) {
+                                           const IterativeOptions& opts) {
   NVP_EXPECTS(p_left.rows() == p_left.cols());
   return stationary_core(
-      p_left.rows(), [&](const Vector& x) { return p_left.apply(x); }, opts,
-      x0);
+      p_left.rows(), [&](const Vector& x) { return p_left.apply(x); }, opts);
 }
 
 }  // namespace nvp::linalg

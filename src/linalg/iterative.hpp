@@ -81,12 +81,9 @@ IterativeResult gmres(const SparseMatrixCsr& a, const Vector& b,
 
 /// Matrix-free restarted GMRES: A is known only through its action y = A x,
 /// so no entry-wise preconditioner can be built — `opts.preconditioner` is
-/// ignored and the solve runs unpreconditioned. `x0`, when given, seeds the
-/// first cycle (each cycle recomputes the true residual b - A x, so a good
-/// warm start cuts cycles without changing the convergence criterion).
+/// ignored and the solve runs unpreconditioned.
 IterativeResult gmres(const LinearOperator& a, const Vector& b,
-                      const GmresOptions& opts = {},
-                      const Vector* x0 = nullptr);
+                      const GmresOptions& opts = {});
 
 /// Power iteration for the stationary distribution of a row-stochastic
 /// matrix P (solves pi P = pi, pi >= 0, sum pi = 1). The matrix may be
@@ -100,11 +97,8 @@ IterativeResult stationary_power_iteration(const DenseMatrix& p,
 
 /// Matrix-free variant: `p_left` must implement the *left* action of the
 /// chain, apply(x) = x^T P (the natural operation for probability-vector
-/// propagation, matching what a transfer operator computes). `x0`, when
-/// given, replaces the uniform starting vector; it must be a probability
-/// vector.
+/// propagation, matching what a transfer operator computes).
 IterativeResult stationary_power_iteration(const LinearOperator& p_left,
-                                           const IterativeOptions& opts = {},
-                                           const Vector* x0 = nullptr);
+                                           const IterativeOptions& opts = {});
 
 }  // namespace nvp::linalg

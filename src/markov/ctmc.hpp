@@ -60,8 +60,9 @@ enum class SteadyStateMethod {
 ///    linalg::LinearOperator whose action runs one sparse-uniformization
 ///    propagation per deterministic group (see matrix_free.hpp). The only
 ///    backend that scales MRGPs to 10^4-10^5 states.
-///  * kAuto       — pick by tangible state count and model class (see
-///    SolverConfig's sparse_threshold / mrgp_matrix_free_threshold).
+///  * kAuto       — pick by model class: the state count for pure CTMCs
+///    (SolverConfig::sparse_threshold), a per-solve cost rule for MRGPs
+///    (see dispatch() in dspn_solver.hpp).
 enum class SolverBackend { kAuto, kDense, kSparse, kMatrixFree };
 
 /// "auto" / "dense" / "sparse" / "mfree".

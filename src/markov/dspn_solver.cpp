@@ -47,30 +47,22 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
                         const AssemblyPlan& plan,
                         const DspnSteadyStateSolver::Options& options) {
   const std::size_t n = g.size();
+  NVP_ASSERT(!plan.groups.empty());
 
   // Embedded Markov chain P over tangible states and conversion factors C:
   // C(s, j) = expected time spent in j during one regeneration period that
-  // starts in s.
-  DenseMatrix p(n, n, 0.0);
-  DenseMatrix c(n, n, 0.0);
-
-  // Exponential-only states: one firing ends the period.
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!g.deterministics(s).empty()) continue;
-    const double exit = g.exit_rate(s);
-    NVP_ASSERT(exit > 0.0);
-    for (const petri::RateEdge& e : g.exponential_edges(s))
-      p(s, e.target) += e.rate / exit;
-    c(s, s) = 1.0 / exit;
-  }
-
-  // Deterministic groups.
+  // starts in s. Each group's transient pair is turned into its rows of P
+  // and C in place; the first group's pair then becomes P and C, and later
+  // groups add their rows into them. With one group the solve never holds
+  // more than three n x n matrices.
+  DenseMatrix p;
+  DenseMatrix c;
+  Vector omega_row(n);
   const obs::ScopedSpan embed_span("markov.embedded_chain");
   for (const AssemblyPlan::Group& group : plan.groups) {
-    const std::vector<std::size_t>& members = group.members;
     const std::vector<char>& in_set = group.in_set;
-    const double tau = g.deterministics(members[0])[0].delay;
-    for (std::size_t s : members)
+    const double tau = g.deterministics(group.members[0])[0].delay;
+    for (std::size_t s : group.members)
       NVP_ASSERT(g.deterministics(s)[0].delay == tau);
 
     // Subordinated generator: full exponential dynamics inside the set;
@@ -84,14 +76,23 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
       }
     }
 
-    const ExponentialPair pair = [&] {
+    ExponentialPair pair = [&] {
       const obs::ScopedSpan uniform_span("markov.uniformization");
-      return matrix_exponential_pair(q, tau);
+      return matrix_exponential_pair(std::move(q), tau);
     }();
 
-    for (std::size_t s : members) {
-      const double* omega_row = pair.omega.row_data(s);
-      const double* sojourn_row = pair.integral.row_data(s);
+    // Row s of omega becomes row s of P, row s of the integral row s of C;
+    // rows outside the group are cleared.
+    for (std::size_t s = 0; s < n; ++s) {
+      double* p_row = pair.omega.row_data(s);
+      double* c_row = pair.integral.row_data(s);
+      if (!in_set[s]) {
+        std::fill(p_row, p_row + n, 0.0);
+        std::fill(c_row, c_row + n, 0.0);
+        continue;
+      }
+      std::copy(p_row, p_row + n, omega_row.begin());
+      std::fill(p_row, p_row + n, 0.0);
       for (std::size_t u = 0; u < n; ++u) {
         const double reach = omega_row[u];
         if (reach <= 0.0) continue;
@@ -99,18 +100,34 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
           // Still enabled at tau: the deterministic transition fires from
           // state u and switches the marking.
           for (const petri::ProbEdge& e : g.deterministics(u)[0].edges)
-            p(s, e.target) += reach * e.prob;
+            p_row[e.target] += reach * e.prob;
         } else {
           // Absorbed before tau: regeneration at the moment of entering u.
-          p(s, u) += reach;
+          p_row[u] += reach;
         }
       }
-      for (std::size_t u = 0; u < n; ++u) {
-        // Sojourn credit only while the deterministic transition is
-        // enabled; time after absorption belongs to the next period.
-        if (in_set[u]) c(s, u) += sojourn_row[u];
-      }
+      // Sojourn credit only while the deterministic transition is enabled;
+      // time after absorption belongs to the next period.
+      for (std::size_t u = 0; u < n; ++u)
+        if (!in_set[u]) c_row[u] = 0.0;
     }
+    if (p.rows() == 0) {
+      p = std::move(pair.omega);
+      c = std::move(pair.integral);
+    } else {
+      p += pair.omega;
+      c += pair.integral;
+    }
+  }
+
+  // Exponential-only states: one firing ends the period.
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!g.deterministics(s).empty()) continue;
+    const double exit = g.exit_rate(s);
+    NVP_ASSERT(exit > 0.0);
+    for (const petri::RateEdge& e : g.exponential_edges(s))
+      p(s, e.target) += e.rate / exit;
+    c(s, s) = 1.0 / exit;
   }
 
   const double row_err = max_row_sum_error(p);
@@ -216,7 +233,7 @@ Vector solve_mrgp_sparse(const petri::TangibleReachabilityGraph& g,
 // EmbeddedChainOperator answers x -> x P through one sparse-uniformization
 // propagation per deterministic group (see matrix_free.hpp), and the
 // stationary vector comes from unpreconditioned GMRES / power iteration on
-// that operator, optionally warm-started from the model-layer lumping.
+// that operator.
 
 Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
                               const AssemblyPlan& plan,
@@ -233,36 +250,10 @@ Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
   Vector rhs(n, 0.0);
   rhs[n - 1] = 1.0;
 
-  // Warm start from the model-layer lumping when the plan carries one.
-  // Strictly an iterate-path optimization: any failure here falls back to
-  // the cold start, never to a wrong answer. Probing the lumped chain costs
-  // one operator application per class while a cold Krylov solve converges
-  // in a few dozen, so the start only pays for lumpings much coarser than
-  // the iteration budget — beyond the cap the cold start is strictly
-  // faster and we skip the probe entirely.
-  constexpr std::size_t kWarmStartMaxClasses = 96;
-  Vector guess;
-  const Vector* initial_guess = nullptr;
-  if (options.lumped_warm_start && plan.lumping_classes > 0 &&
-      plan.lumping_classes <= kWarmStartMaxClasses &&
-      plan.lumping.size() == n) {
-    static obs::Counter& warm_starts =
-        obs::Registry::global().counter("markov.solver.warm_starts");
-    try {
-      const obs::ScopedSpan warm_span("markov.mfree.warm_start");
-      guess = lumped_warm_start(chain, plan.lumping, plan.lumping_classes);
-      initial_guess = &guess;
-      warm_starts.add();
-    } catch (const std::exception&) {
-      // cold start
-    }
-  }
-
   StationaryProblem problem;
   problem.rhs = &rhs;
   problem.balance_op = &balance;
   problem.transfer_op = &transfer;
-  problem.initial_guess = initial_guess;
   problem.states = n;
   problem.what = "matrix-free MRGP stationary solve";
 
@@ -299,20 +290,85 @@ const char* backend_span(SolverBackend backend) {
   }
 }
 
+// kAuto's MRGP cost rule. A matrix-free solve costs one propagation of
+// sum_g lambda_g tau_g series terms per Krylov iteration, so it grows
+// linearly with the horizon; a dense solve costs about 2 log2(lambda tau)
+// n^3 matrix products per group plus an n^3 LU, so it grows with the state
+// count and only logarithmically with the horizon. Dense wins once the
+// series terms reach this many per state. Calibrated through staged_rates
+// with caches bypassed, best of 5, on the perception families N = 6..14
+// (f = r = 1, lambda = 0.668/s) at tau = 100..3000 s; per family, the
+// largest lambda tau at which mfree won and the smallest at which dense won:
+//
+//   states   mfree won up to   dense won from   terms per state
+//       70        200               300            2.9 - 4.3
+//      117        300               401            2.6 - 3.4
+//      176        534               668            3.0 - 3.8
+//      247        668              1001            2.7 - 4.1
+//      330       1335              2003            4.0 - 6.1
+//
+// No one constant separates every family: at 117 states and lambda tau =
+// 401 dense won by 5% (8.1 vs 8.5 ms), at 330 states and 1335 mfree won by
+// 28% (172 vs 220 ms). Any constant in [2.9, 3.8) keeps kAuto within 1.28x
+// of the faster backend on every cell of the grid; 3.6 sits in that range.
+// bench_mrgp_scaling re-measures such a grid and check_bench_regression.py
+// --mrgp holds kAuto within 1.5x of the faster backend on every cell.
+constexpr double kDenseSeriesTermsPerState = 3.6;
+
 }  // namespace
 
-SolverBackend dispatch_backend(const SolverConfig& config, std::size_t states,
-                               bool has_deterministic) {
-  if (config.backend != SolverBackend::kAuto) return config.backend;
-  if (!has_deterministic)
-    return states >= config.sparse_threshold ? SolverBackend::kSparse
-                                             : SolverBackend::kDense;
-  // MRGP: the explicit embedded chain is near-dense, so the explicit-sparse
-  // assembly never wins a crossover — kAuto goes straight from the dense
-  // oracle to the matrix-free operator.
-  return states >= config.mrgp_matrix_free_threshold
-             ? SolverBackend::kMatrixFree
-             : SolverBackend::kDense;
+const char* to_string(DispatchReason reason) {
+  switch (reason) {
+    case DispatchReason::kForced:
+      return "forced";
+    case DispatchReason::kCtmcSize:
+      return "ctmc-size";
+    case DispatchReason::kCost:
+      return "cost";
+  }
+  return "?";
+}
+
+Dispatch dispatch(const SolverConfig& config, std::size_t states,
+                  bool has_deterministic, double series_terms) {
+  Dispatch d;
+  d.states = states;
+  d.series_terms = series_terms;
+  if (config.backend != SolverBackend::kAuto) {
+    d.backend = config.backend;
+    d.reason = DispatchReason::kForced;
+  } else if (!has_deterministic) {
+    d.backend = states >= config.sparse_threshold ? SolverBackend::kSparse
+                                                  : SolverBackend::kDense;
+    d.reason = DispatchReason::kCtmcSize;
+  } else {
+    // MRGP: the explicit embedded chain is near-dense, so the explicit-
+    // sparse assembly never wins — the choice is dense or the operator.
+    const bool dense =
+        states <= config.dense_retry_limit &&
+        series_terms >=
+            kDenseSeriesTermsPerState * static_cast<double>(states);
+    d.backend = dense ? SolverBackend::kDense : SolverBackend::kMatrixFree;
+    d.reason = DispatchReason::kCost;
+  }
+  return d;
+}
+
+double series_terms(const petri::TangibleReachabilityGraph& g,
+                    const AssemblyPlan& plan) {
+  double total = 0.0;
+  for (const AssemblyPlan::Group& group : plan.groups) {
+    // lambda_g = max -Q_g(s, s): the largest rate out of a member state.
+    double lambda = 0.0;
+    for (std::size_t s : group.members) {
+      double out = 0.0;
+      for (const petri::RateEdge& e : g.exponential_edges(s))
+        if (e.target != s) out += e.rate;
+      lambda = std::max(lambda, out);
+    }
+    total += lambda * g.deterministics(group.members[0])[0].delay;
+  }
+  return total;
 }
 
 AssemblyPlan build_assembly_plan(const petri::TangibleReachabilityGraph& g) {
@@ -372,8 +428,17 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
 
   DspnSteadyStateResult result;
   result.states = n;
-  result.backend_used =
-      dispatch_backend(options_, n, g.has_deterministic());
+  result.dispatch =
+      dispatch(options_, n, g.has_deterministic(), series_terms(g, plan));
+  result.backend_used = result.dispatch.backend;
+  if (result.dispatch.reason == DispatchReason::kCost) {
+    static obs::Counter& cost_dense =
+        obs::Registry::global().counter("markov.dispatch.dense");
+    static obs::Counter& cost_mfree =
+        obs::Registry::global().counter("markov.dispatch.mfree");
+    (result.backend_used == SolverBackend::kDense ? cost_dense : cost_mfree)
+        .add();
+  }
 
   static obs::Counter& ctmc_solves =
       obs::Registry::global().counter("markov.solver.ctmc_solves");

@@ -32,20 +32,57 @@ struct AssemblyPlan {
   /// Ordered by deterministic transition index (the iteration order the
   /// fused solver used).
   std::vector<Group> groups;
-
-  /// Optional state lumping for matrix-free warm starts: class_of_state
-  /// (size `states`) and the class count. build_assembly_plan leaves it
-  /// empty — the partition is model-layer knowledge (the (i, j, k)
-  /// classification of homogeneous perception models, or the per-group
-  /// count-vector classification of module-group models; the indices here
-  /// are opaque either way) that the staged pipeline fills in after
-  /// classification. Solvers must treat it as a hint only.
-  std::vector<std::size_t> lumping;
-  std::size_t lumping_classes = 0;
 };
 
 /// Builds the assembly plan of a graph's structure.
 AssemblyPlan build_assembly_plan(const petri::TangibleReachabilityGraph& g);
+
+/// Why a solve ran on its backend.
+enum class DispatchReason {
+  kForced,    ///< the config names a backend (`backend=`)
+  kCtmcSize,  ///< kAuto, pure CTMC: SolverConfig::sparse_threshold
+  kCost,      ///< kAuto, MRGP: the series-terms cost rule
+};
+
+/// "forced", "ctmc-size" or "cost".
+const char* to_string(DispatchReason reason);
+
+/// One dispatch decision and the inputs it was made from.
+struct Dispatch {
+  SolverBackend backend = SolverBackend::kDense;
+  DispatchReason reason = DispatchReason::kForced;
+  /// sum over deterministic groups g of lambda_g tau_g: the series terms one
+  /// matrix-free propagation takes (0 for a pure CTMC).
+  double series_terms = 0.0;
+  /// Tangible states n.
+  std::size_t states = 0;
+};
+
+/// The backend a config resolves to (never kAuto). An explicit backend
+/// wins. kAuto picks kSparse at/above sparse_threshold states for pure
+/// CTMCs (their generators are O(n) sparse) and dense below it. For MRGPs
+/// kAuto picks dense iff series_terms >= kappa * n and n <= dense_retry_limit,
+/// and the matrix-free operator otherwise; kappa is a constant calibrated in
+/// dspn_solver.cpp. The explicit-sparse MRGP assembly is reachable only when
+/// forced. The choice depends on the model alone, never on thread counts.
+/// `series_terms` defaults to 0, which routes every MRGP to the operator:
+/// pass series_terms(g, plan) when the graph is known.
+Dispatch dispatch(const SolverConfig& config, std::size_t states,
+                  bool has_deterministic, double series_terms = 0.0);
+
+/// dispatch(...).backend.
+inline SolverBackend dispatch_backend(const SolverConfig& config,
+                                      std::size_t states,
+                                      bool has_deterministic,
+                                      double series_terms = 0.0) {
+  return dispatch(config, states, has_deterministic, series_terms).backend;
+}
+
+/// sum over the plan's deterministic groups of lambda_g tau_g, where
+/// lambda_g = max_s -Q_g(s, s) is the uniformization rate of the group's
+/// subordinated generator and tau_g its delay.
+double series_terms(const petri::TangibleReachabilityGraph& g,
+                    const AssemblyPlan& plan);
 
 /// Result of a stationary DSPN analysis.
 struct DspnSteadyStateResult {
@@ -56,8 +93,11 @@ struct DspnSteadyStateResult {
   bool pure_ctmc = false;
   /// Number of tangible states.
   std::size_t states = 0;
-  /// The backend that actually solved (kDense or kSparse, never kAuto).
+  /// The backend that actually solved (never kAuto). Differs from
+  /// dispatch.backend only when a failed solve was retried on dense.
   SolverBackend backend_used = SolverBackend::kDense;
+  /// What dispatch chose, and why.
+  Dispatch dispatch;
   /// Stored nonzeros of the solver's main matrices — embedded chain +
   /// conversion factors for the MRGP path, the generator for the pure-CTMC
   /// path. The dense backend reports its full n^2 allocations, so
@@ -96,8 +136,8 @@ struct DspnSteadyStateResult {
 /// sparse path (CSR assembly from the reachability graph, per-row vector
 /// uniformization fanned out on the runtime pool, Krylov stationary
 /// solves), and a matrix-free path that never assembles the embedded chain
-/// (see matrix_free.hpp). kAuto switches on the state count and model
-/// class — see dispatch_backend().
+/// (see matrix_free.hpp). kAuto switches on the model class, the state
+/// count and, for MRGPs, the series terms per state — see dispatch().
 class DspnSteadyStateSolver {
  public:
   /// All solver knobs now live in the shared markov::SolverConfig value
@@ -124,15 +164,5 @@ class DspnSteadyStateSolver {
  private:
   Options options_{};
 };
-
-/// The backend a config resolves to for a model of `states` tangible states
-/// (never kAuto): an explicit backend wins; kAuto picks dense below the
-/// class threshold, kSparse at/above sparse_threshold for pure CTMCs (their
-/// generators are O(n) sparse), and kMatrixFree at/above
-/// mrgp_matrix_free_threshold for MRGPs (their *embedded chains* are
-/// near-dense, so explicit sparse assembly never wins — it stays reachable
-/// only when forced).
-SolverBackend dispatch_backend(const SolverConfig& config, std::size_t states,
-                               bool has_deterministic);
 
 }  // namespace nvp::markov

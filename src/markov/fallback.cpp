@@ -145,8 +145,7 @@ Attempt run_stage(FallbackStage stage, const StationaryProblem& problem,
       opts.max_iterations = knobs.gmres_max_iterations;
       opts.tolerance = knobs.gmres_tolerance;
       opts.deadline_seconds = deadline_seconds;
-      auto res = linalg::gmres(*op, *problem.rhs, opts,
-                               problem.initial_guess);
+      auto res = linalg::gmres(*op, *problem.rhs, opts);
       if (res.converged && plausible(res.x)) {
         attempt.x = clamp_and_normalize(std::move(res.x));
         return attempt;
@@ -162,8 +161,7 @@ Attempt run_stage(FallbackStage stage, const StationaryProblem& problem,
         const linalg::SparseMatrixCsr p = problem.stochastic();
         res = linalg::stationary_power_iteration(p, opts);
       } else if (problem.transfer_op != nullptr) {
-        res = linalg::stationary_power_iteration(*problem.transfer_op, opts,
-                                                 problem.initial_guess);
+        res = linalg::stationary_power_iteration(*problem.transfer_op, opts);
       } else {
         attempt.failure = "no stochastic matrix or transfer operator";
         return attempt;

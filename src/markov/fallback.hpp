@@ -72,15 +72,13 @@ std::string to_string(const std::vector<FallbackStage>& stages);
 /// operator) instead of `balance`, and `transfer_op` (left action
 /// x -> x^T P) instead of `stochastic` for the power stage; stages that
 /// need the assembled matrix (gmres-ilu0/gmres-jacobi/dense) then fail
-/// over to the next rung instead of running. `initial_guess` warm-starts
-/// the mfree and power stages when set.
+/// over to the next rung instead of running.
 struct StationaryProblem {
   const linalg::SparseMatrixCsr* balance = nullptr;
   const linalg::Vector* rhs = nullptr;
   std::function<linalg::SparseMatrixCsr()> stochastic;
   const linalg::LinearOperator* balance_op = nullptr;
   const linalg::LinearOperator* transfer_op = nullptr;
-  const linalg::Vector* initial_guess = nullptr;
   std::size_t states = 0;
   const char* what = "stationary solve";  ///< label for spans and errors
 };

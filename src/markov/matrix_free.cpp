@@ -4,11 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/linalg/dense_matrix.hpp"
-#include "src/markov/dtmc.hpp"
 #include "src/markov/sparse_assembly.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/util/contracts.hpp"
 
 namespace nvp::markov {
@@ -128,58 +125,6 @@ void BalanceOperator::apply_into(const linalg::Vector& x,
   for (std::size_t t = 0; t < n; ++t) total += x[t];
   for (std::size_t t = 0; t + 1 < n; ++t) y[t] -= x[t];
   y[n - 1] = total;
-}
-
-Vector lumped_warm_start(const EmbeddedChainOperator& chain,
-                         const std::vector<std::size_t>& class_of_state,
-                         std::size_t classes) {
-  const std::size_t n = chain.states();
-  NVP_EXPECTS(class_of_state.size() == n);
-  NVP_EXPECTS(classes > 0);
-
-  // Compact away empty classes: a memberless class would give the lumped
-  // chain a zero row and wreck its stochasticity.
-  std::vector<std::vector<std::size_t>> members(classes);
-  for (std::size_t s = 0; s < n; ++s) {
-    NVP_EXPECTS(class_of_state[s] < classes);
-    members[class_of_state[s]].push_back(s);
-  }
-  std::vector<std::size_t> live;
-  std::vector<std::size_t> live_of_class(classes, 0);
-  for (std::size_t c = 0; c < classes; ++c)
-    if (!members[c].empty()) {
-      live_of_class[c] = live.size();
-      live.push_back(c);
-    }
-  const std::size_t m = live.size();
-  NVP_EXPECTS(m > 0);
-
-  // One probe per class: push the uniform-within-class distribution through
-  // P and read off where the mass lands, aggregated by class. The probes
-  // are independent propagations — fan them out on the runtime pool.
-  const std::vector<Vector> responses =
-      runtime::parallel_map(live, [&](const std::size_t& c) {
-        Vector probe(n, 0.0);
-        const double w = 1.0 / static_cast<double>(members[c].size());
-        for (std::size_t s : members[c]) probe[s] = w;
-        return chain.transfer_apply(probe);
-      });
-
-  linalg::DenseMatrix lumped(m, m, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t t = 0; t < n; ++t)
-      lumped(i, live_of_class[class_of_state[t]]) += responses[i][t];
-
-  const Vector nu = dtmc_stationary(lumped);
-
-  Vector guess(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double w =
-        nu[i] / static_cast<double>(members[live[i]].size());
-    for (std::size_t s : members[live[i]]) guess[s] = w;
-  }
-  linalg::normalize_l1(guess);
-  return guess;
 }
 
 }  // namespace nvp::markov

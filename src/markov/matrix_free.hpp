@@ -102,17 +102,4 @@ class BalanceOperator final : public linalg::LinearOperator {
   const EmbeddedChainOperator* chain_;
 };
 
-/// Stationary warm start from a state lumping: probes each class with the
-/// uniform-within-class distribution (probes fan out on the runtime pool),
-/// aggregates the responses into a classes x classes lumped chain, solves
-/// it dense, and expands uniformly within classes. Each probe costs one
-/// full operator application, so the start only pays when the lumping is
-/// much coarser than the Krylov iteration budget (a few dozen applications)
-/// — the solver gates on the class count for exactly that reason. Accuracy
-/// of the final solve never depends on the lumping being exact. Throws
-/// SolverError when the lumped chain itself cannot be solved.
-linalg::Vector lumped_warm_start(const EmbeddedChainOperator& chain,
-                                 const std::vector<std::size_t>& class_of_state,
-                                 std::size_t classes);
-
 }  // namespace nvp::markov

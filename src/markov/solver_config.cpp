@@ -59,11 +59,18 @@ std::size_t parse_size(std::string_view key, const std::string& value) {
   return static_cast<std::size_t>(v);
 }
 
-bool parse_bool(std::string_view key, const std::string& value) {
-  if (value == "1" || value == "true" || value == "on") return true;
-  if (value == "0" || value == "false" || value == "off") return false;
-  throw std::invalid_argument("solver config: " + std::string(key) + "='" +
-                              value + "' is not a boolean (0|1|true|false)");
+/// What replaced a removed key, or nullptr for any other key.
+const char* removed_key_replacement(std::string_view key) {
+  if (key == "warm-start")
+    return "matrix-free solves always start cold (the lumped warm start "
+           "was slower than a cold solve)";
+  if (key == "mfree-threshold")
+    return "kAuto picks dense or mfree per MRGP solve from the series terms "
+           "per state; force one with backend=dense|mfree";
+  if (key == "mrgp-sparse-threshold")
+    return "kAuto never picks the explicit-sparse MRGP assembly; force it "
+           "with backend=sparse";
+  return nullptr;
 }
 
 /// Fallback chains use '+' between stages inside a spec (the ',' separates
@@ -88,19 +95,16 @@ std::string plus_stages(const std::vector<FallbackStage>& stages) {
 
 std::uint64_t SolverConfig::canonical_hash() const {
   runtime::Fnv1a h;
-  h.str("markov::SolverConfig/v1");
+  h.str("markov::SolverConfig/v2");
   h.i32(static_cast<int>(backend));
   h.i32(static_cast<int>(ctmc_method));
   h.f64(clamp_epsilon);
   h.u64(sparse_threshold);
-  h.u64(mrgp_sparse_threshold);
-  h.u64(mrgp_matrix_free_threshold);
   h.u64(dense_retry_limit);
   h.u64(gmres_restart);
   h.u64(gmres_max_iterations);
   h.f64(gmres_tolerance);
   h.u64(erlang_stages);
-  h.boolean(lumped_warm_start);
   h.u64(fallback.stages.size());
   for (const FallbackStage stage : fallback.stages)
     h.i32(static_cast<int>(stage));
@@ -116,15 +120,11 @@ std::string SolverConfig::describe() const {
   out += to_string(ctmc_method);
   out += ",clamp=" + format_double(clamp_epsilon);
   out += ",sparse-threshold=" + std::to_string(sparse_threshold);
-  out += ",mrgp-sparse-threshold=" + std::to_string(mrgp_sparse_threshold);
-  out += ",mfree-threshold=" + std::to_string(mrgp_matrix_free_threshold);
   out += ",dense-retry-limit=" + std::to_string(dense_retry_limit);
   out += ",gmres-restart=" + std::to_string(gmres_restart);
   out += ",gmres-max-iters=" + std::to_string(gmres_max_iterations);
   out += ",gmres-tol=" + format_double(gmres_tolerance);
   out += ",erlang-stages=" + std::to_string(erlang_stages);
-  out += ",warm-start=";
-  out += lumped_warm_start ? '1' : '0';
   out += ",fallback=" + plus_stages(fallback.stages);
   out += ",attempt-deadline=" + format_double(fallback.attempt_deadline_seconds);
   return out;
@@ -167,10 +167,6 @@ void SolverConfig::apply(std::string_view spec) {
       next.clamp_epsilon = parse_double(key, value);
     } else if (key == "sparse-threshold") {
       next.sparse_threshold = parse_size(key, value);
-    } else if (key == "mrgp-sparse-threshold") {
-      next.mrgp_sparse_threshold = parse_size(key, value);
-    } else if (key == "mfree-threshold") {
-      next.mrgp_matrix_free_threshold = parse_size(key, value);
     } else if (key == "dense-retry-limit") {
       next.dense_retry_limit = parse_size(key, value);
     } else if (key == "gmres-restart") {
@@ -183,12 +179,13 @@ void SolverConfig::apply(std::string_view spec) {
       next.gmres_tolerance = parse_double(key, value);
     } else if (key == "erlang-stages") {
       next.erlang_stages = parse_size(key, value);
-    } else if (key == "warm-start") {
-      next.lumped_warm_start = parse_bool(key, value);
     } else if (key == "fallback") {
       next.fallback.stages = parse_plus_stages(value);
     } else if (key == "attempt-deadline") {
       next.fallback.attempt_deadline_seconds = parse_double(key, value);
+    } else if (const char* replacement = removed_key_replacement(key)) {
+      throw std::invalid_argument("solver config: '" + std::string(key) +
+                                  "' was removed; " + replacement);
     } else {
       throw std::invalid_argument("solver config: unknown key '" +
                                   std::string(key) + "'");

@@ -10,17 +10,17 @@
 namespace nvp::markov {
 
 /// Every knob of the stationary solvers in one value type: backend choice
-/// and the kAuto dispatch thresholds, the dense-CTMC method, clamping, the
-/// Krylov (GMRES) controls, the matrix-free options (lumped warm start,
-/// Erlangization cross-check), and the retry/fallback chain. Three PRs of
-/// backend/fallback/threshold options had scattered these across
-/// DspnSteadyStateSolver::Options, FallbackOptions, and ad-hoc GmresOptions
-/// defaults; consolidating them means cache keys, the nvpd coalescing key,
-/// and the CLI all describe a solve with the same canonical value.
+/// and the pure-CTMC dispatch threshold, the dense-CTMC method, clamping,
+/// the Krylov (GMRES) controls, the Erlangization cross-check, and the
+/// retry/fallback chain. Three PRs of backend/fallback/threshold options had
+/// scattered these across DspnSteadyStateSolver::Options, FallbackOptions,
+/// and ad-hoc GmresOptions defaults; consolidating them means cache keys,
+/// the nvpd coalescing key, and the CLI all describe a solve with the same
+/// canonical value.
 ///
-/// The defaults reproduce the historic behavior bit-for-bit: a
-/// default-constructed SolverConfig solves exactly like the
-/// pre-consolidation default options did.
+/// MRGP solves under kAuto have no threshold knob: dispatch compares the
+/// series terms of a matrix-free propagation against the state count (see
+/// dispatch() in dspn_solver.hpp), and `backend=` is the one override.
 struct SolverConfig {
   /// Matrix representation / algorithm family (see SolverBackend).
   SolverBackend backend = SolverBackend::kAuto;
@@ -33,24 +33,11 @@ struct SolverConfig {
   /// byte-identical to the original solver, which keeps the paper
   /// configurations on the oracle path.
   std::size_t sparse_threshold = 128;
-  /// Historic kAuto threshold for the *explicit-sparse* MRGP assembly. The
-  /// explicit embedded chain is near-dense, so this crossover sat at ~500-
-  /// 600 states; with the matrix-free path in the dispatch the explicit
-  /// assembly is only reachable when forced (backend=sparse), but the knob
-  /// is kept so forced-sparse experiments stay reproducible.
-  std::size_t mrgp_sparse_threshold = 512;
-  /// kAuto picks kMatrixFree at or above this many tangible states for
-  /// MRGP models (deterministic transition present). Measured Release
-  /// crossover vs the dense oracle (see BENCH_mrgp_scaling.json): the
-  /// operator already edges out dense LU at the 70-state paper model
-  /// (1.3x) and the gap is 40x by ~700 states, so the threshold sits just
-  /// below the smallest measured win; under it dense costs single-digit
-  /// milliseconds and keeps the oracle path exercised.
-  std::size_t mrgp_matrix_free_threshold = 64;
-  /// Whole-solve degradation bound: when a non-dense backend fails outright
-  /// and the fallback chain keeps the dense-LU stage, the solve is retried
-  /// on the dense backend only up to this many states (a dense n^2 rebuild
-  /// at 10^5 states would turn a failed solve into a stuck one).
+  /// Largest state count a dense solve may take on: kAuto never picks the
+  /// dense MRGP backend above it, and when a non-dense backend fails
+  /// outright and the fallback chain keeps the dense-LU stage, the solve is
+  /// retried on the dense backend only up to this many states (a dense n^2
+  /// rebuild at 10^5 states would turn a failed solve into a stuck one).
   std::size_t dense_retry_limit = 4096;
   /// Krylov controls of every GMRES stage (sparse and matrix-free). The
   /// defaults mirror linalg::GmresOptions so default-config chains are
@@ -65,18 +52,13 @@ struct SolverConfig {
   /// `markov.erlang.crosscheck_deviation` histogram. Diagnostic only — the
   /// Erlang approximation converges as k grows but never bit-matches.
   std::size_t erlang_stages = 0;
-  /// Seed matrix-free solves with the stationary vector of the (i, j, k)
-  /// lumped chain when the assembly plan carries the classification (the
-  /// staged pipeline populates it). Correctness never depends on it: the
-  /// warm start only shortens the Krylov iterate path.
-  bool lumped_warm_start = true;
   /// Retry/fallback chain of the sparse and matrix-free stationary solves
   /// (see fallback.hpp). Also governs whole-solve degradation (see
   /// dense_retry_limit).
   FallbackOptions fallback;
 
   /// Canonical FNV-1a hash over every field in schema order (tag
-  /// "markov::SolverConfig/v1"). Two configs hash equal iff they solve
+  /// "markov::SolverConfig/v2"). Two configs hash equal iff they solve
   /// identically, so cache keys and the nvpd coalescing key embed this one
   /// value instead of re-listing fields.
   std::uint64_t canonical_hash() const;
@@ -88,11 +70,12 @@ struct SolverConfig {
   /// `key=value`, or a bare backend name (`auto|dense|sparse|mfree`) as
   /// shorthand for `backend=...`. Keys: backend, ctmc
   /// (direct|gauss-seidel|power), clamp, sparse-threshold,
-  /// mrgp-sparse-threshold, mfree-threshold, dense-retry-limit,
-  /// gmres-restart, gmres-max-iters, gmres-tol, erlang-stages, warm-start
-  /// (0|1|true|false), fallback (`+`-separated stage names), and
+  /// dense-retry-limit, gmres-restart, gmres-max-iters, gmres-tol,
+  /// erlang-stages, fallback (`+`-separated stage names), and
   /// attempt-deadline (seconds). Throws std::invalid_argument on unknown
-  /// keys or malformed values, leaving *this unchanged.
+  /// keys or malformed values, leaving *this unchanged; the removed keys
+  /// warm-start, mfree-threshold and mrgp-sparse-threshold throw with an
+  /// error that names what replaced them.
   void apply(std::string_view spec);
 
   /// Default config with `spec` applied.

@@ -25,47 +25,79 @@ double uniformization_rate(const DenseMatrix& q) {
   return lambda;
 }
 
-DenseMatrix uniformized_dtmc(const DenseMatrix& q, double lambda) {
-  const std::size_t n = q.rows();
-  DenseMatrix p(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) p(i, j) = q(i, j) / lambda;
-    p(i, i) += 1.0;
+/// P_u = I + Q / lambda, overwriting Q.
+void uniformize_in_place(DenseMatrix& q, double lambda) {
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    double* row = q.row_data(i);
+    for (std::size_t j = 0; j < q.cols(); ++j) row[j] = row[j] / lambda;
+    row[i] += 1.0;
   }
-  return p;
+}
+
+DenseMatrix uniformized_dtmc(DenseMatrix q, double lambda) {
+  uniformize_in_place(q, lambda);
+  return q;
+}
+
+/// The nonzeros of a dense matrix, row by row in ascending column order.
+linalg::SparseMatrixCsr nonzeros_of(const DenseMatrix& m) {
+  std::vector<linalg::Triplet> triplets;
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      if (m(i, j) != 0.0) triplets.push_back({i, j, m(i, j)});
+  return linalg::SparseMatrixCsr(m.rows(), m.cols(), std::move(triplets));
 }
 
 /// Base-step pair via uniformization series; requires lambda * t small
-/// (<= ~1) so a short series reaches machine precision.
-ExponentialPair base_pair(const DenseMatrix& p_u, double lambda, double t,
-                          std::size_t n) {
+/// (<= ~1) so a short series reaches machine precision. `power` ends up
+/// holding the last series term, a buffer the caller may reuse.
+///
+/// P_u has a handful of nonzeros per row, so each term multiplies by those
+/// alone, row by row: power(i, j) gains power(i, k) * P_u(k, j) for k
+/// ascending, the order of the dense i-k-j product. The products skipped
+/// are +-0 and would not change the sum, so the terms are bit-identical to
+/// full n^3 products.
+ExponentialPair base_pair(const linalg::SparseMatrixCsr& p_u, double lambda,
+                          double t, DenseMatrix& power) {
+  const std::size_t n = p_u.rows();
   const auto terms = linalg::poisson_terms(lambda * t, 1e-16);
-  DenseMatrix omega(n, n, 0.0);
-  DenseMatrix integral(n, n, 0.0);
-  DenseMatrix power = DenseMatrix::identity(n);
+  ExponentialPair pair{DenseMatrix(n, n, 0.0), DenseMatrix(n, n, 0.0)};
+  power = DenseMatrix::identity(n);
+  Vector next(n);
   double cdf = 0.0;
   for (std::size_t k = 0; k <= terms.truncation; ++k) {
-    if (k > 0) power = power.multiply(p_u);
+    if (k > 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* prow = power.row_data(i);
+        std::fill(next.begin(), next.end(), 0.0);
+        for (std::size_t m = 0; m < n; ++m) {
+          const double pim = prow[m];
+          if (pim == 0.0) continue;
+          for (std::size_t e = p_u.row_begin(m); e < p_u.row_end(m); ++e)
+            next[p_u.col_index(e)] += pim * p_u.value(e);
+        }
+        std::copy(next.begin(), next.end(), prow);
+      }
+    }
     const double pmf = terms.pmf[k];
     cdf += pmf;
     const double ccdf = std::max(0.0, 1.0 - cdf);  // P(N >= k + 1)
     for (std::size_t i = 0; i < n; ++i) {
       const double* prow = power.row_data(i);
-      double* orow = omega.row_data(i);
-      double* irow = integral.row_data(i);
+      double* orow = pair.omega.row_data(i);
+      double* irow = pair.integral.row_data(i);
       for (std::size_t j = 0; j < n; ++j) {
         orow[j] += pmf * prow[j];
         irow[j] += (ccdf / lambda) * prow[j];
       }
     }
   }
-  return {std::move(omega), std::move(integral)};
+  return pair;
 }
 
 }  // namespace
 
-ExponentialPair matrix_exponential_pair(const DenseMatrix& generator,
-                                        double tau) {
+ExponentialPair matrix_exponential_pair(DenseMatrix generator, double tau) {
   NVP_EXPECTS(generator.rows() == generator.cols());
   NVP_EXPECTS(tau >= 0.0);
   const std::size_t n = generator.rows();
@@ -97,13 +129,19 @@ ExponentialPair matrix_exponential_pair(const DenseMatrix& generator,
     t0 /= 2.0;
     ++doublings;
   }
-  const DenseMatrix p_u = uniformized_dtmc(generator, lambda);
-  ExponentialPair pair = base_pair(p_u, lambda, t0, n);
+  // Only P_u's nonzeros survive the generator, so at most three n x n
+  // matrices are live from here on: omega, the integral and one scratch.
+  uniformize_in_place(generator, lambda);
+  const linalg::SparseMatrixCsr p_u = nonzeros_of(generator);
+  generator = DenseMatrix();
+  DenseMatrix scratch;
+  ExponentialPair pair = base_pair(p_u, lambda, t0, scratch);
   for (int d = 0; d < doublings; ++d) {
     // integral(2t) = integral(t) + omega(t) * integral(t)
-    DenseMatrix growth = pair.omega.multiply(pair.integral);
-    pair.integral += growth;
-    pair.omega = pair.omega.multiply(pair.omega);
+    pair.omega.multiply_into(pair.integral, scratch);
+    pair.integral += scratch;
+    pair.omega.multiply_into(pair.omega, scratch);
+    std::swap(pair.omega, scratch);
   }
   NVP_ENSURES(pair.omega.all_finite());
   NVP_ENSURES(pair.integral.all_finite());

@@ -20,7 +20,10 @@ struct ExponentialPair {
 
 /// Computes the pair for a (possibly defective) generator: rows may sum to
 /// less than zero is not allowed, but absorbing rows (all zero) are fine.
-ExponentialPair matrix_exponential_pair(const linalg::DenseMatrix& generator,
+/// Takes the generator by value and uniformizes it in place, so a caller
+/// that moves it in holds at most three n x n matrices during the call:
+/// omega, the integral and one scratch buffer.
+ExponentialPair matrix_exponential_pair(linalg::DenseMatrix generator,
                                         double tau);
 
 /// Transient distribution pi(t) = pi0 * exp(Q t) by vector uniformization

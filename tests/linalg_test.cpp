@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "src/linalg/dense_matrix.hpp"
 #include "src/linalg/iterative.hpp"
@@ -36,6 +38,60 @@ TEST(DenseMatrix, MultiplyMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(c(0, 1), 64.0);
   EXPECT_DOUBLE_EQ(c(1, 0), 139.0);
   EXPECT_DOUBLE_EQ(c(1, 1), 154.0);
+}
+
+/// The textbook i-k-j product, zero skip included: the loop the tiled
+/// kernel replaced, kept here as its bit-level reference.
+DenseMatrix naive_product(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix out(a.rows(), b.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
+    }
+  return out;
+}
+
+/// Entries in [-1, 1), about a third of them exact zeros.
+DenseMatrix random_matrix(std::size_t rows, std::size_t cols,
+                          util::RandomStream& rng) {
+  DenseMatrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j)
+      m(i, j) = rng.uniform01() < 1.0 / 3.0 ? 0.0 : rng.uniform(-1.0, 1.0);
+  return m;
+}
+
+bool same_bits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.row_data(0), b.row_data(0),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+TEST(DenseMatrix, TiledProductIsBitIdenticalToTheNaiveLoop) {
+  util::RandomStream rng(11);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 70u, 117u,
+                              176u}) {
+    // Square, then ragged shapes so every tile edge (rows % 4, cols % 4)
+    // is exercised.
+    for (const auto& [rows, inner, cols] :
+         {std::tuple{n, n, n}, std::tuple{n + 1, n + 2, n + 3},
+          std::tuple{n + 3, n, n + 1}}) {
+      const DenseMatrix a = random_matrix(rows, inner, rng);
+      const DenseMatrix b = random_matrix(inner, cols, rng);
+      const DenseMatrix expected = naive_product(a, b);
+      EXPECT_TRUE(same_bits(a.multiply(b), expected))
+          << rows << "x" << inner << " * " << inner << "x" << cols;
+      // A caller-owned buffer of the wrong shape is reshaped; one of the
+      // right shape is overwritten whatever it held.
+      DenseMatrix out(2, 2, 5.0);
+      a.multiply_into(b, out);
+      EXPECT_TRUE(same_bits(out, expected));
+      a.multiply_into(b, out);
+      EXPECT_TRUE(same_bits(out, expected));
+    }
+  }
 }
 
 TEST(DenseMatrix, VectorProducts) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "src/linalg/poisson.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
 #include "src/markov/dtmc.hpp"
 #include "src/markov/rewards.hpp"
 #include "src/markov/transient.hpp"
 #include "src/petri/reachability.hpp"
+#include "src/util/rng.hpp"
 
 namespace nvp::markov {
 namespace {
@@ -154,6 +158,95 @@ TEST(Transient, StiffHorizonStaysStochastic) {
       row += pair.omega(i, j);
     }
     EXPECT_NEAR(row, 1.0, 1e-9);
+  }
+}
+
+/// The textbook i-k-j product (zero skip included).
+DenseMatrix reference_product(const DenseMatrix& a, const DenseMatrix& b) {
+  DenseMatrix out(a.rows(), b.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
+    }
+  return out;
+}
+
+/// matrix_exponential_pair computed the original way: full n^3 products for
+/// every series term and every doubling. The production code multiplies the
+/// series terms by P_u's nonzeros only and tiles the doublings; both must
+/// reproduce these bits.
+ExponentialPair reference_pair(const DenseMatrix& q, double tau) {
+  const std::size_t n = q.rows();
+  double lambda = 0.0;
+  for (std::size_t i = 0; i < n; ++i) lambda = std::max(lambda, -q(i, i));
+  int doublings = 0;
+  double t0 = tau;
+  while (lambda * t0 > 1.0) {
+    t0 /= 2.0;
+    ++doublings;
+  }
+  DenseMatrix p_u(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) p_u(i, j) = q(i, j) / lambda;
+    p_u(i, i) += 1.0;
+  }
+  const auto terms = linalg::poisson_terms(lambda * t0, 1e-16);
+  ExponentialPair pair{DenseMatrix(n, n, 0.0), DenseMatrix(n, n, 0.0)};
+  DenseMatrix power = DenseMatrix::identity(n);
+  double cdf = 0.0;
+  for (std::size_t k = 0; k <= terms.truncation; ++k) {
+    if (k > 0) power = reference_product(power, p_u);
+    cdf += terms.pmf[k];
+    const double ccdf = std::max(0.0, 1.0 - cdf);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        pair.omega(i, j) += terms.pmf[k] * power(i, j);
+        pair.integral(i, j) += (ccdf / lambda) * power(i, j);
+      }
+  }
+  for (int d = 0; d < doublings; ++d) {
+    pair.integral += reference_product(pair.omega, pair.integral);
+    pair.omega = reference_product(pair.omega, pair.omega);
+  }
+  return pair;
+}
+
+/// A sparse generator like the subordinated ones (n >= 2): up to four exits
+/// per row, every fifth row absorbing.
+DenseMatrix random_generator(std::size_t n, util::RandomStream& rng) {
+  DenseMatrix q(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 5 == 4) continue;
+    for (int e = 0; e < 4; ++e) {
+      const std::size_t j = (i + 1 + rng.uniform_index(n - 1)) % n;
+      const double rate = rng.uniform(0.01, 1.0);
+      q(i, j) += rate;
+      q(i, i) -= rate;
+    }
+  }
+  return q;
+}
+
+bool same_bits(const DenseMatrix& a, const DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.row_data(0), b.row_data(0),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+TEST(Transient, MatrixPairIsBitIdenticalToTheFullProductSeries) {
+  util::RandomStream rng(5);
+  for (const std::size_t n : {2u, 5u, 9u, 70u, 117u}) {
+    const DenseMatrix q = random_generator(n, rng);
+    for (const double tau : {0.5, 37.0, 3000.0}) {
+      const ExponentialPair expected = reference_pair(q, tau);
+      const ExponentialPair pair = matrix_exponential_pair(q, tau);
+      EXPECT_TRUE(same_bits(pair.omega, expected.omega))
+          << n << " states, tau " << tau;
+      EXPECT_TRUE(same_bits(pair.integral, expected.integral))
+          << n << " states, tau " << tau;
+    }
   }
 }
 

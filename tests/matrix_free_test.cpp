@@ -1,9 +1,10 @@
 // Matrix-free MRGP solves and the unified SolverConfig API: LinearOperator
 // adapters, operator-driven GMRES/power iteration, the EmbeddedChainOperator
 // against the dense oracle at 1e-10, Erlangization as an independent
-// cross-check, the mfree fallback stage (including injected faults), lumped
-// warm starts, kAuto dispatch, and SolverConfig round-trip/hash/alias
-// behavior. The dense backend remains the oracle throughout.
+// cross-check, the mfree fallback stage (including injected faults), kAuto
+// dispatch on the series-terms cost rule, and SolverConfig
+// round-trip/hash/alias behavior. The dense backend remains the oracle
+// throughout.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +30,9 @@
 #include "src/markov/sparse_assembly.hpp"
 #include "src/markov/solver_config.hpp"
 #include "src/markov/transient.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/petri/reachability.hpp"
+#include "src/runtime/thread_pool.hpp"
 #include "src/util/rng.hpp"
 
 namespace nvp {
@@ -101,12 +104,6 @@ TEST(LinearOperatorTest, OperatorGmresMatchesCsrGmres) {
   ASSERT_TRUE(matrix_result.converged);
   ASSERT_TRUE(operator_result.converged);
   expect_agrees(operator_result.x, matrix_result.x, 1e-12, "operator gmres");
-
-  // Warm start at the solution: the first cycle's residual is already below
-  // tolerance, so the solver returns without iterating.
-  const auto warm = linalg::gmres(op, b, {}, &matrix_result.x);
-  EXPECT_TRUE(warm.converged);
-  EXPECT_LE(warm.iterations, 1u);
 }
 
 TEST(LinearOperatorTest, OperatorPowerIterationFindsStationary) {
@@ -390,39 +387,6 @@ TEST(MfreeFallbackStageTest, InjectedFaultFallsBackToPowerIteration) {
 }
 
 // ---------------------------------------------------------------------------
-// Lumped warm start.
-
-TEST(LumpedWarmStartTest, MatchesColdSolveOnThePaperModel) {
-  const auto params = core::SystemParameters::paper_six_version();
-  const auto structure = core::staged_structure(params, /*use_cache=*/false);
-  ASSERT_GT(structure->plan.lumping_classes, 0u);
-  ASSERT_EQ(structure->plan.lumping.size(), structure->graph.size());
-
-  markov::SolverConfig warm;
-  warm.backend = markov::SolverBackend::kMatrixFree;
-  markov::SolverConfig cold = warm;
-  cold.lumped_warm_start = false;
-  const auto warm_result =
-      markov::DspnSteadyStateSolver(warm).solve(structure->graph,
-                                                structure->plan);
-  const auto cold_result =
-      markov::DspnSteadyStateSolver(cold).solve(structure->graph,
-                                                structure->plan);
-  expect_agrees(warm_result.probabilities, cold_result.probabilities, 1e-10,
-                "warm vs cold");
-
-  const markov::EmbeddedChainOperator chain(structure->graph, structure->plan);
-  const Vector guess = markov::lumped_warm_start(
-      chain, structure->plan.lumping, structure->plan.lumping_classes);
-  double total = 0.0;
-  for (double v : guess) {
-    EXPECT_GE(v, 0.0);
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // kAuto dispatch.
 
 TEST(DispatchBackendTest, ExplicitBackendAlwaysWins) {
@@ -436,29 +400,52 @@ TEST(DispatchBackendTest, ExplicitBackendAlwaysWins) {
 
 TEST(DispatchBackendTest, AutoFollowsTheModelClassThresholds) {
   markov::SolverConfig config;  // kAuto
-  // Pure CTMC: dense below sparse_threshold, sparse at/above.
+  // Pure CTMC: dense below sparse_threshold, sparse at/above; the series
+  // terms play no part.
   EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold - 1,
-                                     false),
+                                     false, 1e9),
             markov::SolverBackend::kDense);
   EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold, false),
             markov::SolverBackend::kSparse);
-  // MRGP: dense below the matrix-free threshold, matrix-free at/above —
-  // never the explicit-sparse assembly.
-  EXPECT_EQ(markov::dispatch_backend(
-                config, config.mrgp_matrix_free_threshold - 1, true),
+  EXPECT_EQ(markov::dispatch(config, 10, false).reason,
+            markov::DispatchReason::kCtmcSize);
+  // MRGP: matrix-free while the series terms per state stay short, dense
+  // once they grow long — never the explicit-sparse assembly. The boundary
+  // sits inside the measured bracket of every family (2.9 to 3.8 terms per
+  // state at 70 to 330 states).
+  for (const std::size_t n : {70u, 117u, 176u, 247u, 330u}) {
+    const double states = static_cast<double>(n);
+    EXPECT_EQ(markov::dispatch_backend(config, n, true, 3.4 * states),
+              markov::SolverBackend::kMatrixFree)
+        << n << " states";
+    EXPECT_EQ(markov::dispatch_backend(config, n, true, 3.8 * states),
+              markov::SolverBackend::kDense)
+        << n << " states";
+  }
+  // Unknown series terms (the defaulted argument) route to the operator.
+  EXPECT_EQ(markov::dispatch_backend(config, 70, true),
+            markov::SolverBackend::kMatrixFree);
+  // Dense is never picked above dense_retry_limit, however long the series.
+  EXPECT_EQ(markov::dispatch_backend(config, config.dense_retry_limit, true,
+                                     1e12),
             markov::SolverBackend::kDense);
-  EXPECT_EQ(markov::dispatch_backend(config,
-                                     config.mrgp_matrix_free_threshold, true),
+  EXPECT_EQ(markov::dispatch_backend(config, config.dense_retry_limit + 1,
+                                     true, 1e12),
             markov::SolverBackend::kMatrixFree);
-  EXPECT_EQ(markov::dispatch_backend(config, 1000000, true),
-            markov::SolverBackend::kMatrixFree);
+  const markov::Dispatch d = markov::dispatch(config, 176, true, 1000.0);
+  EXPECT_EQ(d.reason, markov::DispatchReason::kCost);
+  EXPECT_EQ(d.states, 176u);
+  EXPECT_EQ(d.series_terms, 1000.0);
+  config.backend = markov::SolverBackend::kMatrixFree;
+  EXPECT_EQ(markov::dispatch(config, 176, true, 1000.0).reason,
+            markov::DispatchReason::kForced);
 }
 
 TEST(DispatchBackendTest, PublishedBenchRowsRouteToTheRecordedBackend) {
-  // Every scaling row in the recorded BENCH_mrgp_scaling.json artifact must
-  // still be routed to its recorded backend by today's kAuto dispatch — a
-  // threshold change that silently re-routes the published measurements has
-  // to re-record the artifact.
+  // Every row of the recorded BENCH_mrgp_scaling.json artifact carries the
+  // state count, the series terms and the backend kAuto picked; today's
+  // dispatch must still route each row there — a rule change that silently
+  // re-routes the published measurements has to re-record the artifact.
   std::ifstream in(std::string(NVP_SOURCE_DIR) +
                    "/bench_results/BENCH_mrgp_scaling.json");
   ASSERT_TRUE(in.good()) << "recorded BENCH_mrgp_scaling.json missing";
@@ -466,22 +453,124 @@ TEST(DispatchBackendTest, PublishedBenchRowsRouteToTheRecordedBackend) {
   buffer << in.rdbuf();
   const std::string doc = buffer.str();
 
-  // Scaling rows are the only objects carrying both "states" and "backend".
   const std::regex row_re(
-      "\\{[^{}]*\"states\":\\s*(\\d+)[^{}]*\"backend\":\\s*\"([a-z]+)\""
-      "[^{}]*\\}");
+      "\\{[^{}]*\"states\":\\s*(\\d+)[^{}]*\"series_terms\":\\s*"
+      "([-+.eE0-9]+)[^{}]*\"auto_backend\":\\s*\"([a-z]+)\"[^{}]*\\}");
   const markov::SolverConfig defaults;  // kAuto
   std::size_t rows = 0;
   for (auto it = std::sregex_iterator(doc.begin(), doc.end(), row_re);
        it != std::sregex_iterator(); ++it, ++rows) {
     const std::size_t states = std::stoull((*it)[1].str());
-    const std::string recorded = (*it)[2].str();
-    const auto dispatched = markov::dispatch_backend(defaults, states,
-                                                     /*has_deterministic=*/true);
+    const double terms = std::stod((*it)[2].str());
+    const std::string recorded = (*it)[3].str();
+    const auto dispatched = markov::dispatch_backend(
+        defaults, states, /*has_deterministic=*/true, terms);
     EXPECT_EQ(markov::to_string(dispatched), recorded)
-        << "row with " << states << " states";
+        << "row with " << states << " states, " << terms << " series terms";
   }
-  EXPECT_GE(rows, 4u) << "expected the four published scaling rows";
+  EXPECT_GE(rows, 28u) << "expected 8 families x 3 horizons + 4 scaling rows";
+}
+
+/// The perception family with N versions (f = r = 1) at interval tau.
+core::SystemParameters family(int n_versions, double tau) {
+  auto params = core::SystemParameters::paper_six_version();
+  params.n_versions = n_versions;
+  params.rejuvenation_interval = tau;
+  return params;
+}
+
+double expected_reliability(const core::SystemParameters& params,
+                            const markov::SolverConfig& solver) {
+  core::ReliabilityAnalyzer::Options options;
+  options.solver = solver;
+  options.use_cache = false;
+  return core::ReliabilityAnalyzer(options).analyze(params)
+      .expected_reliability;
+}
+
+TEST(DispatchBackendTest, CostDecisionsTickTheDispatchCounters) {
+  auto& dense = obs::Registry::global().counter("markov.dispatch.dense");
+  auto& mfree = obs::Registry::global().counter("markov.dispatch.mfree");
+  const auto solve = [](double tau, markov::SolverBackend backend) {
+    const auto structure =
+        core::staged_structure(family(6, tau), /*use_cache=*/false);
+    markov::SolverConfig config;
+    config.backend = backend;
+    return markov::DspnSteadyStateSolver(config).solve(structure->graph,
+                                                       structure->plan);
+  };
+  std::uint64_t dense0 = dense.value(), mfree0 = mfree.value();
+  EXPECT_EQ(solve(100.0, markov::SolverBackend::kAuto).backend_used,
+            markov::SolverBackend::kMatrixFree);
+  EXPECT_EQ(dense.value() - dense0, 0u);
+  EXPECT_EQ(mfree.value() - mfree0, 1u);
+
+  dense0 = dense.value();
+  mfree0 = mfree.value();
+  EXPECT_EQ(solve(3000.0, markov::SolverBackend::kAuto).backend_used,
+            markov::SolverBackend::kDense);
+  EXPECT_EQ(dense.value() - dense0, 1u);
+  EXPECT_EQ(mfree.value() - mfree0, 0u);
+
+  // A forced backend is no cost decision.
+  dense0 = dense.value();
+  mfree0 = mfree.value();
+  solve(100.0, markov::SolverBackend::kDense);
+  solve(3000.0, markov::SolverBackend::kMatrixFree);
+  EXPECT_EQ(dense.value() - dense0, 0u);
+  EXPECT_EQ(mfree.value() - mfree0, 0u);
+}
+
+TEST(DispatchContractTest, DenseOutputKeepsItsRecordedBits) {
+  // E[R] under backend=dense, recorded (%a) before the tiled kernel, the
+  // sparse base series and the in-place assembly: the dense oracle must not
+  // move by a single bit.
+  struct Row {
+    int versions;
+    double tau;
+    double expected;
+  };
+  const Row rows[] = {
+      {6, 100.0, 0x1.d53d7a25aeceap-1},  {6, 3000.0, 0x1.b74b25a7087b9p-1},
+      {8, 100.0, 0x1.bdde9bb1be40ap-1},  {8, 3000.0, 0x1.4ea117a71b069p-1},
+      {10, 100.0, 0x1.ae9aeb01d3b62p-1}, {10, 3000.0, 0x1.db787aff40426p-2},
+  };
+  markov::SolverConfig dense;
+  dense.backend = markov::SolverBackend::kDense;
+  for (const Row& row : rows)
+    EXPECT_EQ(expected_reliability(family(row.versions, row.tau), dense),
+              row.expected)
+        << "N=" << row.versions << " tau=" << row.tau;
+}
+
+TEST(DispatchContractTest, AutoEqualsTheBackendItNames) {
+  // kAuto's answer is, bit for bit, the answer of the backend its dispatch
+  // record names, and the record does not depend on the worker count.
+  for (const int versions : {6, 8, 10}) {
+    for (const double tau : {100.0, 600.0, 3000.0}) {
+      const auto params = family(versions, tau);
+      const auto structure =
+          core::staged_structure(params, /*use_cache=*/false);
+      markov::Dispatch at_jobs[2];
+      for (const std::size_t jobs : {1u, 4u}) {
+        runtime::set_default_jobs(jobs);
+        at_jobs[jobs == 4] = markov::DspnSteadyStateSolver()
+                                 .solve(structure->graph, structure->plan)
+                                 .dispatch;
+      }
+      runtime::set_default_jobs(0);
+      EXPECT_EQ(at_jobs[0].backend, at_jobs[1].backend);
+      EXPECT_EQ(at_jobs[0].series_terms, at_jobs[1].series_terms);
+      EXPECT_EQ(at_jobs[0].reason, markov::DispatchReason::kCost);
+
+      markov::SolverConfig forced;
+      forced.backend = at_jobs[0].backend;
+      EXPECT_EQ(expected_reliability(params, markov::SolverConfig{}),
+                expected_reliability(params, forced))
+          << "N=" << versions << " tau=" << tau << " backend "
+          << markov::to_string(forced.backend);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +583,6 @@ TEST(SolverConfigTest, DescribeParsesBackToAnEqualConfig) {
   config.gmres_restart = 37;
   config.gmres_tolerance = 1e-11;
   config.erlang_stages = 4;
-  config.lumped_warm_start = false;
   config.fallback.stages = {markov::FallbackStage::kMatrixFree,
                             markov::FallbackStage::kDenseLu};
   config.fallback.attempt_deadline_seconds = 2.5;
@@ -519,15 +607,11 @@ TEST(SolverConfigTest, EveryKnobChangesTheCanonicalHash) {
             base_hash);
   EXPECT_NE(mutate([](auto& c) { c.clamp_epsilon = 1e-14; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.sparse_threshold = 129; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.mrgp_sparse_threshold = 513; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.mrgp_matrix_free_threshold = 193; }),
-            base_hash);
   EXPECT_NE(mutate([](auto& c) { c.dense_retry_limit = 1; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_restart = 81; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_max_iterations = 1; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.gmres_tolerance = 1e-8; }), base_hash);
   EXPECT_NE(mutate([](auto& c) { c.erlang_stages = 2; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.lumped_warm_start = false; }), base_hash);
   EXPECT_NE(mutate([](auto& c) {
               c.fallback.stages = {markov::FallbackStage::kPowerIteration};
             }),
@@ -561,6 +645,25 @@ TEST(SolverConfigTest, ApplyIsAllOrNothing) {
   EXPECT_EQ(config.canonical_hash(), before);
 }
 
+TEST(SolverConfigTest, RemovedKeysNameTheirReplacement) {
+  const struct {
+    const char* spec;
+    const char* replacement;
+  } removed[] = {{"warm-start=0", "cold"},
+                 {"mfree-threshold=64", "backend=dense|mfree"},
+                 {"mrgp-sparse-threshold=512", "backend=sparse"}};
+  for (const auto& r : removed) {
+    try {
+      markov::SolverConfig::parse(r.spec);
+      ADD_FAILURE() << r.spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("removed"), std::string::npos) << what;
+      EXPECT_NE(what.find(r.replacement), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(SolverConfigTest, HistoricOptionsAliasIsTheSameType) {
   static_assert(std::is_same_v<markov::DspnSteadyStateSolver::Options,
                                markov::SolverConfig>,
@@ -579,7 +682,7 @@ TEST(SolverConfigTest, CacheKeysFollowTheCanonicalHash) {
   EXPECT_NE(core::rates_stage_key(params, a.solver),
             core::rates_stage_key(params, b.solver));
   core::ReliabilityAnalyzer::Options c;
-  c.solver.lumped_warm_start = false;
+  c.solver.dense_retry_limit = 512;  // a knob that also steers kAuto
   EXPECT_NE(core::rewards_stage_key(params, a),
             core::rewards_stage_key(params, c));
 }

@@ -88,8 +88,8 @@ TEST(MrgpScalingSlowTest, LargeFamiliesSolveMatrixFree) {
 }
 
 TEST(MrgpScalingSlowTest, EndToEndReliabilityStaysInUnitInterval) {
-  // The full analyzer pipeline (staged structure, lumped warm start,
-  // rewards) on a family well beyond the dense ceiling.
+  // The full analyzer pipeline (staged structure, kAuto dispatch, rewards)
+  // on a family well beyond the dense ceiling.
   core::ReliabilityAnalyzer::Options options;
   options.use_cache = false;
   const auto analysis =

@@ -432,11 +432,12 @@ class ServiceTest : public ::testing::Test {
   }
 
   /// A solve that holds the single worker busy for a macroscopic time:
-  /// a cold wide sweep (the stage caches are dropped first).
+  /// a cold wide sweep (the stage caches are dropped first) of the
+  /// 176-state N = 10 model, whose points take the matrix-free backend.
   static std::string blocker_request(std::uint64_t id) {
     core::clear_stage_caches();
     return "{\"id\":" + std::to_string(id) +
-           ",\"method\":\"sweep\",\"params\":{\"paper\":\"6v\"},"
+           ",\"method\":\"sweep\",\"params\":{\"paper\":\"6v\",\"n\":10},"
            "\"sweep\":{\"param\":\"mttc\",\"from\":500,\"to\":5000,"
            "\"points\":40}}";
   }

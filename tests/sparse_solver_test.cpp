@@ -322,20 +322,29 @@ TEST(BackendEquivalenceTest, RandomizedNetsAgree) {
 // ---------------------------------------------------------------------------
 // Dispatch, reporting, and cache identity.
 
-TEST(BackendDispatchTest, AutoPicksDenseBelowThresholdMatrixFreeAbove) {
-  const auto params = core::SystemParameters::paper_six_version();
-  const auto g = paper_graph(params);  // 70 states, MRGP (rejuvenation clock)
-  markov::DspnSteadyStateSolver::Options options;  // kAuto, mfree from 64
+TEST(BackendDispatchTest, AutoPicksMatrixFreeForShortSeriesDenseForLong) {
+  // 70 states, MRGP (rejuvenation clock). kAuto weighs the clock's series
+  // terms lambda * tau against the state count: a short interval keeps the
+  // matrix-free propagation cheap, a long one makes the dense doublings win.
+  auto params = core::SystemParameters::paper_six_version();
+  params.rejuvenation_interval = 100.0;
+  auto g = paper_graph(params);
+  markov::DspnSteadyStateSolver::Options options;  // kAuto
   auto result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kMatrixFree);
-  options.mrgp_matrix_free_threshold = g.size() + 1;  // below threshold
+  EXPECT_EQ(result.dispatch.reason, markov::DispatchReason::kCost);
+  EXPECT_LT(result.dispatch.series_terms, 3.0 * g.size());
+  params.rejuvenation_interval = 3000.0;
+  g = paper_graph(params);
   result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kDense);
+  EXPECT_GT(result.dispatch.series_terms, 20.0 * g.size());
   // The explicit-sparse MRGP assembly stays reachable, but only when forced:
   // its embedded chain is near-dense, so kAuto never dispatches to it.
   options.backend = markov::SolverBackend::kSparse;
   result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kSparse);
+  EXPECT_EQ(result.dispatch.reason, markov::DispatchReason::kForced);
 }
 
 TEST(BackendDispatchTest, AutoUsesCtmcThresholdWithoutDeterministics) {
@@ -344,7 +353,6 @@ TEST(BackendDispatchTest, AutoUsesCtmcThresholdWithoutDeterministics) {
   const auto g = paper_graph(params);
   markov::DspnSteadyStateSolver::Options options;  // kAuto
   options.sparse_threshold = g.size();      // CTMC threshold reached
-  options.mrgp_sparse_threshold = 100000;   // MRGP threshold is irrelevant
   const auto result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_TRUE(result.pure_ctmc);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kSparse);
@@ -373,9 +381,10 @@ TEST(CacheKeyTest, BackendAndThresholdChangeTheKey) {
   EXPECT_NE(core::rewards_stage_key(params, options), base_key);
   options.solver.sparse_threshold = 128;  // back to defaults -> same key
   EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
-  options.solver.mrgp_sparse_threshold = 1;
+  // dense_retry_limit also bounds kAuto's dense MRGP choice.
+  options.solver.dense_retry_limit = 1;
   EXPECT_NE(core::rewards_stage_key(params, options), base_key);
-  options.solver.mrgp_sparse_threshold = 512;  // default restored
+  options.solver.dense_retry_limit = 4096;  // default restored
   EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
 }
 

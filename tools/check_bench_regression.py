@@ -18,14 +18,18 @@ cold, and each sweep must have explored reachability exactly once.
 
 MRGP mode (``--mrgp``) reads the document written by ``bench_mrgp_scaling``
 (``bench_results/BENCH_mrgp_scaling.json``) and gates the matrix-free
-solver's contract: every crossover row must agree with the dense oracle to
-1e-10, the operator must actually be faster than dense LU well above the
-dispatch threshold (>= 1x at 256+ states, with at least one >= 10x row),
-and every scaling row must have been routed to the matrix-free backend by
-kAuto, carry sparse storage (<= 64 stored nonzeros per state), conserve
-probability mass to 1e-9, and reach the 10^4..10^5-state range (smallest
-row >= 10^4 states, largest >= 5 x 10^4). These restate the backend's
-contract rather than machine timings, so they take no tolerance.
+solver's contract and kAuto's routing. Every crossover row (each family at
+tau = 100, 600 and 3000 s) must agree with the dense oracle to 1e-10. On
+the tau = 600 rows the operator must actually be faster than dense LU at
+256+ states, with at least one >= 10x row. On every crossover cell the
+backend kAuto picks (``auto_backend``) may be at most 1.5x slower than the
+faster of the two. Every scaling row must have been routed to the
+matrix-free backend by kAuto, carry sparse storage (<= 64 stored nonzeros
+per state), conserve probability mass to 1e-9, and reach the
+10^4..10^5-state range (smallest row >= 10^4 states, largest >= 5 x 10^4).
+These restate the backend's contract rather than machine timings, so they
+take no tolerance; the 1.5x routing bound is itself the slack for timing
+noise near the dispatch boundary.
 
 Store mode (``--store``) reads the document written by
 ``bench_store_persistence`` (``bench_results/BENCH_store.json``) and gates
@@ -128,6 +132,8 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -400,11 +406,14 @@ def check_monitor(report: dict, report_path: str, baseline_path: str,
 
 def check_mrgp(report: dict, report_path: str) -> int:
     # MRGP-mode bounds (see the module docstring): equivalence budget
-    # against the dense oracle, the state range the scaling series must
+    # against the dense oracle, the horizon whose rows carry the speedup
+    # floors, kAuto's routing slack, the state range the scaling series must
     # reach, and the storage bound that keeps the operator honest about
     # never assembling the embedded chain.
     max_abs_diff = 1e-10
     speedup_floor_states = 256
+    speedup_tau = 600.0
+    routing_slack = 1.5
     min_scaling_states = 10_000
     max_scaling_states_floor = 50_000
     nonzeros_per_state = 64
@@ -436,10 +445,26 @@ def check_mrgp(report: dict, report_path: str) -> int:
 
     big_speedup = 0.0
     for row in rows("crossover"):
-        label = f"crossover[n={row.get('n')},f={row.get('f')},r={row.get('r')}]"
+        label = (f"crossover[n={row.get('n')},f={row.get('f')},"
+                 f"r={row.get('r')},tau={row.get('tau')}]")
         diff = num(row, "max_abs_diff", label)
         check(label, diff <= max_abs_diff,
               f"max_abs_diff {diff:.2e} (want <= {max_abs_diff:g})")
+        dense_ms = num(row, "dense_ms", label)
+        mfree_ms = num(row, "mfree_ms", label)
+        picked = row.get("auto_backend")
+        if picked not in ("dense", "mfree"):
+            raise SystemExit(
+                f"error: mrgp report '{report_path}' has auto_backend "
+                f"'{picked}' in {label} (want dense or mfree)"
+            )
+        picked_ms = dense_ms if picked == "dense" else mfree_ms
+        fastest_ms = min(dense_ms, mfree_ms)
+        check(label, picked_ms <= routing_slack * fastest_ms,
+              f"auto picks {picked} at {picked_ms:.2f} ms, fastest "
+              f"{fastest_ms:.2f} ms (want <= {routing_slack:g}x)")
+        if num(row, "tau", label) != speedup_tau:
+            continue
         states = num(row, "states", label)
         speedup = num(row, "speedup", label)
         big_speedup = max(big_speedup, speedup)
@@ -447,7 +472,8 @@ def check_mrgp(report: dict, report_path: str) -> int:
             check(label, speedup >= 1.0,
                   f"speedup {speedup:.2f}x at {states:g} states (want >= 1)")
     check("crossover", big_speedup >= 10.0,
-          f"best speedup {big_speedup:.1f}x (want >= 10)")
+          f"best speedup at tau={speedup_tau:g} {big_speedup:.1f}x "
+          "(want >= 10)")
 
     max_states = 0.0
     min_states = float("inf")
@@ -456,8 +482,8 @@ def check_mrgp(report: dict, report_path: str) -> int:
         states = num(row, "states", label)
         max_states = max(max_states, states)
         min_states = min(min_states, states)
-        check(label, row.get("backend") == "mfree",
-              f"backend '{row.get('backend')}' (want 'mfree')")
+        check(label, row.get("auto_backend") == "mfree",
+              f"backend '{row.get('auto_backend')}' (want 'mfree')")
         solve_ms = num(row, "solve_ms", label)
         check(label, solve_ms > 0.0, f"solve_ms {solve_ms:g} (want > 0)")
         nnz = num(row, "stored_nonzeros", label)
@@ -479,7 +505,6 @@ def check_mrgp(report: dict, report_path: str) -> int:
         return 1
     print("OK: matrix-free MRGP contract holds")
     return 0
-
 
 def check_store(report: dict, report_path: str) -> int:
     status = check_table(report, report_path, STORE_CHECKS, "store",
@@ -599,6 +624,28 @@ def self_test() -> int:
     check_schema({"schema_version": SUPPORTED_SCHEMA_VERSION}, "<mem>",
                  "baseline")
     expect("schema.current", True)
+
+    # MRGP routing: kAuto's pick may trail the faster backend by at most
+    # 1.5x on any cell; the speedup floors read the tau = 600 rows only.
+    def mrgp_doc(dense_ms: float, mfree_ms: float, picked: str) -> dict:
+        cell = {"n": 6, "f": 1, "r": 1, "states": 70, "max_abs_diff": 0.0}
+        far = dict(cell, tau=600.0, states=676, dense_ms=100.0,
+                   mfree_ms=5.0, speedup=20.0, auto_backend="mfree")
+        probe = dict(cell, tau=3000.0, dense_ms=dense_ms, mfree_ms=mfree_ms,
+                     speedup=dense_ms / mfree_ms, auto_backend=picked)
+        scaling = [{"n": n, "f": 2, "r": 4, "states": states,
+                    "auto_backend": "mfree", "solve_ms": 1.0,
+                    "stored_nonzeros": states, "prob_mass_error": 0.0}
+                   for n, states in ((40, 10_935), (100, 72_285))]
+        return {"crossover": [far, probe], "scaling": scaling}
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        routed_ok = check_mrgp(mrgp_doc(2.0, 2.9, "mfree"), "<mem>")
+        routed_bad = check_mrgp(mrgp_doc(2.0, 3.1, "mfree"), "<mem>")
+        routed_dense = check_mrgp(mrgp_doc(2.0, 40.0, "dense"), "<mem>")
+    expect("mrgp.routing_within_slack", routed_ok == 0)
+    expect("mrgp.routing_beyond_slack", routed_bad == 1)
+    expect("mrgp.routing_dense_pick", routed_dense == 0)
 
     # Metric flattening covers nested objects and row arrays, skips bools.
     names = metric_names({"a": 1, "b": {"c": 2.5, "flag": True},

@@ -10,7 +10,10 @@ asserts the robustness contract end to end:
     structured error envelope instead of a reliability value,
   * schedules that hit an unexercised or value-neutral site (uniformization
     on the CTMC-only 4v model, forced cache misses anywhere) leave the
-    results bit-identical to the clean baseline.
+    results bit-identical to the clean baseline,
+  * every other armed run shows its site fired (`fault.injected.<site>` in
+    the run's --metrics-json): kAuto's dispatch must not quietly route a
+    schedule around the code it is meant to break.
 
 One JSON artifact per run plus a summary land in --out (default
 gauntlet-out/) so CI uploads them for post-mortem on failure.
@@ -21,7 +24,9 @@ loadgen burst hammers it, and remote analyze requests probe both models.
 The gate asserts the daemon never aborts (loadgen sees no transport
 errors, the daemon exits 0 after a protocol shutdown), failed responses
 carry structured error envelopes, and value-neutral schedules return
-byte-identical results to the clean baseline.
+byte-identical results to the clean baseline. Schedules arming the mfree
+site probe 6v at a 100 s interval, where kAuto routes it to the operator,
+and its response must name the mfree backend.
 
 Store mode (--store) proves the persistent solve store's corruption
 contract against live on-disk entries: a cold sweep populates a fresh
@@ -92,11 +97,13 @@ SCHEDULES = [
     ("alloc", "alloc:1.0:23", {"4v": "envelopes", "6v": "envelopes"}, []),
     # Forced cache misses change only costs, never values.
     ("cache", "cache:1.0:5", {"4v": "identical", "6v": "identical"}, []),
-    # The matrix-free stage: kAuto routes the 6v MRGP model through the
-    # operator backend, whose default chain is [mfree, power] — the injected
-    # stage failure must degrade to power iteration, still yielding a value
-    # for every point. The 4v pure-CTMC solve is dense at this size and
-    # never arms the site, so its results must match the baseline exactly.
+    # The matrix-free stage: kAuto routes the 6v points with short clock
+    # series (intervals below ~380 s, 4 of the 50) through the operator
+    # backend, whose default chain is [mfree, power] — the injected stage
+    # failure must degrade to power iteration, still yielding a value for
+    # every point, and the site must have fired. The 4v pure-CTMC solve is
+    # dense at this size and never arms the site, so its results must match
+    # the baseline exactly.
     ("mfree-fallback", "mfree:1.0:31", {"4v": "identical", "6v": "clean"},
      []),
     # Pinning the chain to the mfree rung alone removes every rescue path:
@@ -106,7 +113,7 @@ SCHEDULES = [
 ]
 
 
-def run_sweep(cli, model, spec, points, extra_args):
+def run_sweep(cli, model, spec, points, extra_args, metrics_path):
     env = dict(os.environ)
     env.pop("NVP_FAULT_INJECT", None)
     if spec is not None:
@@ -114,19 +121,23 @@ def run_sweep(cli, model, spec, points, extra_args):
     cmd = [
         cli, "sweep", "--paper", model, "--param", "interval",
         "--from", "200", "--to", "3000", "--points", str(points),
-        "--format", "csv",
+        "--format", "csv", "--metrics-json", metrics_path,
     ] + list(extra_args)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     rows = []
+    counters = {}
     if proc.returncode == 0:
         reader = csv.DictReader(io.StringIO(proc.stdout))
         rows = list(reader)
+        with open(metrics_path) as f:
+            counters = json.load(f)["metrics"]["counters"]
     return {
         "command": " ".join(cmd),
         "fault_inject": spec,
         "model": model,
         "exit_code": proc.returncode,
         "stderr": proc.stderr.strip(),
+        "counters": counters,
         "rows": rows,
     }
 
@@ -137,6 +148,13 @@ def check(run, expectation, points, baseline):
         errors.append("aborted with exit code %d: %s"
                       % (run["exit_code"], run["stderr"]))
         return errors
+    # A schedule that is meant to perturb a run must actually have reached
+    # its site (kAuto may route every point around it).
+    spec = run["fault_inject"]
+    if spec is not None and expectation != "identical":
+        site = spec.split(":")[0]
+        if run["counters"].get("fault.injected.%s" % site, 0) <= 0:
+            errors.append("fault site %s never armed" % site)
     rows = run["rows"]
     if len(rows) != points:
         errors.append("expected %d sweep rows, got %d" % (points, len(rows)))
@@ -204,6 +222,14 @@ class Daemon:
         return code
 
 
+# Service mode probes one analyze per model. kAuto sends the 6v model at its
+# default 600 s interval to the dense backend, which never reaches the mfree
+# site; at 100 s its clock series are short and it routes to the operator,
+# so schedules arming that site probe 6v there and, where the response
+# carries a value, require it to name the mfree backend.
+MFREE_PROBE_ARGS = ["--interval", "100"]
+
+
 def remote_analyze(cli, endpoint, model, extra_args):
     proc = subprocess.run(
         [cli, "analyze", "--remote", endpoint, "--paper", model]
@@ -259,10 +285,19 @@ def run_service_gauntlet(args):
                                      % (load.returncode,
                                         load.stderr.strip())]))
         for model, expectation in sorted(expectations.items()):
-            run = remote_analyze(args.cli, daemon.endpoint, model, extra_args)
+            mfree_probe = (spec is not None and spec.startswith("mfree:")
+                           and model == "6v")
+            probe_args = list(extra_args)
+            if mfree_probe:
+                probe_args += MFREE_PROBE_ARGS
+            run = remote_analyze(args.cli, daemon.endpoint, model, probe_args)
             if schedule == "clean":
                 baselines[model] = run
             errors = check_remote(run, expectation, baselines.get(model))
+            if mfree_probe and expectation != "envelopes" and not errors \
+                    and not re.search(r'"backend":\s*"mfree"', run["stdout"]):
+                errors.append("the mfree probe did not run on the mfree "
+                              "backend: %r" % run["stdout"][:200])
             runs.append(("%s-%s" % (schedule, model), errors))
         code = daemon.stop(args.cli)
         if code != 0:
@@ -797,14 +832,15 @@ def main():
     failed = False
     for schedule, spec, expectations, extra_args in SCHEDULES:
         for model, expectation in sorted(expectations.items()):
-            run = run_sweep(args.cli, model, spec, args.points, extra_args)
+            name = "%s-%s" % (schedule, model)
+            run = run_sweep(args.cli, model, spec, args.points, extra_args,
+                            os.path.join(args.out, name + ".metrics.json"))
             if schedule == "clean":
                 baselines[model] = run
             errors = check(run, expectation, args.points,
                            baselines.get(model))
             run["expectation"] = expectation
             run["check_errors"] = errors
-            name = "%s-%s" % (schedule, model)
             with open(os.path.join(args.out, name + ".json"), "w") as f:
                 json.dump(run, f, indent=2)
             status = "ok" if not errors else "FAIL"

@@ -135,11 +135,12 @@ int usage() {
       "--attachment operational|appendix\n"
       "solver selection (any analytic command): --solver-config "
       "<key=value,...> (keys: backend auto|dense|sparse|mfree, ctmc, clamp, "
-      "sparse-threshold, mfree-threshold, dense-retry-limit, gmres-restart, "
-      "gmres-max-iters, gmres-tol, erlang-stages, warm-start, "
-      "fallback=<stage+stage+...>, attempt-deadline; auto = sparse Krylov "
-      "above 128 states for CTMC models, matrix-free above 64 for MRGP "
-      "models, dense below)\n"
+      "sparse-threshold, dense-retry-limit, gmres-restart, gmres-max-iters, "
+      "gmres-tol, erlang-stages, fallback=<stage+stage+...>, "
+      "attempt-deadline; auto = sparse Krylov from 128 states for CTMC "
+      "models, dense below; for MRGP models dense once the clocks' "
+      "uniformization series take 3.6 terms per state (sum of lambda*tau "
+      ">= 3.6 n) and n <= dense-retry-limit, matrix-free otherwise)\n"
       "robustness: --strict (fail fast instead of degrading failed points "
       "into error envelopes)\n"
       "common options (any command): --jobs N, --seed S, --format "
