@@ -30,7 +30,7 @@ std::vector<ArchitectureResult> ArchitectureSpaceExplorer::explore(
   ReliabilityAnalyzer::Options analyzer_options;
   analyzer_options.convention = RewardConvention::kGeneralized;
   analyzer_options.attachment = options_.attachment;
-  analyzer_options.solver.backend = options_.backend;
+  analyzer_options.solver = options_.solver;
   // Evaluation routes through the Engine facade (the same memoized
   // analyzer path every other driver uses).
   const Engine engine(analyzer_options);

@@ -43,10 +43,11 @@ class ArchitectureSpaceExplorer {
     int max_faulty = 2;
     int max_rejuvenating = 2;
     RewardAttachment attachment = RewardAttachment::kOperationalStatesOnly;
-    /// Solver backend for every candidate solve. kAuto lets small
-    /// architectures use dense LU while the large-N tail of the sweep (the
-    /// reason this explorer exists) switches to the sparse Krylov path.
-    markov::SolverBackend backend = markov::SolverBackend::kAuto;
+    /// Solver config of every candidate solve: the caller's backend,
+    /// fallback chain and attempt deadline. kAuto lets small architectures
+    /// use dense LU while the large-N tail of the sweep (the reason this
+    /// explorer exists) switches to a sparse backend.
+    markov::SolverConfig solver;
     /// Fail fast on the first candidate whose solve throws instead of
     /// degrading it into an error envelope (ArchitectureResult::ok).
     bool strict = false;

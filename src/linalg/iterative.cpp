@@ -36,50 +36,6 @@ class Deadline {
 
 }  // namespace
 
-IterativeResult gauss_seidel(const DenseMatrix& a, const Vector& b,
-                             const IterativeOptions& opts) {
-  NVP_EXPECTS(a.rows() == a.cols());
-  NVP_EXPECTS(b.size() == a.rows());
-  const std::size_t n = a.rows();
-  for (std::size_t i = 0; i < n; ++i)
-    NVP_EXPECTS_MSG(a(i, i) != 0.0, "gauss_seidel: zero diagonal");
-
-  IterativeResult res;
-  res.x.assign(n, 0.0);
-  const double w = opts.relaxation;
-  const Deadline deadline(opts.deadline_seconds);
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    if (deadline.expired()) {
-      res.deadline_exceeded = true;
-      break;
-    }
-    double delta = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = a.row_data(i);
-      double acc = b[i];
-      for (std::size_t j = 0; j < n; ++j)
-        if (j != i) acc -= row[j] * res.x[j];
-      const double next = (1.0 - w) * res.x[i] + w * acc / row[i];
-      const double step = std::fabs(next - res.x[i]);
-      if (step > delta || std::isnan(step)) delta = step;
-      res.x[i] = next;
-    }
-    res.iterations = it + 1;
-    res.residual = delta;
-    if (!std::isfinite(delta)) {
-      // Divergence (the matrix is not GS-convergent); report failure so
-      // callers can fall back to a robust method.
-      res.converged = false;
-      break;
-    }
-    if (delta < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-  }
-  return res;
-}
-
 std::optional<Ilu0> Ilu0::factor(const SparseMatrixCsr& a) {
   NVP_EXPECTS(a.rows() == a.cols());
   const std::size_t n = a.rows();

@@ -12,7 +12,6 @@ namespace nvp::linalg {
 struct IterativeOptions {
   std::size_t max_iterations = 100000;
   double tolerance = 1e-12;  // max-norm of successive-iterate difference
-  double relaxation = 1.0;   // SOR factor; 1.0 = Gauss-Seidel
   /// Wall-clock bound in seconds; 0 = unbounded. A solve that overruns it
   /// stops at the next iteration boundary with `deadline_exceeded` set
   /// (and `converged` false), so a fallback chain can bound each attempt.
@@ -27,10 +26,6 @@ struct IterativeResult {
   bool converged = false;
   bool deadline_exceeded = false;  ///< stopped by IterativeOptions deadline
 };
-
-/// Gauss-Seidel / SOR for A x = b on a dense matrix with nonzero diagonal.
-IterativeResult gauss_seidel(const DenseMatrix& a, const Vector& b,
-                             const IterativeOptions& opts = {});
 
 /// Preconditioner applied inside gmres(). kIlu0 degrades to kJacobi when the
 /// factorization hits a zero pivot, and kJacobi treats zero diagonal entries

@@ -4,7 +4,6 @@
 
 #include "src/linalg/iterative.hpp"
 #include "src/linalg/lu.hpp"
-#include "src/markov/solver_config.hpp"
 #include "src/markov/sparse_assembly.hpp"
 #include "src/util/contracts.hpp"
 
@@ -70,26 +69,6 @@ Vector steady_state_power(const DenseMatrix& q) {
   return res.x;
 }
 
-Vector steady_state_gauss_seidel(const DenseMatrix& q) {
-  const std::size_t n = q.rows();
-  // pi Q = 0 with normalization folded in: solve (Q^T + e e_n^T) x = e_n
-  // is ill-shaped for GS; instead iterate the balance equations directly
-  // using the power method's uniformized chain as a fallback-friendly
-  // formulation. Gauss-Seidel works on A x = b with A = Q^T where the last
-  // row is replaced by ones.
-  DenseMatrix a = q.transposed();
-  for (std::size_t c = 0; c < n; ++c) a(n - 1, c) = 1.0;
-  Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (a(i, i) == 0.0) return steady_state_power(q);
-  auto res = linalg::gauss_seidel(a, b);
-  if (!res.converged) return steady_state_power(q);
-  for (double& x : res.x) x = std::max(x, 0.0);
-  linalg::normalize_l1(res.x);
-  return res.x;
-}
-
 }  // namespace
 
 const char* to_string(SolverBackend backend) {
@@ -114,11 +93,8 @@ std::optional<SolverBackend> parse_backend(std::string_view name) {
   return std::nullopt;
 }
 
-namespace {
-
-Vector steady_state_sparse_impl(const linalg::SparseMatrixCsr& generator,
-                                const FallbackOptions& fallback,
-                                const ChainKnobs& knobs) {
+Vector ctmc_steady_state_sparse(const linalg::SparseMatrixCsr& generator,
+                                const FallbackOptions& fallback) {
   NVP_EXPECTS(generator.rows() == generator.cols());
   const std::size_t n = generator.rows();
   NVP_EXPECTS(n > 0);
@@ -150,41 +126,19 @@ Vector steady_state_sparse_impl(const linalg::SparseMatrixCsr& generator,
     lambda *= 1.02;
     return sparse_uniformized_dtmc(generator, lambda);
   };
-  return solve_stationary_chain(problem, fallback, knobs);
+  return solve_stationary_chain(problem, fallback);
 }
 
-}  // namespace
-
-Vector ctmc_steady_state_sparse(const linalg::SparseMatrixCsr& generator,
-                                const FallbackOptions& fallback) {
-  return steady_state_sparse_impl(generator, fallback, ChainKnobs{});
-}
-
-Vector ctmc_steady_state_sparse(const linalg::SparseMatrixCsr& generator,
-                                const SolverConfig& config) {
-  return steady_state_sparse_impl(generator, config.fallback,
-                                  chain_knobs(config));
-}
-
-Vector ctmc_steady_state(const DenseMatrix& generator,
-                         SteadyStateMethod method) {
+Vector ctmc_steady_state(const DenseMatrix& generator) {
   NVP_EXPECTS(generator.rows() == generator.cols());
   NVP_EXPECTS(generator.rows() > 0);
-  switch (method) {
-    case SteadyStateMethod::kDirect:
-      try {
-        return steady_state_direct(generator);
-      } catch (const linalg::SingularMatrixError&) {
-        // Reducible chain: the power method still converges to a stationary
-        // distribution (dependent on the uniform start).
-        return steady_state_power(generator);
-      }
-    case SteadyStateMethod::kGaussSeidel:
-      return steady_state_gauss_seidel(generator);
-    case SteadyStateMethod::kPowerIteration:
-      return steady_state_power(generator);
+  try {
+    return steady_state_direct(generator);
+  } catch (const linalg::SingularMatrixError&) {
+    // Reducible chain: the power method still converges to a stationary
+    // distribution (dependent on the uniform start).
+    return steady_state_power(generator);
   }
-  throw SolverError("unknown steady-state method");
 }
 
 }  // namespace nvp::markov

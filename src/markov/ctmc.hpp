@@ -43,26 +43,20 @@ struct Ctmc {
   static Ctmc from_graph(const petri::TangibleReachabilityGraph& g);
 };
 
-/// Solution method for the stationary distribution.
-enum class SteadyStateMethod {
-  kDirect,         // LU on the normalized balance equations
-  kGaussSeidel,    // iterative, for larger chains
-  kPowerIteration  // on the uniformized DTMC
-};
-
 /// Matrix representation / algorithm family used by the stationary solvers:
 ///  * kDense      — materialized n x n matrices, LU and matrix-exponential
 ///    doubling (the original path; exact oracle for tests).
-///  * kSparse     — CSR assembly straight from the reachability graph,
-///    vector uniformization for the subordinated transients, and a Krylov
-///    (GMRES + ILU0, power-iteration fallback) stationary solve.
+///  * kSparse     — a model class's sparse backend. For a pure CTMC: the
+///    CSR generator straight from the reachability graph and a Krylov
+///    (GMRES + ILU0, power-iteration fallback) stationary solve. For an
+///    MRGP it names kMatrixFree (see dispatch() in dspn_solver.hpp).
 ///  * kMatrixFree — never assemble the embedded chain: Krylov solves over a
 ///    linalg::LinearOperator whose action runs one sparse-uniformization
-///    propagation per deterministic group (see matrix_free.hpp). The only
-///    backend that scales MRGPs to 10^4-10^5 states.
-///  * kAuto       — pick by model class: the state count for pure CTMCs
-///    (SolverConfig::sparse_threshold), a per-solve cost rule for MRGPs
-///    (see dispatch() in dspn_solver.hpp).
+///    propagation per deterministic group (see matrix_free.hpp). The MRGP
+///    sparse backend; scales to 10^4-10^5 states. For a pure CTMC it names
+///    kSparse.
+///  * kAuto       — pick by model class: the state count for pure CTMCs,
+///    a per-solve cost rule for MRGPs (see dispatch() in dspn_solver.hpp).
 enum class SolverBackend { kAuto, kDense, kSparse, kMatrixFree };
 
 /// "auto" / "dense" / "sparse" / "mfree".
@@ -70,8 +64,6 @@ const char* to_string(SolverBackend backend);
 
 /// Inverse of to_string; nullopt on unknown names.
 std::optional<SolverBackend> parse_backend(std::string_view name);
-
-struct SolverConfig;
 
 /// Stationary distribution of an irreducible CTMC from its sparse generator
 /// (pi Q = 0, sum pi = 1): the transposed balance equations with the
@@ -84,16 +76,10 @@ linalg::Vector ctmc_steady_state_sparse(
     const linalg::SparseMatrixCsr& generator,
     const FallbackOptions& fallback = {});
 
-/// SolverConfig-aware overload: same balance system, with the chain and its
-/// GMRES knobs taken from the config (fallback + gmres_* fields).
-linalg::Vector ctmc_steady_state_sparse(const linalg::SparseMatrixCsr& generator,
-                                        const SolverConfig& config);
-
-/// Stationary distribution pi of an irreducible CTMC (pi Q = 0, sum pi = 1).
-/// Throws SolverError if the chain has an absorbing state or the direct
-/// system is singular beyond recovery.
-linalg::Vector ctmc_steady_state(
-    const linalg::DenseMatrix& generator,
-    SteadyStateMethod method = SteadyStateMethod::kDirect);
+/// Stationary distribution pi of an irreducible CTMC (pi Q = 0, sum pi = 1)
+/// by LU on the normalized balance equations; a singular system (a
+/// reducible chain) falls back to power iteration on the uniformized chain.
+/// Throws SolverError if that fallback does not converge.
+linalg::Vector ctmc_steady_state(const linalg::DenseMatrix& generator);
 
 }  // namespace nvp::markov

@@ -1,7 +1,6 @@
 #include "src/markov/dspn_solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <vector>
 
@@ -9,28 +8,26 @@
 #include "src/fault/injector.hpp"
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/dtmc.hpp"
-#include "src/markov/erlangization.hpp"
 #include "src/markov/matrix_free.hpp"
 #include "src/markov/sparse_assembly.hpp"
 #include "src/markov/transient.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/util/contracts.hpp"
 
 namespace nvp::markov {
 
 using linalg::DenseMatrix;
 using linalg::SparseMatrixCsr;
-using linalg::Triplet;
 using linalg::Vector;
 
 namespace {
 
-/// Normalizes the conversion-weighted stationary vector into the result.
-Vector finish_stationary(Vector pi, double clamp_epsilon) {
+/// Normalizes the conversion-weighted stationary vector into the result,
+/// clamping round-off below 1e-15 to zero first.
+Vector finish_stationary(Vector pi) {
   for (double& x : pi)
-    if (x < clamp_epsilon) x = 0.0;
+    if (x < 1e-15) x = 0.0;
   const double total = linalg::sum(pi);
   if (!(total > 0.0))
     throw SolverError("DSPN solver: zero total expected cycle time");
@@ -44,8 +41,7 @@ Vector finish_stationary(Vector pi, double clamp_epsilon) {
 // transients, LU (with power fallback) for the stationary vectors.
 
 Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
-                        const AssemblyPlan& plan,
-                        const DspnSteadyStateSolver::Options& options) {
+                        const AssemblyPlan& plan) {
   const std::size_t n = g.size();
   NVP_ASSERT(!plan.groups.empty());
 
@@ -141,91 +137,7 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
   }();
 
   // pi(j) proportional to sum_s nu(s) C(s, j).
-  return finish_stationary(c.left_multiply(nu), options.clamp_epsilon);
-}
-
-// ---------------------------------------------------------------------------
-// Sparse backend: CSR embedded chain and conversion factors assembled from
-// per-row vector uniformization (one row per state that enables the
-// deterministic transition, fanned out on the runtime pool), Krylov
-// stationary solve.
-
-Vector solve_mrgp_sparse(const petri::TangibleReachabilityGraph& g,
-                         const AssemblyPlan& plan,
-                         const DspnSteadyStateSolver::Options& options,
-                         std::size_t& nonzeros_out) {
-  const std::size_t n = g.size();
-
-  std::vector<Triplet> pt;  // embedded chain P
-  std::vector<Triplet> ct;  // conversion factors C
-
-  // Exponential-only states: one firing ends the period.
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!g.deterministics(s).empty()) continue;
-    const double exit = g.exit_rate(s);
-    NVP_ASSERT(exit > 0.0);
-    for (const petri::RateEdge& e : g.exponential_edges(s))
-      pt.push_back({s, e.target, e.rate / exit});
-    ct.push_back({s, s, 1.0 / exit});
-  }
-
-  const obs::ScopedSpan embed_span("markov.embedded_chain_sparse");
-  for (const AssemblyPlan::Group& group : plan.groups) {
-    const std::vector<std::size_t>& members = group.members;
-    const std::vector<char>& in_set = group.in_set;
-    const double tau = g.deterministics(members[0])[0].delay;
-    for (std::size_t s : members)
-      NVP_ASSERT(g.deterministics(s)[0].delay == tau);
-
-    const SparseMatrixCsr q =
-        group.subordinated.pour(sparse_subordinated_values(g, in_set));
-    const SparseUniformization uniformization = [&] {
-      const obs::ScopedSpan uniform_span("markov.sparse_uniformization");
-      return SparseUniformization(q, tau);
-    }();
-
-    // One omega/sojourn row per member; rows are independent, so fan them
-    // out on the runtime pool (results come back in input order, keeping
-    // the triplet assembly deterministic).
-    const std::vector<TransientRowPair> rows = runtime::parallel_map(
-        members,
-        [&](const std::size_t& s) { return uniformization.row_pair(s); });
-
-    for (std::size_t idx = 0; idx < members.size(); ++idx) {
-      const std::size_t s = members[idx];
-      const Vector& omega_row = rows[idx].omega;
-      const Vector& sojourn_row = rows[idx].sojourn;
-      for (std::size_t u = 0; u < n; ++u) {
-        const double reach = omega_row[u];
-        if (reach <= 0.0) continue;
-        if (in_set[u]) {
-          for (const petri::ProbEdge& e : g.deterministics(u)[0].edges)
-            pt.push_back({s, e.target, reach * e.prob});
-        } else {
-          pt.push_back({s, u, reach});
-        }
-      }
-      for (std::size_t u = 0; u < n; ++u)
-        if (in_set[u] && sojourn_row[u] != 0.0)
-          ct.push_back({s, u, sojourn_row[u]});
-    }
-  }
-
-  const SparseMatrixCsr p(n, n, std::move(pt));
-  const SparseMatrixCsr c(n, n, std::move(ct));
-  nonzeros_out = p.nonzeros() + c.nonzeros();
-
-  const double row_err = max_row_sum_error(p);
-  if (row_err > 1e-8)
-    throw SolverError("DSPN solver: embedded chain rows are off by " +
-                      std::to_string(row_err));
-
-  const Vector nu = [&] {
-    const obs::ScopedSpan stationary_span("markov.dtmc_stationary_sparse");
-    return dtmc_stationary(p, options.fallback, chain_knobs(options));
-  }();
-
-  return finish_stationary(c.left_multiply(nu), options.clamp_epsilon);
+  return finish_stationary(c.left_multiply(nu));
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +149,7 @@ Vector solve_mrgp_sparse(const petri::TangibleReachabilityGraph& g,
 
 Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
                               const AssemblyPlan& plan,
-                              const DspnSteadyStateSolver::Options& options,
+                              const FallbackOptions& fallback,
                               std::size_t& nonzeros_out) {
   const std::size_t n = g.size();
 
@@ -260,9 +172,9 @@ Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
   // Only the operator-capable rungs can run here; keep their configured
   // order and make sure the mfree stage leads when the user's chain never
   // mentions it (the default chain predates the stage).
-  FallbackOptions mfree_chain = options.fallback;
+  FallbackOptions mfree_chain = fallback;
   mfree_chain.stages.clear();
-  for (const FallbackStage stage : options.fallback.stages)
+  for (const FallbackStage stage : fallback.stages)
     if (stage == FallbackStage::kMatrixFree ||
         stage == FallbackStage::kPowerIteration)
       mfree_chain.stages.push_back(stage);
@@ -273,10 +185,10 @@ Vector solve_mrgp_matrix_free(const petri::TangibleReachabilityGraph& g,
 
   const Vector nu = [&] {
     const obs::ScopedSpan stationary_span("markov.dtmc_stationary_mfree");
-    return solve_stationary_chain(problem, mfree_chain, chain_knobs(options));
+    return solve_stationary_chain(problem, mfree_chain);
   }();
 
-  return finish_stationary(chain.conversion_apply(nu), options.clamp_epsilon);
+  return finish_stationary(chain.conversion_apply(nu));
 }
 
 const char* backend_span(SolverBackend backend) {
@@ -315,6 +227,16 @@ const char* backend_span(SolverBackend backend) {
 // --mrgp holds kAuto within 1.5x of the faster backend on every cell.
 constexpr double kDenseSeriesTermsPerState = 3.6;
 
+// kAuto's pure-CTMC rule: CSR + Krylov from this many tangible states, dense
+// LU below it, where LU is faster (no Krylov setup) and the small paper
+// configurations stay on the dense oracle path.
+constexpr std::size_t kCtmcSparseStates = 128;
+
+// Largest state count kAuto hands the dense MRGP backend, and the largest
+// model a failed non-dense solve is retried on dense: a dense n^2 rebuild at
+// 10^5 states would turn a failed solve into a stuck one.
+constexpr std::size_t kDenseStateLimit = 4096;
+
 }  // namespace
 
 const char* to_string(DispatchReason reason) {
@@ -334,21 +256,24 @@ Dispatch dispatch(const SolverConfig& config, std::size_t states,
   Dispatch d;
   d.states = states;
   d.series_terms = series_terms;
+  // A model class's sparse backend: CSR for a pure CTMC, the operator for
+  // an MRGP (whose explicit embedded chain is near-dense).
+  const SolverBackend sparse =
+      has_deterministic ? SolverBackend::kMatrixFree : SolverBackend::kSparse;
   if (config.backend != SolverBackend::kAuto) {
-    d.backend = config.backend;
+    d.backend = config.backend == SolverBackend::kDense
+                    ? SolverBackend::kDense
+                    : sparse;
     d.reason = DispatchReason::kForced;
   } else if (!has_deterministic) {
-    d.backend = states >= config.sparse_threshold ? SolverBackend::kSparse
-                                                  : SolverBackend::kDense;
+    d.backend = states >= kCtmcSparseStates ? sparse : SolverBackend::kDense;
     d.reason = DispatchReason::kCtmcSize;
   } else {
-    // MRGP: the explicit embedded chain is near-dense, so the explicit-
-    // sparse assembly never wins — the choice is dense or the operator.
     const bool dense =
-        states <= config.dense_retry_limit &&
+        states <= kDenseStateLimit &&
         series_terms >=
             kDenseSeriesTermsPerState * static_cast<double>(states);
-    d.backend = dense ? SolverBackend::kDense : SolverBackend::kMatrixFree;
+    d.backend = dense ? SolverBackend::kDense : sparse;
     d.reason = DispatchReason::kCost;
   }
   return d;
@@ -494,28 +419,24 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
         result.matrix_nonzeros = n * n;
         const Ctmc chain = Ctmc::from_graph(g);
         const obs::ScopedSpan ctmc_span("markov.ctmc_steady_state");
-        result.probabilities =
-            ctmc_steady_state(chain.generator, options_.ctmc_method);
+        result.probabilities = ctmc_steady_state(chain.generator);
       } else {
-        // kSparse and kMatrixFree share the CSR assembly for pure CTMCs:
-        // the generator is genuinely sparse, so there is nothing for an
-        // operator to avoid materializing (the mfree *fallback stage*
-        // still runs matrix-free Krylov over it when configured).
+        // The CSR generator: genuinely sparse, so there is nothing for an
+        // operator to avoid materializing (the mfree *fallback stage* still
+        // runs matrix-free Krylov over it when configured).
         const SparseMatrixCsr q =
             plan.generator.pour(sparse_generator_values(g));
         result.matrix_nonzeros = q.nonzeros();
         const obs::ScopedSpan ctmc_span("markov.ctmc_steady_state_sparse");
-        result.probabilities = ctmc_steady_state_sparse(q, options_);
+        result.probabilities =
+            ctmc_steady_state_sparse(q, options_.fallback);
       }
     } else if (backend == SolverBackend::kMatrixFree) {
-      result.probabilities =
-          solve_mrgp_matrix_free(g, plan, options_, result.matrix_nonzeros);
-    } else if (backend == SolverBackend::kSparse) {
-      result.probabilities =
-          solve_mrgp_sparse(g, plan, options_, result.matrix_nonzeros);
+      result.probabilities = solve_mrgp_matrix_free(
+          g, plan, options_.fallback, result.matrix_nonzeros);
     } else {
       result.matrix_nonzeros = 2 * n * n;  // the dense P and C
-      result.probabilities = solve_mrgp_dense(g, plan, options_);
+      result.probabilities = solve_mrgp_dense(g, plan);
     }
   };
 
@@ -532,7 +453,7 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
       const auto& stages = options_.fallback.stages;
       if (std::find(stages.begin(), stages.end(), FallbackStage::kDenseLu) ==
               stages.end() ||
-          n > options_.dense_retry_limit)
+          n > kDenseStateLimit)
         throw;
       static obs::Counter& backend_fallbacks =
           obs::Registry::global().counter("markov.solver.backend_fallbacks");
@@ -556,22 +477,6 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
             fault::category_of(dense_error), std::move(context));
       }
     }
-  }
-
-  // Optional independent cross-check: re-solve through Erlangization and
-  // record the disagreement. Shares no transient machinery with any of the
-  // backends above, so a systematic bug in either shows up here.
-  if (options_.erlang_stages > 0 && !result.pure_ctmc) {
-    static obs::Histogram& deviation_hist = obs::Registry::global().histogram(
-        "markov.erlang.crosscheck_deviation");
-    const obs::ScopedSpan check_span("markov.erlang.crosscheck");
-    const Vector erlang =
-        erlangization_stationary(g, plan, options_.erlang_stages, options_);
-    double deviation = 0.0;
-    for (std::size_t s = 0; s < n; ++s)
-      deviation =
-          std::max(deviation, std::fabs(erlang[s] - result.probabilities[s]));
-    deviation_hist.observe(deviation);
   }
 
   nnz_hist.observe(static_cast<double>(result.matrix_nonzeros));

@@ -40,7 +40,7 @@ AssemblyPlan build_assembly_plan(const petri::TangibleReachabilityGraph& g);
 /// Why a solve ran on its backend.
 enum class DispatchReason {
   kForced,    ///< the config names a backend (`backend=`)
-  kCtmcSize,  ///< kAuto, pure CTMC: SolverConfig::sparse_threshold
+  kCtmcSize,  ///< kAuto, pure CTMC: the 128-state threshold
   kCost,      ///< kAuto, MRGP: the series-terms cost rule
 };
 
@@ -58,15 +58,18 @@ struct Dispatch {
   std::size_t states = 0;
 };
 
-/// The backend a config resolves to (never kAuto). An explicit backend
-/// wins. kAuto picks kSparse at/above sparse_threshold states for pure
-/// CTMCs (their generators are O(n) sparse) and dense below it. For MRGPs
-/// kAuto picks dense iff series_terms >= kappa * n and n <= dense_retry_limit,
-/// and the matrix-free operator otherwise; kappa is a constant calibrated in
-/// dspn_solver.cpp. The explicit-sparse MRGP assembly is reachable only when
-/// forced. The choice depends on the model alone, never on thread counts.
-/// `series_terms` defaults to 0, which routes every MRGP to the operator:
-/// pass series_terms(g, plan) when the graph is known.
+/// The backend a solve runs on (never kAuto). Each model class has two
+/// backends: dense, and a sparse one — kSparse (CSR + Krylov) for a pure
+/// CTMC, kMatrixFree (the embedded-chain operator) for an MRGP. A forced
+/// `dense` picks dense; a forced `sparse` or `mfree` picks the class's
+/// sparse backend, so the result names the code that ran. kAuto picks the
+/// sparse backend at/above 128 states for pure CTMCs (their generators are
+/// O(n) sparse) and dense below it. For MRGPs kAuto picks dense iff
+/// series_terms >= kappa * n and n <= 4096, and the operator otherwise;
+/// kappa is a constant calibrated in dspn_solver.cpp. The choice depends on
+/// the model alone, never on thread counts. `series_terms` defaults to 0,
+/// which routes every MRGP to the operator: pass series_terms(g, plan) when
+/// the graph is known.
 Dispatch dispatch(const SolverConfig& config, std::size_t states,
                   bool has_deterministic, double series_terms = 0.0);
 
@@ -131,18 +134,19 @@ struct DspnSteadyStateResult {
 /// this is the single entry point used by the reliability analyzer for both
 /// paper models.
 ///
-/// Three backends implement the same mathematics (Options::backend): the
-/// original dense path (LU + matrix-exponential doubling, the oracle), a
-/// sparse path (CSR assembly from the reachability graph, per-row vector
-/// uniformization fanned out on the runtime pool, Krylov stationary
-/// solves), and a matrix-free path that never assembles the embedded chain
-/// (see matrix_free.hpp). kAuto switches on the model class, the state
-/// count and, for MRGPs, the series terms per state — see dispatch().
+/// Two backends per model class implement the same mathematics
+/// (Options::backend): the original dense path (LU + matrix-exponential
+/// doubling, the oracle) for either class; the CSR generator with Krylov
+/// stationary solves for a pure CTMC; and for an MRGP a matrix-free path
+/// that never assembles the embedded chain (see matrix_free.hpp). kAuto
+/// switches on the model class, the state count and, for MRGPs, the series
+/// terms per state — see dispatch().
 class DspnSteadyStateSolver {
  public:
-  /// All solver knobs now live in the shared markov::SolverConfig value
-  /// type (one canonical hash for cache and coalescing keys); the alias
-  /// keeps the historic DspnSteadyStateSolver::Options spelling working.
+  /// The settable solver options live in the shared markov::SolverConfig
+  /// value type (one canonical hash for cache and coalescing keys); the
+  /// alias keeps the historic DspnSteadyStateSolver::Options spelling
+  /// working.
   using Options = SolverConfig;
 
   DspnSteadyStateSolver() = default;

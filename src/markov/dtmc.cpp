@@ -42,52 +42,11 @@ Vector dtmc_stationary(const DenseMatrix& p) {
   return res.x;
 }
 
-Vector dtmc_stationary(const linalg::SparseMatrixCsr& p,
-                       const FallbackOptions& fallback,
-                       const ChainKnobs& knobs) {
-  NVP_EXPECTS(p.rows() == p.cols());
-  const std::size_t n = p.rows();
-  NVP_EXPECTS(n > 0);
-  // (P^T - I) nu = 0 with the last equation replaced by sum(nu) = 1,
-  // assembled in CSR: the Krylov counterpart of the dense LU above.
-  std::vector<linalg::Triplet> triplets;
-  triplets.reserve(p.nonzeros() + 2 * n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t k = p.row_begin(r); k < p.row_end(r); ++k)
-      if (p.col_index(k) != n - 1)
-        triplets.push_back({p.col_index(k), r, p.value(k)});
-  for (std::size_t i = 0; i + 1 < n; ++i) triplets.push_back({i, i, -1.0});
-  for (std::size_t c = 0; c < n; ++c) triplets.push_back({n - 1, c, 1.0});
-  const linalg::SparseMatrixCsr a(n, n, std::move(triplets));
-  Vector b(n, 0.0);
-  b[n - 1] = 1.0;
-
-  StationaryProblem problem;
-  problem.balance = &a;
-  problem.rhs = &b;
-  problem.states = n;
-  problem.what = "dtmc_stationary (sparse)";
-  // P is already row-stochastic: the power stage iterates it directly.
-  problem.stochastic = [&p] { return p; };
-  return solve_stationary_chain(problem, fallback, knobs);
-}
-
 double max_row_sum_error(const DenseMatrix& p) {
   double worst = 0.0;
   for (std::size_t i = 0; i < p.rows(); ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < p.cols(); ++j) s += p(i, j);
-    worst = std::max(worst, std::fabs(s - 1.0));
-  }
-  return worst;
-}
-
-double max_row_sum_error(const linalg::SparseMatrixCsr& p) {
-  double worst = 0.0;
-  for (std::size_t r = 0; r < p.rows(); ++r) {
-    double s = 0.0;
-    for (std::size_t k = p.row_begin(r); k < p.row_end(r); ++k)
-      s += p.value(k);
     worst = std::max(worst, std::fabs(s - 1.0));
   }
   return worst;

@@ -1,8 +1,6 @@
 #pragma once
 
 #include "src/linalg/dense_matrix.hpp"
-#include "src/linalg/sparse_matrix.hpp"
-#include "src/markov/fallback.hpp"
 
 namespace nvp::markov {
 
@@ -12,22 +10,8 @@ namespace nvp::markov {
 /// deficiency. Throws SolverError if neither converges.
 linalg::Vector dtmc_stationary(const linalg::DenseMatrix& p);
 
-/// Sparse (Krylov) variant: (P^T - I) with the normalization constraint
-/// replacing the last balance equation, solved through the configurable
-/// fallback chain (GMRES+ILU0 -> GMRES+Jacobi -> power iteration -> dense
-/// LU oracle by default). This is the embedded-chain stationary solve of
-/// the sparse DSPN backend. `knobs` carries the GMRES controls (restart,
-/// iteration cap, tolerance) into every Krylov stage; the defaults match
-/// the historic hard-wired values.
-linalg::Vector dtmc_stationary(const linalg::SparseMatrixCsr& p,
-                               const FallbackOptions& fallback = {},
-                               const ChainKnobs& knobs = {});
-
 /// Verifies that each row of P sums to 1 within `tol`; returns the largest
 /// deviation (useful for asserting EMC construction correctness).
 double max_row_sum_error(const linalg::DenseMatrix& p);
-
-/// Sparse overload of max_row_sum_error.
-double max_row_sum_error(const linalg::SparseMatrixCsr& p);
 
 }  // namespace nvp::markov

@@ -6,7 +6,6 @@
 
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/ctmc.hpp"
-#include "src/markov/solver_config.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/contracts.hpp"
 
@@ -17,8 +16,7 @@ using linalg::Triplet;
 using linalg::Vector;
 
 Vector erlangization_stationary(const petri::TangibleReachabilityGraph& g,
-                                const AssemblyPlan& plan, std::size_t stages,
-                                const SolverConfig& config) {
+                                const AssemblyPlan& plan, std::size_t stages) {
   const std::size_t n = g.size();
   NVP_EXPECTS(n > 0);
   NVP_EXPECTS(plan.states == n);
@@ -78,7 +76,7 @@ Vector erlangization_stationary(const petri::TangibleReachabilityGraph& g,
   }
 
   const SparseMatrixCsr q(total, total, std::move(qt));
-  const Vector expanded = ctmc_steady_state_sparse(q, config);
+  const Vector expanded = ctmc_steady_state_sparse(q);
 
   Vector pi(n, 0.0);
   for (std::size_t s = 0; s < n; ++s) {

@@ -8,7 +8,7 @@
 
 namespace nvp::markov {
 
-/// Erlangization cross-check of an MRGP stationary solve: replace each
+/// Erlangization reference for an MRGP stationary solve: replace each
 /// deterministic delay tau by an Erlang(k, k / tau) phase clock, which
 /// turns the whole model into a plain CTMC over (state, phase) pairs, and
 /// solve that CTMC's stationary distribution through the standard sparse
@@ -26,14 +26,14 @@ namespace nvp::markov {
 /// uniformization-based embedded-chain construction (no omega rows, no
 /// conversion factors, no Poisson tables at horizon tau), so agreement
 /// within the O(1/k) envelope is strong evidence against a systematic bug
-/// in either. Used by tests and by the solver's optional self-check; far
-/// too expensive (k times the states) to be a production backend.
+/// in either. A test reference (ErlangizationTest); far too expensive (k
+/// times the states) to be a production backend.
 ///
-/// `stages` is k (>= 1); `config` drives the inner CTMC solve (its
-/// fallback chain and knobs). Returns the stationary distribution
-/// marginalized back onto the tangible states.
+/// `stages` is k (>= 1); the inner CTMC solve runs the default fallback
+/// chain. Returns the stationary distribution marginalized back onto the
+/// tangible states.
 linalg::Vector erlangization_stationary(
     const petri::TangibleReachabilityGraph& g, const AssemblyPlan& plan,
-    std::size_t stages, const SolverConfig& config = {});
+    std::size_t stages);
 
 }  // namespace nvp::markov

@@ -94,7 +94,7 @@ Attempt gmres_failure(const linalg::IterativeResult& res) {
 }
 
 Attempt run_stage(FallbackStage stage, const StationaryProblem& problem,
-                  double deadline_seconds, const ChainKnobs& knobs) {
+                  double deadline_seconds) {
   Attempt attempt;
   switch (stage) {
     case FallbackStage::kGmresIlu0:
@@ -106,9 +106,6 @@ Attempt run_stage(FallbackStage stage, const StationaryProblem& problem,
         return attempt;
       }
       linalg::GmresOptions opts;
-      opts.restart = knobs.gmres_restart;
-      opts.max_iterations = knobs.gmres_max_iterations;
-      opts.tolerance = knobs.gmres_tolerance;
       opts.preconditioner = stage == FallbackStage::kGmresIlu0
                                 ? linalg::PreconditionerKind::kIlu0
                                 : linalg::PreconditionerKind::kJacobi;
@@ -141,9 +138,6 @@ Attempt run_stage(FallbackStage stage, const StationaryProblem& problem,
         op = &*wrapped;
       }
       linalg::GmresOptions opts;
-      opts.restart = knobs.gmres_restart;
-      opts.max_iterations = knobs.gmres_max_iterations;
-      opts.tolerance = knobs.gmres_tolerance;
       opts.deadline_seconds = deadline_seconds;
       auto res = linalg::gmres(*op, *problem.rhs, opts);
       if (res.converged && plausible(res.x)) {
@@ -255,8 +249,7 @@ std::string to_string(const std::vector<FallbackStage>& stages) {
 }
 
 Vector solve_stationary_chain(const StationaryProblem& problem,
-                              const FallbackOptions& options,
-                              const ChainKnobs& knobs) {
+                              const FallbackOptions& options) {
   NVP_EXPECTS_MSG(problem.balance != nullptr || problem.balance_op != nullptr ||
                       problem.stochastic != nullptr ||
                       problem.transfer_op != nullptr,
@@ -283,8 +276,7 @@ Vector solve_stationary_chain(const StationaryProblem& problem,
         kStageSpans[static_cast<std::size_t>(stage)]);
     Attempt attempt;
     try {
-      attempt = run_stage(stage, problem, options.attempt_deadline_seconds,
-                          knobs);
+      attempt = run_stage(stage, problem, options.attempt_deadline_seconds);
     } catch (const std::exception& e) {
       attempt.failure = e.what();
     }
@@ -300,7 +292,10 @@ Vector solve_stationary_chain(const StationaryProblem& problem,
   exhausted.add();
   fault::Context context;
   context.site = "markov.fallback";
-  context.backend = "sparse";
+  // A problem that holds only operators came from the matrix-free backend.
+  context.backend =
+      problem.balance == nullptr && problem.stochastic == nullptr ? "mfree"
+                                                                  : "sparse";
   context.states = problem.states;
   context.causes = std::move(causes);
   throw SolverError(

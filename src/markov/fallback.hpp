@@ -39,11 +39,13 @@ enum class FallbackStage {
 /// "gmres-ilu0" / "gmres-jacobi" / "power" / "dense" / "mfree".
 const char* to_string(FallbackStage stage);
 
-/// Retry/fallback configuration of the sparse stationary solves,
-/// configurable through DspnSteadyStateSolver::Options and nvpcli
-/// --fallback. The default chain reproduces (and extends) the historic
-/// behavior: GMRES+ILU0 first, then power iteration, with GMRES+Jacobi and
-/// the dense LU oracle as additional rungs.
+/// Retry/fallback configuration of the sparse and matrix-free stationary
+/// solves, set through SolverConfig (`fallback=` and `attempt-deadline=` in
+/// a --solver-config spec). The default chain: GMRES+ILU0, GMRES+Jacobi,
+/// power iteration, then the dense LU oracle. A matrix-free MRGP solve runs
+/// only the operator-capable rungs of the chain (mfree, power), with mfree
+/// leading; a chain that keeps `dense` also retries a failed non-dense
+/// solve on the dense backend (see DspnSteadyStateSolver::solve).
 struct FallbackOptions {
   std::vector<FallbackStage> stages = default_stages();
   /// Wall-clock bound per attempt in seconds; 0 = unbounded. Applied to the
@@ -83,23 +85,14 @@ struct StationaryProblem {
   const char* what = "stationary solve";  ///< label for spans and errors
 };
 
-/// Per-chain solver knobs beyond stage order: the GMRES controls every
-/// Krylov stage runs with. Defaults mirror linalg::GmresOptions, so the
-/// two-argument solve_stationary_chain overload behaves exactly as before
-/// these knobs existed.
-struct ChainKnobs {
-  std::size_t gmres_restart = 80;
-  std::size_t gmres_max_iterations = 5000;
-  double gmres_tolerance = 1e-14;
-};
-
 /// Runs the fallback chain over the problem and returns the stationary
 /// vector of the first stage that succeeds. Throws SolverError (category
 /// kNoConvergence, or kDeadlineExceeded when every failure was the
 /// deadline) with every attempted stage's failure in the context when the
-/// chain is exhausted.
+/// chain is exhausted; the context names the backend the problem belongs
+/// to: `mfree` for an operator-only problem, `sparse` for an assembled one.
+/// Every Krylov stage runs with the linalg::GmresOptions defaults.
 linalg::Vector solve_stationary_chain(const StationaryProblem& problem,
-                                      const FallbackOptions& options,
-                                      const ChainKnobs& knobs = {});
+                                      const FallbackOptions& options);
 
 }  // namespace nvp::markov

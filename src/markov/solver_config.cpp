@@ -1,5 +1,6 @@
 #include "src/markov/solver_config.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -9,26 +10,6 @@
 namespace nvp::markov {
 
 namespace {
-
-const char* to_string(SteadyStateMethod method) {
-  switch (method) {
-    case SteadyStateMethod::kDirect:
-      return "direct";
-    case SteadyStateMethod::kGaussSeidel:
-      return "gauss-seidel";
-    case SteadyStateMethod::kPowerIteration:
-      return "power";
-  }
-  return "?";
-}
-
-SteadyStateMethod parse_method(std::string_view name) {
-  if (name == "direct") return SteadyStateMethod::kDirect;
-  if (name == "gauss-seidel") return SteadyStateMethod::kGaussSeidel;
-  if (name == "power") return SteadyStateMethod::kPowerIteration;
-  throw std::invalid_argument("unknown ctmc method '" + std::string(name) +
-                              "' (expected direct|gauss-seidel|power)");
-}
 
 /// Shortest decimal string that strtod's back to exactly `v` (tries 15, 16,
 /// then 17 significant digits), so describe() round-trips bit-for-bit.
@@ -41,22 +22,16 @@ std::string format_double(double v) {
   return buf;
 }
 
-double parse_double(std::string_view key, const std::string& value) {
+/// attempt-deadline: a finite number of seconds >= 0 (0 = unbounded). A
+/// negative or non-finite bound would run unbounded like 0 but hash to a
+/// different key, so it is refused, and -0 is read as 0 for the same reason.
+double parse_deadline(const std::string& value) {
   char* end = nullptr;
   const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0')
-    throw std::invalid_argument("solver config: " + std::string(key) + "='" +
-                                value + "' is not a number");
-  return v;
-}
-
-std::size_t parse_size(std::string_view key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    throw std::invalid_argument("solver config: " + std::string(key) + "='" +
-                                value + "' is not an unsigned integer");
-  return static_cast<std::size_t>(v);
+  if (end == value.c_str() || *end != '\0' || !std::isfinite(v) || v < 0.0)
+    throw std::invalid_argument("solver config: attempt-deadline='" + value +
+                                "' is not a finite number of seconds >= 0");
+  return v == 0.0 ? 0.0 : v;
 }
 
 /// What replaced a removed key, or nullptr for any other key.
@@ -68,8 +43,25 @@ const char* removed_key_replacement(std::string_view key) {
     return "kAuto picks dense or mfree per MRGP solve from the series terms "
            "per state; force one with backend=dense|mfree";
   if (key == "mrgp-sparse-threshold")
-    return "kAuto never picks the explicit-sparse MRGP assembly; force it "
-           "with backend=sparse";
+    return "the explicit-sparse MRGP assembly is gone; backend=sparse solves "
+           "an MRGP on the matrix-free operator";
+  if (key == "ctmc")
+    return "dense CTMC solves always use LU, with power iteration on a "
+           "singular system";
+  if (key == "clamp")
+    return "stationary probabilities below 1e-15 are always clamped to zero";
+  if (key == "sparse-threshold")
+    return "kAuto solves a pure CTMC sparse from 128 states; force one with "
+           "backend=dense|sparse";
+  if (key == "dense-retry-limit")
+    return "kAuto and the dense retry densify at most 4096 states; force a "
+           "backend with backend=dense|sparse|mfree";
+  if (key == "gmres-restart" || key == "gmres-max-iters" || key == "gmres-tol")
+    return "GMRES always runs with restart 80, at most 5000 iterations and "
+           "tolerance 1e-14; bound an attempt with attempt-deadline";
+  if (key == "erlang-stages")
+    return "the in-solve Erlang cross-check is gone; "
+           "markov::erlangization_stationary computes the Erlang reference";
   return nullptr;
 }
 
@@ -95,16 +87,8 @@ std::string plus_stages(const std::vector<FallbackStage>& stages) {
 
 std::uint64_t SolverConfig::canonical_hash() const {
   runtime::Fnv1a h;
-  h.str("markov::SolverConfig/v2");
+  h.str("markov::SolverConfig/v3");
   h.i32(static_cast<int>(backend));
-  h.i32(static_cast<int>(ctmc_method));
-  h.f64(clamp_epsilon);
-  h.u64(sparse_threshold);
-  h.u64(dense_retry_limit);
-  h.u64(gmres_restart);
-  h.u64(gmres_max_iterations);
-  h.f64(gmres_tolerance);
-  h.u64(erlang_stages);
   h.u64(fallback.stages.size());
   for (const FallbackStage stage : fallback.stages)
     h.i32(static_cast<int>(stage));
@@ -116,15 +100,6 @@ std::string SolverConfig::describe() const {
   std::string out;
   out += "backend=";
   out += markov::to_string(backend);
-  out += ",ctmc=";
-  out += to_string(ctmc_method);
-  out += ",clamp=" + format_double(clamp_epsilon);
-  out += ",sparse-threshold=" + std::to_string(sparse_threshold);
-  out += ",dense-retry-limit=" + std::to_string(dense_retry_limit);
-  out += ",gmres-restart=" + std::to_string(gmres_restart);
-  out += ",gmres-max-iters=" + std::to_string(gmres_max_iterations);
-  out += ",gmres-tol=" + format_double(gmres_tolerance);
-  out += ",erlang-stages=" + std::to_string(erlang_stages);
   out += ",fallback=" + plus_stages(fallback.stages);
   out += ",attempt-deadline=" + format_double(fallback.attempt_deadline_seconds);
   return out;
@@ -161,28 +136,10 @@ void SolverConfig::apply(std::string_view spec) {
             "solver config: unknown backend '" + value +
             "' (expected auto|dense|sparse|mfree)");
       next.backend = *backend_value;
-    } else if (key == "ctmc") {
-      next.ctmc_method = parse_method(value);
-    } else if (key == "clamp") {
-      next.clamp_epsilon = parse_double(key, value);
-    } else if (key == "sparse-threshold") {
-      next.sparse_threshold = parse_size(key, value);
-    } else if (key == "dense-retry-limit") {
-      next.dense_retry_limit = parse_size(key, value);
-    } else if (key == "gmres-restart") {
-      next.gmres_restart = parse_size(key, value);
-      if (next.gmres_restart == 0)
-        throw std::invalid_argument("solver config: gmres-restart must be >= 1");
-    } else if (key == "gmres-max-iters") {
-      next.gmres_max_iterations = parse_size(key, value);
-    } else if (key == "gmres-tol") {
-      next.gmres_tolerance = parse_double(key, value);
-    } else if (key == "erlang-stages") {
-      next.erlang_stages = parse_size(key, value);
     } else if (key == "fallback") {
       next.fallback.stages = parse_plus_stages(value);
     } else if (key == "attempt-deadline") {
-      next.fallback.attempt_deadline_seconds = parse_double(key, value);
+      next.fallback.attempt_deadline_seconds = parse_deadline(value);
     } else if (const char* replacement = removed_key_replacement(key)) {
       throw std::invalid_argument("solver config: '" + std::string(key) +
                                   "' was removed; " + replacement);

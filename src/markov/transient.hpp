@@ -49,9 +49,9 @@ struct TransientRowPair {
 /// `epsilon` tail mass) and then answers per-initial-vector transient
 /// queries in O(truncation * nnz) each — the sparse counterpart of
 /// matrix_exponential_pair, which materializes the full n x n exponential.
-/// The MRGP solver asks one row per state that enables the deterministic
-/// transition; rows are independent, so callers may fan them out in
-/// parallel (the object is immutable after construction).
+/// The matrix-free MRGP operator propagates one vector per deterministic
+/// group through it; queries are independent, so callers may fan them out
+/// in parallel (the object is immutable after construction).
 class SparseUniformization {
  public:
   SparseUniformization(const linalg::SparseMatrixCsr& generator, double tau,

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
 #include "src/markov/fallback.hpp"
+#include "src/markov/solver_config.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/petri/net.hpp"
 #include "src/petri/reachability.hpp"
@@ -201,6 +203,9 @@ std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
+// Forced `sparse` runs CSR with the full chain on the CTMC seeds (odd) and
+// the matrix-free operator on the MRGP seeds (even), whose chain keeps only
+// the operator-capable rungs: mfree, then power.
 TEST_F(FaultInjectionTest, ChainRecoversThroughPowerWhenGmresIsKilled) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const bool with_deterministic = seed % 2 == 0;
@@ -216,6 +221,8 @@ TEST_F(FaultInjectionTest, ChainRecoversThroughPowerWhenGmresIsKilled) {
         counter_value("markov.fallback.attempts.gmres_ilu0");
     const std::uint64_t jacobi_before =
         counter_value("markov.fallback.attempts.gmres_jacobi");
+    const std::uint64_t mfree_before =
+        counter_value("markov.fallback.attempts.mfree");
     const std::uint64_t power_before =
         counter_value("markov.fallback.success.power");
     const std::uint64_t recovered_before =
@@ -233,18 +240,30 @@ TEST_F(FaultInjectionTest, ChainRecoversThroughPowerWhenGmresIsKilled) {
       EXPECT_NEAR(degraded.probabilities[i], oracle.probabilities[i], 1e-10)
           << "seed " << seed << " state " << i;
     // Every attempted stage is recorded, and the recovery is counted.
-    EXPECT_GT(counter_value("markov.fallback.attempts.gmres_ilu0"),
-              ilu0_before);
-    EXPECT_GT(counter_value("markov.fallback.attempts.gmres_jacobi"),
-              jacobi_before);
+    if (with_deterministic) {
+      EXPECT_EQ(degraded.backend_used, markov::SolverBackend::kMatrixFree);
+      EXPECT_GT(counter_value("markov.fallback.attempts.mfree"), mfree_before);
+      EXPECT_EQ(counter_value("markov.fallback.attempts.gmres_ilu0"),
+                ilu0_before);
+    } else {
+      EXPECT_EQ(degraded.backend_used, markov::SolverBackend::kSparse);
+      EXPECT_GT(counter_value("markov.fallback.attempts.gmres_ilu0"),
+                ilu0_before);
+      EXPECT_GT(counter_value("markov.fallback.attempts.gmres_jacobi"),
+                jacobi_before);
+    }
     EXPECT_GT(counter_value("markov.fallback.success.power"), power_before);
     EXPECT_GT(counter_value("markov.fallback.recovered"), recovered_before);
   }
 }
 
+// With every iterative stage killed, the CSR chain (CTMC seeds) ends on its
+// dense rung; the matrix-free chain (MRGP seeds) has no dense rung, so the
+// whole solve is retried on the dense backend.
 TEST_F(FaultInjectionTest, ChainFallsBackToDenseLuWhenIterationIsKilled) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto net = random_ring_net(seed, seed % 2 == 0);
+    const bool with_deterministic = seed % 2 == 0;
+    const auto net = random_ring_net(seed, with_deterministic);
     const auto g = petri::TangibleReachabilityGraph::build(net);
 
     markov::DspnSteadyStateSolver::Options dense_options;
@@ -254,6 +273,8 @@ TEST_F(FaultInjectionTest, ChainFallsBackToDenseLuWhenIterationIsKilled) {
 
     const std::uint64_t dense_before =
         counter_value("markov.fallback.success.dense");
+    const std::uint64_t retries_before =
+        counter_value("markov.solver.backend_fallbacks");
     fault::Injector::global().set(fault::Site::kGmres, 1.0, 0);
     fault::Injector::global().set(fault::Site::kPowerIteration, 1.0, 0);
     markov::DspnSteadyStateSolver::Options sparse_options;
@@ -266,7 +287,14 @@ TEST_F(FaultInjectionTest, ChainFallsBackToDenseLuWhenIterationIsKilled) {
     for (std::size_t i = 0; i < oracle.probabilities.size(); ++i)
       EXPECT_NEAR(degraded.probabilities[i], oracle.probabilities[i], 1e-10)
           << "seed " << seed << " state " << i;
-    EXPECT_GT(counter_value("markov.fallback.success.dense"), dense_before);
+    if (with_deterministic) {
+      EXPECT_EQ(degraded.backend_used, markov::SolverBackend::kDense);
+      EXPECT_GT(counter_value("markov.solver.backend_fallbacks"),
+                retries_before);
+    } else {
+      EXPECT_EQ(degraded.backend_used, markov::SolverBackend::kSparse);
+      EXPECT_GT(counter_value("markov.fallback.success.dense"), dense_before);
+    }
   }
 }
 
@@ -286,6 +314,32 @@ TEST_F(FaultInjectionTest, ExhaustedChainReportsEveryStageFailure) {
     ASSERT_EQ(e.context().causes.size(), 2u);
     EXPECT_EQ(e.context().causes[0].find("gmres-ilu0:"), 0u);
     EXPECT_EQ(e.context().causes[1].find("gmres-jacobi:"), 0u);
+  }
+}
+
+TEST_F(FaultInjectionTest, ExhaustedChainNamesTheBackendThatRan) {
+  // A chain pinned to the mfree rung, with that rung killed, exhausts on
+  // either model class; the error names the backend that ran: CSR for the
+  // pure CTMC (seed 3), the operator for the MRGP (seed 2).
+  fault::Injector::global().set(fault::Site::kMatrixFree, 1.0, 0);
+  markov::DspnSteadyStateSolver::Options options;
+  options.backend = markov::SolverBackend::kMatrixFree;
+  options.fallback.stages = {markov::FallbackStage::kMatrixFree};
+  for (const auto& [seed, backend] :
+       {std::pair<std::uint64_t, const char*>{3, "sparse"}, {2, "mfree"}}) {
+    const auto net = random_ring_net(seed, /*with_deterministic=*/seed == 2);
+    const auto g = petri::TangibleReachabilityGraph::build(net);
+    try {
+      markov::DspnSteadyStateSolver(options).solve(g);
+      ADD_FAILURE() << "expected chain exhaustion on seed " << seed;
+    } catch (const markov::SolverError& e) {
+      EXPECT_EQ(e.category(), fault::Category::kNoConvergence);
+      EXPECT_EQ(e.context().site, "markov.fallback");
+      EXPECT_EQ(e.context().backend, backend) << "seed " << seed;
+      EXPECT_NE(std::string(e.what()).find(std::string("backend=") + backend),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -320,8 +374,9 @@ TEST(FallbackParseTest, ParsesAndRendersChains) {
 }
 
 TEST_F(FaultInjectionTest, SparseBackendRetriesOnDenseWhenSparseSolveDies) {
-  // Arm the uniformization site so decision 0 (the sparse attempt) fires
-  // and decision 1 (the dense retry) passes: search a seed with that exact
+  // Forced `sparse` on an MRGP runs the matrix-free operator. Arm the
+  // uniformization site so decision 0 (the operator's propagator) fires and
+  // decision 1 (the dense retry) passes: search a seed with that exact
   // pattern, which the injector's deterministic hash makes reproducible.
   const double rate = 0.5;
   const auto draw = [](std::uint64_t seed, std::uint64_t k) {
@@ -474,6 +529,29 @@ TEST_F(FaultInjectionTest, ArchitectureSpaceDegradesFailedCandidates) {
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.error.category, fault::Category::kResource);
   }
+}
+
+TEST_F(FaultInjectionTest, ArchitectureSpaceSolvesUnderTheCallersConfig) {
+  // Every candidate runs the caller's whole solver config, not only its
+  // backend: with the chain pinned to a killed mfree rung, plain (CSR) and
+  // rejuvenating (operator) candidates alike degrade into envelopes.
+  fault::Injector::global().set(fault::Site::kMatrixFree, 1.0, 37);
+  core::ArchitectureSpaceExplorer::Options options;
+  options.max_versions = 6;
+  options.max_faulty = 1;
+  options.max_rejuvenating = 1;
+  options.solver = markov::SolverConfig::parse("backend=mfree,fallback=mfree");
+  const auto results = core::ArchitectureSpaceExplorer(options).explore(
+      core::SystemParameters::paper_six_version());
+  ASSERT_FALSE(results.empty());
+  bool saw_rejuvenation = false;
+  for (const auto& result : results) {
+    saw_rejuvenation = saw_rejuvenation || result.rejuvenation;
+    EXPECT_FALSE(result.ok) << result.label();
+    EXPECT_EQ(result.error.category, fault::Category::kNoConvergence)
+        << result.label();
+  }
+  EXPECT_TRUE(saw_rejuvenation);
 }
 
 TEST_F(FaultInjectionTest, EngineReturnsErrorEnvelopeUnlessStrict) {

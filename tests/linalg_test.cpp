@@ -199,20 +199,6 @@ TEST(Lu, ReusesFactorizationForMultipleRhs) {
 
 // ---- iterative -----------------------------------------------------------------
 
-TEST(Iterative, GaussSeidelMatchesDirect) {
-  util::RandomStream rng(7);
-  DenseMatrix a(8, 8);
-  for (std::size_t i = 0; i < 8; ++i)
-    for (std::size_t j = 0; j < 8; ++j) a(i, j) = rng.normal() * 0.2;
-  for (std::size_t i = 0; i < 8; ++i) a(i, i) = 4.0;  // diagonally dominant
-  Vector b(8);
-  for (auto& v : b) v = rng.normal();
-  const auto direct = solve_linear_system(a, b);
-  const auto gs = gauss_seidel(a, b);
-  ASSERT_TRUE(gs.converged);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(gs.x[i], direct[i], 1e-9);
-}
-
 TEST(Iterative, PowerIterationFindsStationary) {
   // Two-state chain: P = [[0.9, 0.1], [0.5, 0.5]]; pi = (5/6, 1/6).
   DenseMatrix p(2, 2);

@@ -47,14 +47,23 @@ PetriNet mm1k(double a, double s, petri::TokenCount k) {
 
 TEST(CtmcSteadyState, TwoStateClosedForm) {
   // pi_up = r / (f + r).
-  const auto q = two_state_generator(0.2, 0.8);
-  for (auto method :
-       {SteadyStateMethod::kDirect, SteadyStateMethod::kGaussSeidel,
-        SteadyStateMethod::kPowerIteration}) {
-    const auto pi = ctmc_steady_state(q, method);
-    EXPECT_NEAR(pi[0], 0.8, 1e-8);
-    EXPECT_NEAR(pi[1], 0.2, 1e-8);
-  }
+  const auto pi = ctmc_steady_state(two_state_generator(0.2, 0.8));
+  EXPECT_NEAR(pi[0], 0.8, 1e-12);
+  EXPECT_NEAR(pi[1], 0.2, 1e-12);
+}
+
+TEST(CtmcSteadyState, SingularSystemFallsBackToPowerIteration) {
+  // Two closed classes: 0 drains into absorbing 1, and 2 is absorbing on
+  // its own. The normalized balance system is exactly singular, so the
+  // direct solve gives way to power iteration, whose uniform start splits
+  // the mass (0, 2/3, 1/3).
+  DenseMatrix q(3, 3, 0.0);
+  q(0, 0) = -1.0;
+  q(0, 1) = 1.0;
+  const auto pi = ctmc_steady_state(q);
+  EXPECT_NEAR(pi[0], 0.0, 1e-9);
+  EXPECT_NEAR(pi[1], 2.0 / 3.0, 1e-9);
+  EXPECT_NEAR(pi[2], 1.0 / 3.0, 1e-9);
 }
 
 TEST(CtmcSteadyState, Mm1kMatchesClosedForm) {

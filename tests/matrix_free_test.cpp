@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -24,7 +25,6 @@
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
-#include "src/markov/dtmc.hpp"
 #include "src/markov/erlangization.hpp"
 #include "src/markov/matrix_free.hpp"
 #include "src/markov/sparse_assembly.hpp"
@@ -341,32 +341,21 @@ TEST(ErlangizationTest, ConvergesToTheMrgpSolutionAsStagesGrow) {
   EXPECT_LT(previous_gap, 1e-2);  // k = 32 sits well inside the envelope
 }
 
-TEST(ErlangizationTest, SolverSelfCheckRunsWhenConfigured) {
-  const auto params = core::SystemParameters::paper_six_version();
-  const auto g = paper_graph(params);
-  markov::SolverConfig config;
-  config.backend = markov::SolverBackend::kMatrixFree;
-  config.erlang_stages = 8;
-  const auto checked = markov::DspnSteadyStateSolver(config).solve(g);
-  const auto oracle = solve_with_backend(g, markov::SolverBackend::kDense);
-  expect_agrees(checked.probabilities, oracle.probabilities, 1e-10,
-                "self-checked solve");
-}
-
 // ---------------------------------------------------------------------------
 // Fallback chain: the mfree stage, with and without injected faults.
 
 TEST(MfreeFallbackStageTest, SolvesExplicitProblems) {
   // A chain of just the mfree stage must still solve an assembled sparse
   // system (the stage wraps the CSR balance matrix as an operator).
-  std::vector<Triplet> triplets = {{0, 0, 0.5}, {0, 1, 0.5}, {1, 0, 0.25},
-                                   {1, 1, 0.25}, {1, 2, 0.5}, {2, 0, 1.0}};
-  const SparseMatrixCsr p(3, 3, std::move(triplets));
+  std::vector<Triplet> triplets = {{0, 1, 0.5},  {0, 0, -0.5}, {1, 0, 0.25},
+                                   {1, 2, 0.5},  {1, 1, -0.75}, {2, 0, 1.0},
+                                   {2, 2, -1.0}};
+  const SparseMatrixCsr q(3, 3, std::move(triplets));
   markov::FallbackOptions chain;
   chain.stages = {markov::FallbackStage::kMatrixFree};
-  const Vector nu = markov::dtmc_stationary(p, chain);
-  const Vector oracle = markov::dtmc_stationary(p.to_dense());
-  expect_agrees(nu, oracle, 1e-12, "mfree stage on explicit problem");
+  const Vector pi = markov::ctmc_steady_state_sparse(q, chain);
+  const Vector oracle = markov::ctmc_steady_state(q.to_dense());
+  expect_agrees(pi, oracle, 1e-12, "mfree stage on explicit problem");
 }
 
 TEST(MfreeFallbackStageTest, InjectedFaultFallsBackToPowerIteration) {
@@ -390,27 +379,67 @@ TEST(MfreeFallbackStageTest, InjectedFaultFallsBackToPowerIteration) {
 // kAuto dispatch.
 
 TEST(DispatchBackendTest, ExplicitBackendAlwaysWins) {
-  markov::SolverConfig config;
-  config.backend = markov::SolverBackend::kSparse;
-  EXPECT_EQ(markov::dispatch_backend(config, 10, true),
-            markov::SolverBackend::kSparse);
-  EXPECT_EQ(markov::dispatch_backend(config, 1000000, false),
-            markov::SolverBackend::kSparse);
+  // A forced backend wins over every threshold. `sparse` and `mfree` both
+  // name the model class's sparse backend: CSR for a pure CTMC, the
+  // operator for an MRGP.
+  for (const auto forced :
+       {markov::SolverBackend::kSparse, markov::SolverBackend::kMatrixFree}) {
+    markov::SolverConfig config;
+    config.backend = forced;
+    EXPECT_EQ(markov::dispatch_backend(config, 10, true, 1e12),
+              markov::SolverBackend::kMatrixFree);
+    EXPECT_EQ(markov::dispatch_backend(config, 10, false),
+              markov::SolverBackend::kSparse);
+    EXPECT_EQ(markov::dispatch_backend(config, 1000000, false),
+              markov::SolverBackend::kSparse);
+    EXPECT_EQ(markov::dispatch(config, 10, true).reason,
+              markov::DispatchReason::kForced);
+  }
+  markov::SolverConfig dense;
+  dense.backend = markov::SolverBackend::kDense;
+  EXPECT_EQ(markov::dispatch_backend(dense, 1000000, true),
+            markov::SolverBackend::kDense);
+  EXPECT_EQ(markov::dispatch_backend(dense, 1000000, false),
+            markov::SolverBackend::kDense);
+}
+
+TEST(DispatchBackendTest, ForcedSparseAndMfreeRunTheSameCode) {
+  // 6v at tau = 100 is an MRGP (both names run the operator); 4v is a pure
+  // CTMC (both run CSR). Same code, so the same bits and the same label.
+  auto six = core::SystemParameters::paper_six_version();
+  six.rejuvenation_interval = 100.0;
+  for (const auto& params :
+       {six, core::SystemParameters::paper_four_version()}) {
+    const auto g = paper_graph(params);
+    const auto sparse = solve_with_backend(g, markov::SolverBackend::kSparse);
+    const auto mfree =
+        solve_with_backend(g, markov::SolverBackend::kMatrixFree);
+    const auto expected = g.has_deterministic()
+                              ? markov::SolverBackend::kMatrixFree
+                              : markov::SolverBackend::kSparse;
+    EXPECT_EQ(sparse.backend_used, expected) << g.size() << " states";
+    EXPECT_EQ(mfree.backend_used, expected) << g.size() << " states";
+    ASSERT_EQ(sparse.probabilities.size(), mfree.probabilities.size());
+    EXPECT_EQ(std::memcmp(sparse.probabilities.data(),
+                          mfree.probabilities.data(),
+                          sparse.probabilities.size() * sizeof(double)),
+              0)
+        << g.size() << " states";
+  }
 }
 
 TEST(DispatchBackendTest, AutoFollowsTheModelClassThresholds) {
   markov::SolverConfig config;  // kAuto
-  // Pure CTMC: dense below sparse_threshold, sparse at/above; the series
-  // terms play no part.
-  EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold - 1,
-                                     false, 1e9),
+  // Pure CTMC: dense below 128 states, sparse at/above; the series terms
+  // play no part.
+  EXPECT_EQ(markov::dispatch_backend(config, 127, false, 1e9),
             markov::SolverBackend::kDense);
-  EXPECT_EQ(markov::dispatch_backend(config, config.sparse_threshold, false),
+  EXPECT_EQ(markov::dispatch_backend(config, 128, false),
             markov::SolverBackend::kSparse);
   EXPECT_EQ(markov::dispatch(config, 10, false).reason,
             markov::DispatchReason::kCtmcSize);
   // MRGP: matrix-free while the series terms per state stay short, dense
-  // once they grow long — never the explicit-sparse assembly. The boundary
+  // once they grow long. The boundary
   // sits inside the measured bracket of every family (2.9 to 3.8 terms per
   // state at 70 to 330 states).
   for (const std::size_t n : {70u, 117u, 176u, 247u, 330u}) {
@@ -425,12 +454,10 @@ TEST(DispatchBackendTest, AutoFollowsTheModelClassThresholds) {
   // Unknown series terms (the defaulted argument) route to the operator.
   EXPECT_EQ(markov::dispatch_backend(config, 70, true),
             markov::SolverBackend::kMatrixFree);
-  // Dense is never picked above dense_retry_limit, however long the series.
-  EXPECT_EQ(markov::dispatch_backend(config, config.dense_retry_limit, true,
-                                     1e12),
+  // Dense is never picked above 4096 states, however long the series.
+  EXPECT_EQ(markov::dispatch_backend(config, 4096, true, 1e12),
             markov::SolverBackend::kDense);
-  EXPECT_EQ(markov::dispatch_backend(config, config.dense_retry_limit + 1,
-                                     true, 1e12),
+  EXPECT_EQ(markov::dispatch_backend(config, 4097, true, 1e12),
             markov::SolverBackend::kMatrixFree);
   const markov::Dispatch d = markov::dispatch(config, 176, true, 1000.0);
   EXPECT_EQ(d.reason, markov::DispatchReason::kCost);
@@ -579,10 +606,6 @@ TEST(DispatchContractTest, AutoEqualsTheBackendItNames) {
 TEST(SolverConfigTest, DescribeParsesBackToAnEqualConfig) {
   markov::SolverConfig config;
   config.backend = markov::SolverBackend::kMatrixFree;
-  config.clamp_epsilon = 3.5e-13;
-  config.gmres_restart = 37;
-  config.gmres_tolerance = 1e-11;
-  config.erlang_stages = 4;
   config.fallback.stages = {markov::FallbackStage::kMatrixFree,
                             markov::FallbackStage::kDenseLu};
   config.fallback.attempt_deadline_seconds = 2.5;
@@ -602,17 +625,6 @@ TEST(SolverConfigTest, EveryKnobChangesTheCanonicalHash) {
   EXPECT_NE(mutate([](auto& c) { c.backend = markov::SolverBackend::kDense; }),
             base_hash);
   EXPECT_NE(mutate([](auto& c) {
-              c.ctmc_method = markov::SteadyStateMethod::kPowerIteration;
-            }),
-            base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.clamp_epsilon = 1e-14; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.sparse_threshold = 129; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.dense_retry_limit = 1; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.gmres_restart = 81; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.gmres_max_iterations = 1; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.gmres_tolerance = 1e-8; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) { c.erlang_stages = 2; }), base_hash);
-  EXPECT_NE(mutate([](auto& c) {
               c.fallback.stages = {markov::FallbackStage::kPowerIteration};
             }),
             base_hash);
@@ -624,34 +636,53 @@ TEST(SolverConfigTest, EveryKnobChangesTheCanonicalHash) {
 
 TEST(SolverConfigTest, BareBackendShorthandAndPlusChains) {
   const auto config =
-      markov::SolverConfig::parse("mfree,fallback=mfree+power,gmres-tol=1e-12");
+      markov::SolverConfig::parse("mfree,fallback=mfree+power");
   EXPECT_EQ(config.backend, markov::SolverBackend::kMatrixFree);
   ASSERT_EQ(config.fallback.stages.size(), 2u);
   EXPECT_EQ(config.fallback.stages[0], markov::FallbackStage::kMatrixFree);
   EXPECT_EQ(config.fallback.stages[1], markov::FallbackStage::kPowerIteration);
-  EXPECT_EQ(config.gmres_tolerance, 1e-12);
 }
 
 TEST(SolverConfigTest, ApplyIsAllOrNothing) {
   markov::SolverConfig config;
   const std::uint64_t before = config.canonical_hash();
   // The first entry is valid, the second is not: nothing may stick.
-  EXPECT_THROW(config.apply("gmres-restart=9,unknown-key=1"),
+  EXPECT_THROW(config.apply("backend=dense,unknown-key=1"),
                std::invalid_argument);
   EXPECT_EQ(config.canonical_hash(), before);
-  EXPECT_THROW(config.apply("gmres-tol=not-a-number"), std::invalid_argument);
+  EXPECT_THROW(config.apply("attempt-deadline=not-a-number"),
+               std::invalid_argument);
   EXPECT_THROW(config.apply("backend=quantum"), std::invalid_argument);
   EXPECT_THROW(config.apply("fallback=warp"), std::invalid_argument);
+  // A deadline that is negative or not finite would run unbounded like 0
+  // under a different key: refused.
+  for (const char* deadline : {"-1", "nan", "inf", "-inf", "1e999"})
+    EXPECT_THROW(config.apply(std::string("attempt-deadline=") + deadline),
+                 std::invalid_argument)
+        << deadline;
   EXPECT_EQ(config.canonical_hash(), before);
+  config.apply("attempt-deadline=-0");
+  EXPECT_EQ(config.canonical_hash(), before);
+  config.apply("attempt-deadline=2.5");
+  EXPECT_EQ(config.fallback.attempt_deadline_seconds, 2.5);
 }
 
 TEST(SolverConfigTest, RemovedKeysNameTheirReplacement) {
   const struct {
     const char* spec;
     const char* replacement;
-  } removed[] = {{"warm-start=0", "cold"},
-                 {"mfree-threshold=64", "backend=dense|mfree"},
-                 {"mrgp-sparse-threshold=512", "backend=sparse"}};
+  } removed[] = {
+      {"warm-start=0", "cold"},
+      {"mfree-threshold=64", "backend=dense|mfree"},
+      {"mrgp-sparse-threshold=512", "backend=sparse"},
+      {"ctmc=gauss-seidel", "LU"},
+      {"clamp=1e-12", "1e-15"},
+      {"sparse-threshold=64", "128 states"},
+      {"dense-retry-limit=512", "4096 states"},
+      {"gmres-restart=40", "restart 80"},
+      {"gmres-max-iters=100", "5000 iterations"},
+      {"gmres-tol=1e-12", "tolerance 1e-14"},
+      {"erlang-stages=8", "erlangization_stationary"}};
   for (const auto& r : removed) {
     try {
       markov::SolverConfig::parse(r.spec);
@@ -676,14 +707,16 @@ TEST(SolverConfigTest, CacheKeysFollowTheCanonicalHash) {
   const auto params = core::SystemParameters::paper_six_version();
   core::ReliabilityAnalyzer::Options a;
   core::ReliabilityAnalyzer::Options b;
-  b.solver.gmres_restart = 81;  // any knob, not just the historic subset
+  b.solver.fallback.attempt_deadline_seconds = 5.0;  // not just the backend
   EXPECT_NE(core::rewards_stage_key(params, a),
             core::rewards_stage_key(params, b));
   EXPECT_NE(core::rates_stage_key(params, a.solver),
             core::rates_stage_key(params, b.solver));
   core::ReliabilityAnalyzer::Options c;
-  c.solver.dense_retry_limit = 512;  // a knob that also steers kAuto
+  c.solver.fallback.stages = {markov::FallbackStage::kMatrixFree};
   EXPECT_NE(core::rewards_stage_key(params, a),
+            core::rewards_stage_key(params, c));
+  EXPECT_NE(core::rewards_stage_key(params, b),
             core::rewards_stage_key(params, c));
 }
 

@@ -1,8 +1,8 @@
 // Slow-tier MRGP scaling checks: the matrix-free backend must handle the
 // 6-version-with-rejuvenation families at N = 40..100 (10^4..10^5 tangible
 // states) that the dense path cannot touch, and its answers must stay
-// internally consistent (probability simplex, agreement with the explicit
-// sparse assembly at a mid-size point, reward sanity end to end).
+// internally consistent (probability simplex, agreement with the dense
+// backend at a mid-size point, reward sanity end to end).
 
 #include <gtest/gtest.h>
 
@@ -40,27 +40,31 @@ void expect_simplex(const linalg::Vector& pi, const char* label) {
   EXPECT_NEAR(total, 1.0, 1e-9) << label;
 }
 
-TEST(MrgpScalingSlowTest, MidSizeFamilyMatchesExplicitSparseAssembly) {
-  // Big enough that dense LU is already painful, small enough that the
-  // explicit CSR embedded chain still fits: the two independent MRGP
-  // constructions must agree.
-  const auto params = family(24, 2, 2);
+TEST(MrgpScalingSlowTest, MidSizeFamilyMatchesTheDenseBackend) {
+  // Past a thousand states, where kAuto already sends every horizon to the
+  // operator, but small enough to densify: the dense backend (LU and
+  // matrix-exponential doubling) shares no code with the operator's sparse
+  // uniformization, so the two MRGP constructions must agree.
+  const auto params = family(20, 2, 2);
   const auto g = graph_for(params);
   ASSERT_TRUE(g.has_deterministic());
+  ASSERT_GE(g.size(), 1000u);
 
-  markov::SolverConfig sparse;
-  sparse.backend = markov::SolverBackend::kSparse;
-  const auto explicit_result = markov::DspnSteadyStateSolver(sparse).solve(g);
+  markov::SolverConfig dense;
+  dense.backend = markov::SolverBackend::kDense;
+  const auto dense_result = markov::DspnSteadyStateSolver(dense).solve(g);
+  ASSERT_EQ(dense_result.backend_used, markov::SolverBackend::kDense);
 
   markov::SolverConfig mfree;
   mfree.backend = markov::SolverBackend::kMatrixFree;
   const auto mfree_result = markov::DspnSteadyStateSolver(mfree).solve(g);
+  ASSERT_EQ(mfree_result.backend_used, markov::SolverBackend::kMatrixFree);
 
-  ASSERT_EQ(explicit_result.probabilities.size(),
+  ASSERT_EQ(dense_result.probabilities.size(),
             mfree_result.probabilities.size());
   for (std::size_t i = 0; i < mfree_result.probabilities.size(); ++i)
-    EXPECT_NEAR(mfree_result.probabilities[i],
-                explicit_result.probabilities[i], 1e-9)
+    EXPECT_NEAR(mfree_result.probabilities[i], dense_result.probabilities[i],
+                1e-9)
         << "state " << i;
 }
 

@@ -16,7 +16,6 @@
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/dspn_solver.hpp"
-#include "src/markov/dtmc.hpp"
 #include "src/markov/sparse_assembly.hpp"
 #include "src/markov/transient.hpp"
 #include "src/petri/reachability.hpp"
@@ -172,36 +171,11 @@ TEST(SparseStationaryTest, CtmcSteadyStateMatchesDense) {
     EXPECT_NEAR(sparse[i], dense[i], 1e-10);
 }
 
-TEST(SparseStationaryTest, DtmcStationaryMatchesDense) {
-  // Random irreducible row-stochastic matrix.
-  std::mt19937_64 rng(3);
-  std::uniform_real_distribution<double> weight(0.1, 1.0);
-  const std::size_t n = 25;
-  DenseMatrix p_dense(n, n, 0.0);
-  std::vector<Triplet> triplets;
-  for (std::size_t r = 0; r < n; ++r) {
-    double total = 0.0;
-    std::vector<std::pair<std::size_t, double>> entries;
-    entries.emplace_back((r + 1) % n, weight(rng));  // ring keeps it live
-    entries.emplace_back(std::uniform_int_distribution<std::size_t>(
-                             0, n - 1)(rng),
-                         weight(rng));
-    for (auto& [c, w] : entries) total += w;
-    for (auto& [c, w] : entries) {
-      p_dense(r, c) += w / total;
-      triplets.push_back({r, c, w / total});
-    }
-  }
-  const SparseMatrixCsr p_sparse(n, n, std::move(triplets));
-  const auto nu_dense = markov::dtmc_stationary(p_dense);
-  const auto nu_sparse = markov::dtmc_stationary(p_sparse);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(nu_sparse[i], nu_dense[i], 1e-10);
-}
-
 // ---------------------------------------------------------------------------
 // Backend equivalence on the paper configurations: both backends must agree
-// on the full stationary distribution and on every reported R_{i,j,k}.
+// on the full stationary distribution and on every reported R_{i,j,k}. A
+// forced `sparse` runs the model class's sparse backend: CSR for a pure
+// CTMC, the matrix-free operator for an MRGP.
 
 void expect_backends_agree(const core::SystemParameters& params) {
   core::ReliabilityAnalyzer::Options dense_options;
@@ -216,7 +190,9 @@ void expect_backends_agree(const core::SystemParameters& params) {
       core::ReliabilityAnalyzer(sparse_options).analyze(params);
 
   EXPECT_EQ(dense.backend_used, markov::SolverBackend::kDense);
-  EXPECT_EQ(sparse.backend_used, markov::SolverBackend::kSparse);
+  EXPECT_EQ(sparse.backend_used, sparse.used_dspn_solver
+                                     ? markov::SolverBackend::kMatrixFree
+                                     : markov::SolverBackend::kSparse);
   EXPECT_NEAR(sparse.expected_reliability, dense.expected_reliability,
               1e-10);
   ASSERT_EQ(sparse.state_distribution.size(),
@@ -339,23 +315,33 @@ TEST(BackendDispatchTest, AutoPicksMatrixFreeForShortSeriesDenseForLong) {
   result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kDense);
   EXPECT_GT(result.dispatch.series_terms, 20.0 * g.size());
-  // The explicit-sparse MRGP assembly stays reachable, but only when forced:
-  // its embedded chain is near-dense, so kAuto never dispatches to it.
+  // A forced `sparse` names the MRGP's sparse backend, the operator.
   options.backend = markov::SolverBackend::kSparse;
   result = markov::DspnSteadyStateSolver(options).solve(g);
-  EXPECT_EQ(result.backend_used, markov::SolverBackend::kSparse);
+  EXPECT_EQ(result.backend_used, markov::SolverBackend::kMatrixFree);
   EXPECT_EQ(result.dispatch.reason, markov::DispatchReason::kForced);
 }
 
 TEST(BackendDispatchTest, AutoUsesCtmcThresholdWithoutDeterministics) {
-  auto params = core::SystemParameters::paper_six_version();
-  params.rejuvenation = false;  // pure CTMC: no deterministic clock
-  const auto g = paper_graph(params);
+  // Pure CTMCs (no deterministic clock) on either side of the 128-state
+  // threshold: the 15-state 4v preset stays dense, N = 20 f = 6 (231
+  // states) goes sparse.
+  auto params = core::SystemParameters::paper_four_version();
   markov::DspnSteadyStateSolver::Options options;  // kAuto
-  options.sparse_threshold = g.size();      // CTMC threshold reached
-  const auto result = markov::DspnSteadyStateSolver(options).solve(g);
+  auto g = paper_graph(params);
+  ASSERT_LT(g.size(), 128u);
+  auto result = markov::DspnSteadyStateSolver(options).solve(g);
+  EXPECT_TRUE(result.pure_ctmc);
+  EXPECT_EQ(result.backend_used, markov::SolverBackend::kDense);
+  EXPECT_EQ(result.dispatch.reason, markov::DispatchReason::kCtmcSize);
+  params.n_versions = 20;
+  params.max_faulty = 6;
+  g = paper_graph(params);
+  ASSERT_GE(g.size(), 128u);
+  result = markov::DspnSteadyStateSolver(options).solve(g);
   EXPECT_TRUE(result.pure_ctmc);
   EXPECT_EQ(result.backend_used, markov::SolverBackend::kSparse);
+  EXPECT_EQ(result.dispatch.reason, markov::DispatchReason::kCtmcSize);
 }
 
 TEST(BackendDispatchTest, SparseReportsFewerStoredEntriesOnCtmcModels) {
@@ -377,14 +363,15 @@ TEST(CacheKeyTest, BackendAndThresholdChangeTheKey) {
   options.solver.backend = markov::SolverBackend::kSparse;
   EXPECT_NE(core::rewards_stage_key(params, options), base_key);
   options.solver.backend = markov::SolverBackend::kAuto;
-  options.solver.sparse_threshold = 1;
+  // The attempt deadline bounds every iterative attempt.
+  options.solver.fallback.attempt_deadline_seconds = 1.0;
   EXPECT_NE(core::rewards_stage_key(params, options), base_key);
-  options.solver.sparse_threshold = 128;  // back to defaults -> same key
+  options.solver.fallback.attempt_deadline_seconds = 0.0;  // default restored
   EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
-  // dense_retry_limit also bounds kAuto's dense MRGP choice.
-  options.solver.dense_retry_limit = 1;
+  // The fallback chain also decides the whole-solve dense retry.
+  options.solver.fallback.stages = {markov::FallbackStage::kMatrixFree};
   EXPECT_NE(core::rewards_stage_key(params, options), base_key);
-  options.solver.dense_retry_limit = 4096;  // default restored
+  options.solver.fallback = markov::FallbackOptions{};  // default restored
   EXPECT_EQ(core::rewards_stage_key(params, options), base_key);
 }
 

@@ -22,7 +22,9 @@
 // rewards — to stderr). NVP_METRICS=0 disables metrics; a path-valued
 // NVP_METRICS acts like --metrics-json. Removed flag spellings (--threads,
 // --rng-seed, --csv, --json, --out, --solver, --fallback) fail with an
-// error naming their replacement.
+// error naming their replacement. --solver-config takes the keys backend,
+// fallback and attempt-deadline; a removed key (ctmc, clamp, the gmres-*
+// and threshold keys, erlang-stages, ...) fails the same way.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on model/solver errors.
 
@@ -134,13 +136,14 @@ int usage() {
       "analyze options: --convention verbatim|generalized|strict "
       "--attachment operational|appendix\n"
       "solver selection (any analytic command): --solver-config "
-      "<key=value,...> (keys: backend auto|dense|sparse|mfree, ctmc, clamp, "
-      "sparse-threshold, dense-retry-limit, gmres-restart, gmres-max-iters, "
-      "gmres-tol, erlang-stages, fallback=<stage+stage+...>, "
-      "attempt-deadline; auto = sparse Krylov from 128 states for CTMC "
-      "models, dense below; for MRGP models dense once the clocks' "
-      "uniformization series take 3.6 terms per state (sum of lambda*tau "
-      ">= 3.6 n) and n <= dense-retry-limit, matrix-free otherwise)\n"
+      "<key=value,...> (keys: backend auto|dense|sparse|mfree, "
+      "fallback=<stage+stage+...> over gmres-ilu0|gmres-jacobi|power|dense|"
+      "mfree, attempt-deadline=<seconds, 0 = unbounded>; auto = sparse "
+      "Krylov from 128 states for CTMC models, dense below; for MRGP models "
+      "dense once the clocks' uniformization series take 3.6 terms per "
+      "state (sum of lambda*tau >= 3.6 n) and n <= 4096, matrix-free "
+      "otherwise; sparse and mfree both name the model's sparse backend: "
+      "CSR for a CTMC, matrix-free for an MRGP)\n"
       "robustness: --strict (fail fast instead of degrading failed points "
       "into error envelopes)\n"
       "common options (any command): --jobs N, --seed S, --format "
@@ -834,7 +837,7 @@ int archspace(const core::Engine& engine, const util::CliArgs& args,
   options.hardened_repair_degradation = args.get_double(
       "hardened-repair-q", options.hardened_repair_degradation);
   options.attachment = engine.options().attachment;
-  options.backend = engine.options().solver.backend;
+  options.solver = engine.options().solver;
   auto results = engine.architectures(params, options);
   const int top = args.get_int("top", 0);
   if (top > 0 && results.size() > static_cast<std::size_t>(top))
