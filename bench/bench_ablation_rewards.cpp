@@ -23,11 +23,8 @@ int main() {
         analyzer.analyze(bench::four_version()).expected_reliability;
     const double r6 =
         analyzer.analyze(bench::six_version()).expected_reliability;
-    const char* name =
-        convention == core::RewardConvention::kPaperVerbatim ? "verbatim"
-        : convention == core::RewardConvention::kGeneralized ? "generalized"
-                                                             : "strict";
-    table.row({name, util::format("%.6f", r4), util::format("%.6f", r6),
+    table.row({core::to_string(convention), util::format("%.6f", r4),
+               util::format("%.6f", r6),
                util::format("%+.2f%%", (r6 / r4 - 1.0) * 100.0)});
   }
   std::printf("%s", table.render().c_str());

@@ -118,6 +118,7 @@ class JsonResult {
     obs::JsonWriter json;
     json.begin_object();
     json.kv("recorded", utc_date());
+    json.kv("git_sha", obs::build_git_sha());
     json.kv("source", source_);
     for (const auto& [name, value] : scalars_) json.kv(name, value);
     for (const auto& section : sections_) {

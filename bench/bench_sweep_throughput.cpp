@@ -14,11 +14,12 @@
 //     assembly plan, and the per-class reward table, but needs its own
 //     solve. The staged pipeline explores once and solves 50 times.
 //
-// For each sweep the harness measures the cold path (a use_cache=false
-// analyzer: explore + assemble + solve + rewards at every point), then the
-// staged path (use_cache=true on freshly cleared stage caches), asserts the
-// two 50-point curves are bit-identical, and proves the reuse with obs
-// counters: the staged run must report exactly one reachability exploration
+// For each sweep the harness times the cold path (a use_cache=false
+// analyzer: explore + assemble + solve + rewards at every point) and the
+// staged path (use_cache=true on freshly cleared stage caches), alternating,
+// kRepetitions times each, and reports each side's median. Every repetition
+// must give bit-identical 50-point curves and prove the reuse with obs
+// counters: each staged run reports exactly one reachability exploration
 // per sweep and, for the reward-only sweep, exactly one solve.
 //
 // Results go to bench_results/BENCH_sweep.json (or $NVP_BENCH_OUT), which
@@ -28,6 +29,7 @@
 // (speedup floors are gated by the regression script, not here, so a noisy
 // machine cannot turn a correct run into a hard failure).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,9 +68,13 @@ struct SweepCase {
   bool reward_only = false;  ///< true: the staged run must solve exactly once
 };
 
+/// Timed repetitions per side; the report keeps each side's median, so one
+/// noisy run on a shared machine cannot move the speedup.
+constexpr int kRepetitions = 5;
+
 struct CaseResult {
-  double cold_ms = 0.0;
-  double staged_ms = 0.0;
+  double cold_ms = 0.0;    ///< median over kRepetitions
+  double staged_ms = 0.0;  ///< median over kRepetitions
   bool bit_identical = true;
   std::uint64_t staged_explorations = 0;
   std::uint64_t staged_solves = 0;
@@ -83,57 +89,78 @@ std::uint64_t solves_in(const obs::MetricsSnapshot& snapshot) {
          counter_value(snapshot, "markov.solver.ctmc_solves");
 }
 
+/// One timed sweep and the explorations and solves it caused.
+struct TimedSweep {
+  std::vector<core::SweepPoint> points;
+  double ms = 0.0;
+  std::uint64_t explorations = 0;
+  std::uint64_t solves = 0;
+};
+
+TimedSweep timed_sweep(const SweepCase& c,
+                       const core::ReliabilityAnalyzer& analyzer) {
+  TimedSweep run;
+  const auto before = obs::Registry::global().snapshot();
+  const auto start = Clock::now();
+  run.points = core::sweep_parameter(analyzer, c.base, c.setter, c.values);
+  run.ms = ms_since(start);
+  const auto after = obs::Registry::global().snapshot();
+  run.explorations = counter_value(after, "petri.reachability.builds") -
+                     counter_value(before, "petri.reachability.builds");
+  run.solves = solves_in(after) - solves_in(before);
+  return run;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 CaseResult run_case(const SweepCase& c,
                     const core::ReliabilityAnalyzer::Options& options) {
   CaseResult r;
-
   // Cold baseline: every point explores, assembles, solves, and attaches
-  // rewards from scratch (no cache level is read or written).
+  // rewards from scratch (no cache level is read or written). Staged path:
+  // the same sweep with the same options apart from use_cache.
   core::ReliabilityAnalyzer::Options cold_options = options;
   cold_options.use_cache = false;
   const core::ReliabilityAnalyzer cold(cold_options);
-  const auto cold_before = obs::Registry::global().snapshot();
-  const auto cold_start = Clock::now();
-  const auto cold_points = core::sweep_parameter(cold, c.base, c.setter,
-                                                 c.values);
-  r.cold_ms = ms_since(cold_start);
-  const auto cold_after = obs::Registry::global().snapshot();
-  r.cold_explorations =
-      counter_value(cold_after, "petri.reachability.builds") -
-      counter_value(cold_before, "petri.reachability.builds");
-  r.cold_solves = solves_in(cold_after) - solves_in(cold_before);
-
-  // Staged path: same driver, same options apart from use_cache, on
-  // freshly cleared stage caches so the hit/miss stats are this run's.
-  core::clear_stage_caches();
   core::ReliabilityAnalyzer::Options staged_options = options;
   staged_options.use_cache = true;
   const core::ReliabilityAnalyzer staged(staged_options);
-  const auto staged_before = obs::Registry::global().snapshot();
-  const auto staged_start = Clock::now();
-  const auto staged_points = core::sweep_parameter(staged, c.base, c.setter,
-                                                   c.values);
-  r.staged_ms = ms_since(staged_start);
-  const auto staged_after = obs::Registry::global().snapshot();
-  r.staged_explorations =
-      counter_value(staged_after, "petri.reachability.builds") -
-      counter_value(staged_before, "petri.reachability.builds");
-  r.staged_solves = solves_in(staged_after) - solves_in(staged_before);
-  r.stats = core::stage_cache_stats();
 
-  // The staged curve must be bit-identical to the cold curve.
-  r.bit_identical = staged_points.size() == cold_points.size();
-  for (std::size_t i = 0; r.bit_identical && i < cold_points.size(); ++i)
-    r.bit_identical = staged_points[i].x == cold_points[i].x &&
-                      staged_points[i].expected_reliability ==
-                          cold_points[i].expected_reliability;
+  std::vector<double> cold_ms, staged_ms;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    const TimedSweep cold_run = timed_sweep(c, cold);
+    // Freshly cleared stage caches, so the staged run pays its one
+    // exploration (and one solve) again and the hit/miss stats are its own.
+    core::clear_stage_caches();
+    const TimedSweep staged_run = timed_sweep(c, staged);
+    cold_ms.push_back(cold_run.ms);
+    staged_ms.push_back(staged_run.ms);
+    r.cold_explorations = cold_run.explorations;
+    r.cold_solves = cold_run.solves;
+    r.staged_explorations = staged_run.explorations;
+    r.staged_solves = staged_run.solves;
+    r.stats = core::stage_cache_stats();
 
-  // Reuse invariants: one exploration per sweep, and for a reward-only
-  // sweep one solve; the cold run must have done the full work per point.
-  r.reuse_ok = r.staged_explorations == 1 &&
-               r.cold_explorations == c.values.size() &&
-               r.cold_solves == c.values.size() &&
-               (!c.reward_only || r.staged_solves == 1);
+    // The staged curve must be bit-identical to the cold curve.
+    bool identical = staged_run.points.size() == cold_run.points.size();
+    for (std::size_t i = 0; identical && i < cold_run.points.size(); ++i)
+      identical = staged_run.points[i].x == cold_run.points[i].x &&
+                  staged_run.points[i].expected_reliability ==
+                      cold_run.points[i].expected_reliability;
+    r.bit_identical = r.bit_identical && identical;
+
+    // Reuse invariants: one exploration per sweep, and for a reward-only
+    // sweep one solve; the cold run must have done the full work per point.
+    r.reuse_ok = r.reuse_ok && staged_run.explorations == 1 &&
+                 cold_run.explorations == c.values.size() &&
+                 cold_run.solves == c.values.size() &&
+                 (!c.reward_only || staged_run.solves == 1);
+  }
+  r.cold_ms = median(cold_ms);
+  r.staged_ms = median(staged_ms);
   return r;
 }
 
@@ -141,6 +168,7 @@ void report_case(const SweepCase& c, const CaseResult& r,
                  bench::JsonResult& json) {
   const double speedup = r.staged_ms > 0.0 ? r.cold_ms / r.staged_ms : 0.0;
   std::printf("\n%s — %s\n", c.id.c_str(), c.what.c_str());
+  std::printf("  (times: median of %d runs per side)\n", kRepetitions);
   std::printf("  cold sweep     : %8.2f ms  (%llu explorations, %llu "
               "solves)\n",
               r.cold_ms, static_cast<unsigned long long>(r.cold_explorations),
@@ -225,8 +253,9 @@ int main(int argc, char** argv) {
 
   bench::JsonResult json("bench_sweep_throughput (Release), 50-point "
                          "sweeps; cold = use_cache=false analyzer in the "
-                         "same binary; cold_ms and staged_ms time the "
-                         "whole sweep");
+                         "same binary; cold_ms and staged_ms are each the "
+                         "median of 5 timed whole sweeps, the staged ones "
+                         "on freshly cleared stage caches");
   json.scalar("cores",
               static_cast<double>(std::thread::hardware_concurrency()));
   bool ok = true;

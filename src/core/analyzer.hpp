@@ -1,6 +1,9 @@
 #pragma once
 
 #include <map>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -54,6 +57,12 @@ struct AnalysisResult {
 ///    matches the Monte-Carlo perception system, whose inconclusive-but-
 ///    safe frames in degraded states count as reliable.
 enum class RewardAttachment { kOperationalStatesOnly, kAppendixMatrices };
+
+/// The attachment spelled `name` — "operational" / "appendix", the one
+/// spelling nvpcli and nvpd accept; nullopt for any other spelling.
+std::optional<RewardAttachment> parse_attachment(std::string_view name);
+/// "operational|appendix", for rejection messages.
+std::string attachment_names();
 
 /// End-to-end analytic pipeline: build the DSPN for the parameters,
 /// compute its stationary distribution (CTMC or MRGP solver as needed),

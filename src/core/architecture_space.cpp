@@ -1,12 +1,10 @@
 #include "src/core/architecture_space.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
-#include "src/core/engine.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/core/sweep.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/string_util.hpp"
 
@@ -24,66 +22,46 @@ std::string ArchitectureResult::label() const {
 }
 
 std::vector<ArchitectureResult> ArchitectureSpaceExplorer::explore(
-    const SystemParameters& base) const {
+    const SystemParameters& base, const fault::Policy& policy) const {
   NVP_EXPECTS(options_.max_versions >= 4);
   const obs::ScopedSpan span("core.architecture_space");
   ReliabilityAnalyzer::Options analyzer_options;
   analyzer_options.convention = RewardConvention::kGeneralized;
   analyzer_options.attachment = options_.attachment;
   analyzer_options.solver = options_.solver;
-  // Evaluation routes through the Engine facade (the same memoized
-  // analyzer path every other driver uses).
-  const Engine engine(analyzer_options);
+  const ReliabilityAnalyzer analyzer(analyzer_options);
 
   // Enumerate every feasible candidate first, then solve them all in one
-  // parallel batch — the whole-space scan is the heaviest workload in the
-  // library (dozens of independent DSPN solves of growing state space).
-  // Every candidate is a distinct *structure*, so there is nothing to warm
-  // up front; but the staged pipeline keeps each candidate's explored
-  // structure cached process-wide, so re-exploring the space under
-  // different timing or reward parameters (an interval or alpha study over
-  // architectures) re-explores zero reachability graphs.
-  struct Candidate {
-    SystemParameters params;
-    int n, f, r;
-    bool rejuvenation;
-  };
-  std::vector<Candidate> candidates;
-  // Weighted-quota feasibility of a candidate's module weights (the same
-  // rule validate() enforces; checked up front so infeasible splits are
-  // skipped silently instead of degrading into error envelopes).
-  const auto weighted_feasible = [](const SystemParameters& params) {
-    std::vector<double> weights = params.module_weights();
-    std::sort(weights.begin(), weights.end(), std::greater<double>());
-    const double w_total =
-        std::accumulate(weights.begin(), weights.end(), 0.0);
-    double wf = 0.0;
-    for (int i = 0;
-         i < params.max_faulty && i < static_cast<int>(weights.size()); ++i)
-      wf += weights[static_cast<std::size_t>(i)];
-    double wr = 0.0;
-    const int r = params.rejuvenation ? params.max_rejuvenating : 0;
-    for (int i = 0; i < r && i < static_cast<int>(weights.size()); ++i)
-      wr += weights[static_cast<std::size_t>(i)];
-    return w_total + 1e-12 >= 3.0 * wf + 2.0 * wr + weights.back();
+  // batch — the whole-space scan is the heaviest workload in the library
+  // (dozens of independent DSPN solves of growing state space). Every
+  // candidate is a distinct *structure*, so the batch's serial first point
+  // warms nothing the others share; but the staged pipeline keeps each
+  // candidate's explored structure cached process-wide, so re-exploring the
+  // space under different timing or reward parameters (an interval or alpha
+  // study over architectures) re-explores zero reachability graphs.
+  std::vector<ArchitectureResult> results;
+  std::vector<SystemParameters> candidates;
+  const auto push = [&](const SystemParameters& params, int r) {
+    ArchitectureResult result;
+    result.n = params.n_versions;
+    result.f = params.max_faulty;
+    result.r = r;
+    result.rejuvenation = params.rejuvenation;
+    result.groups = params.groups;
+    results.push_back(std::move(result));
+    candidates.push_back(params);
   };
   // Pushes the homogeneous candidate plus (opted in) every feasible
   // two-group split: baseline group of N - m modules and a hardened group
   // of m modules with a slower compromise rate, a heavier vote, and
   // optionally imperfect repair.
-  const auto push_candidates = [&](const SystemParameters& params, int n,
-                                   int f, int r, bool rejuvenation) {
-    candidates.push_back({params, n, f, r, rejuvenation});
+  const auto push_candidates = [&](const SystemParameters& params, int r) {
+    push(params, r);
     if (!options_.heterogeneous) return;
+    const int n = params.n_versions;
     for (int m = 1; m < n; ++m) {
       SystemParameters hetero = params;
-      ModuleGroup baseline;
-      baseline.count = n - m;
-      baseline.mean_time_to_compromise = params.mean_time_to_compromise;
-      baseline.mean_time_to_failure = params.mean_time_to_failure;
-      baseline.mean_time_to_repair = params.mean_time_to_repair;
-      baseline.p = params.p;
-      baseline.p_prime = params.p_prime;
+      const ModuleGroup baseline = params.inherited_group(n - m);
       ModuleGroup hardened = baseline;
       hardened.count = m;
       hardened.mean_time_to_compromise =
@@ -91,82 +69,41 @@ std::vector<ArchitectureResult> ArchitectureSpaceExplorer::explore(
       hardened.weight = options_.hardened_weight;
       hardened.repair_degradation = options_.hardened_repair_degradation;
       hetero.groups = {baseline, hardened};
-      if (!weighted_feasible(hetero)) continue;
-      candidates.push_back({hetero, n, f, r, rejuvenation});
+      // Infeasible splits are skipped silently instead of degrading into
+      // error envelopes.
+      if (!hetero.weighted_feasible()) continue;
+      push(hetero, r);
     }
   };
   for (int n = 4; n <= options_.max_versions; ++n) {
     for (int f = 1; f <= options_.max_faulty; ++f) {
-      if (n >= 3 * f + 1) {
-        SystemParameters params = base;
-        params.n_versions = n;
-        params.max_faulty = f;
-        params.max_rejuvenating = 1;  // repair concurrency; unused voting-wise
-        params.rejuvenation = false;
-        push_candidates(params, n, f, 0, false);
-      }
-      for (int r = 1; r <= options_.max_rejuvenating; ++r) {
+      // r = 0 is the plain architecture (repair concurrency 1, unused
+      // voting-wise); r >= 1 rejuvenates r modules at a time.
+      for (int r = 0; r <= options_.max_rejuvenating; ++r) {
         if (n < 3 * f + 2 * r + 1) continue;
         SystemParameters params = base;
         params.n_versions = n;
         params.max_faulty = f;
-        params.max_rejuvenating = r;
-        params.rejuvenation = true;
-        push_candidates(params, n, f, r, true);
+        params.max_rejuvenating = std::max(r, 1);
+        params.rejuvenation = r > 0;
+        push_candidates(params, r);
       }
     }
   }
 
-  static obs::Counter& degraded =
-      obs::Registry::global().counter("fault.degraded_points");
-  std::vector<ArchitectureResult> results(candidates.size());
-  std::vector<char> done(candidates.size(), 0);
-  const auto eval = [&](std::size_t i) {
-    const Candidate& candidate = candidates[i];
-    ArchitectureResult result;
-    result.n = candidate.n;
-    result.f = candidate.f;
-    result.r = candidate.r;
-    result.rejuvenation = candidate.rejuvenation;
-    result.groups = candidate.params.groups;
-    try {
-      const auto analysis = engine.analyze_raw(candidate.params);
-      result.expected_reliability = analysis.expected_reliability;
-      result.tangible_states = analysis.tangible_states;
-    } catch (const std::exception&) {
-      if (options_.strict) throw;
-      result.ok = false;
-      result.error = fault::ErrorInfo::from_current_exception();
-      degraded.add();
-    }
-    results[i] = std::move(result);
-    done[i] = 1;
-  };
-  try {
-    runtime::parallel_for(candidates.size(), eval);
-  } catch (const std::exception&) {
-    // Pool-level failure outside eval's guard: degrade the unevaluated
-    // candidates into envelopes instead of dropping the whole scan.
-    if (options_.strict) throw;
-    const fault::ErrorInfo info = fault::ErrorInfo::from_current_exception();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (done[i]) continue;
-      results[i].n = candidates[i].n;
-      results[i].f = candidates[i].f;
-      results[i].r = candidates[i].r;
-      results[i].rejuvenation = candidates[i].rejuvenation;
-      results[i].groups = candidates[i].params.groups;
-      results[i].ok = false;
-      results[i].error = info;
-      degraded.add();
-    }
-  }
-
-  // Cost-efficiency proxy relative to the cheapest architecture.
-  for (auto& result : results)
+  std::vector<PointResult> evaluated =
+      analyze_points(analyzer, candidates, policy);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ArchitectureResult& result = results[i];
+    result.expected_reliability = evaluated[i].expected_reliability;
+    result.tangible_states = evaluated[i].tangible_states;
+    result.ok = evaluated[i].ok;
+    result.error = std::move(evaluated[i].error);
+    // Cost-efficiency proxy: reliability per module version.
     result.reliability_per_module =
         result.ok ? result.expected_reliability / static_cast<double>(result.n)
                   : 0.0;
+  }
 
   std::sort(results.begin(), results.end(),
             [](const ArchitectureResult& a, const ArchitectureResult& b) {

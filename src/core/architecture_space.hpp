@@ -11,7 +11,9 @@ namespace nvp::core {
 
 /// One evaluated architecture point. A candidate whose solve failed under
 /// graceful degradation carries `ok = false` plus the error envelope (its
-/// reliability fields are meaningless and sort to the bottom).
+/// reliability fields are meaningless and sort to the bottom;
+/// `tangible_states` still reports the failed model's size when the error
+/// recorded it).
 struct ArchitectureResult {
   int n = 0;
   int f = 0;
@@ -48,9 +50,6 @@ class ArchitectureSpaceExplorer {
     /// use dense LU while the large-N tail of the sweep (the reason this
     /// explorer exists) switches to a sparse backend.
     markov::SolverConfig solver;
-    /// Fail fast on the first candidate whose solve throws instead of
-    /// degrading it into an error envelope (ArchitectureResult::ok).
-    bool strict = false;
     /// Also enumerate heterogeneous two-group candidates: for every
     /// feasible (N, f, r) point, every split of the N modules into a
     /// baseline group and a hardened group of m = 1..N-1 modules. The
@@ -68,10 +67,13 @@ class ArchitectureSpaceExplorer {
   explicit ArchitectureSpaceExplorer(Options options) : options_(options) {}
 
   /// Evaluates every feasible architecture with the given Table II
-  /// parameters (n/f/r/rejuvenation fields of `base` are ignored), sorted
-  /// by descending expected reliability.
+  /// parameters (n/f/r/rejuvenation fields of `base` are ignored) as one
+  /// analyze_points batch, sorted by descending expected reliability. A
+  /// candidate whose solve fails degrades into an error envelope that keeps
+  /// the failed model's state count, unless `policy.strict`, which
+  /// rethrows.
   std::vector<ArchitectureResult> explore(
-      const SystemParameters& base) const;
+      const SystemParameters& base, const fault::Policy& policy = {}) const;
 
   /// The architecture with the highest expected reliability per module
   /// count <= `budget` (the deployment question: how to spend a fixed

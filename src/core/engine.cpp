@@ -4,9 +4,8 @@
 
 #include "src/core/model_factory.hpp"
 #include "src/core/reliability.hpp"
-#include "src/obs/manifest.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/store/store.hpp"
 #include "src/util/string_util.hpp"
 
@@ -39,43 +38,22 @@ void Engine::open_store(const Options& options) {
                  error.c_str());
 }
 
-RunResult Engine::snapshot(const std::string& entry,
-                           const SystemParameters& params,
-                           std::uint64_t seed) const {
-  RunResult result;
-  result.metrics = obs::Registry::global().snapshot();
-  result.provenance.entry = entry;
-  result.provenance.params = params.describe();
-  result.provenance.git_sha = obs::build_git_sha();
-  result.provenance.seed = seed;
-  result.provenance.jobs = runtime::default_jobs();
-  return result;
-}
-
 AnalysisResult Engine::analyze_raw(const SystemParameters& params) const {
   return analyzer_.analyze(params);
 }
 
-double Engine::reliability(const SystemParameters& params) const {
-  return analyzer_.analyze(params).expected_reliability;
-}
-
 RunResult Engine::analyze(const SystemParameters& params) const {
   const obs::ScopedSpan span("engine.analyze");
+  RunResult result;
   try {
-    AnalysisResult analysis = analyzer_.analyze(params);
-    RunResult result = snapshot("analyze", params);
-    result.analysis = std::move(analysis);
-    result.analytic = true;
-    return result;
+    result.analysis = analyzer_.analyze(params);
   } catch (const std::exception&) {
     if (engine_options_.strict) throw;
     degraded_runs().add();
-    RunResult result = snapshot("analyze", params);
     result.ok = false;
     result.error = fault::ErrorInfo::from_current_exception();
-    return result;
   }
+  return result;
 }
 
 fault::ErrorInfo Engine::deadline_error(const std::string& site,
@@ -96,7 +74,7 @@ RunResult Engine::analyze_within(
   const auto now = std::chrono::steady_clock::now();
   if (now >= deadline) {
     deadline_misses().add();
-    RunResult result = snapshot("analyze", params);
+    RunResult result;
     result.ok = false;
     result.error = deadline_error("engine.deadline", -1.0);
     return result;
@@ -108,7 +86,6 @@ RunResult Engine::analyze_within(
     const double overrun_s =
         std::chrono::duration<double>(done - deadline).count();
     result.ok = false;
-    result.analytic = false;
     result.analysis = AnalysisResult();
     result.error = deadline_error("engine.deadline", overrun_s);
   }
@@ -118,20 +95,20 @@ RunResult Engine::analyze_within(
 RunResult Engine::simulate(const SystemParameters& params,
                            const SimulateOptions& options) const {
   const obs::ScopedSpan span("engine.simulate");
+  RunResult result;
   try {
-    return simulate_impl(params, options);
+    result.estimate = simulate_impl(params, options);
   } catch (const std::exception&) {
     if (engine_options_.strict) throw;
     degraded_runs().add();
-    RunResult result = snapshot("simulate", params, options.seed);
     result.ok = false;
     result.error = fault::ErrorInfo::from_current_exception();
-    return result;
   }
+  return result;
 }
 
-RunResult Engine::simulate_impl(const SystemParameters& raw,
-                                const SimulateOptions& options) const {
+sim::ReplicationEstimate Engine::simulate_impl(
+    const SystemParameters& raw, const SimulateOptions& options) const {
   raw.validate();
   const SystemParameters params = raw.canonicalized();
   const BuiltModel model = PerceptionModelFactory::build(params);
@@ -145,30 +122,24 @@ RunResult Engine::simulate_impl(const SystemParameters& raw,
   // Heterogeneous models take their rewards from the per-group model over
   // per-group marking counts; homogeneous ones keep the scalar (i, j, k)
   // path (bit-identical to before the module-group refactor).
-  sim::ReplicationEstimate estimate;
   if (model.groups.empty()) {
     const auto rewards =
-        make_reliability_model(params, analyzer_options_.convention);
-    estimate = simulator.estimate(
+        make_reliability_model(params, analyzer_.options().convention);
+    return simulator.estimate(
         [&](const petri::Marking& m) {
           return rewards->state_reliability(model.healthy(m),
                                             model.compromised(m),
                                             model.down(m));
         },
         sim_options, options.replications, options.confidence_level);
-  } else {
-    const auto rewards =
-        make_group_reliability_model(params, analyzer_options_.convention);
-    estimate = simulator.estimate(
-        [&](const petri::Marking& m) {
-          return rewards->state_reliability_flat(model.group_counts(m));
-        },
-        sim_options, options.replications, options.confidence_level);
   }
-  RunResult result = snapshot("simulate", params, options.seed);
-  result.estimate = estimate;
-  result.simulated = true;
-  return result;
+  const auto rewards =
+      make_group_reliability_model(params, analyzer_.options().convention);
+  return simulator.estimate(
+      [&](const petri::Marking& m) {
+        return rewards->state_reliability_flat(model.group_counts(m));
+      },
+      sim_options, options.replications, options.confidence_level);
 }
 
 std::vector<SweepPoint> Engine::sweep(
@@ -185,14 +156,6 @@ std::vector<Crossover> Engine::crossovers(
   const obs::ScopedSpan span("engine.crossovers");
   return find_crossovers(analyzer_, config_a, config_b, setter, values,
                          tolerance, policy());
-}
-
-Optimum Engine::optimize(const SystemParameters& base,
-                         const ParameterSetter& setter, double lo, double hi,
-                         std::size_t grid_points, double tolerance) const {
-  const obs::ScopedSpan span("engine.optimize");
-  return maximize_reliability(analyzer_, base, setter, lo, hi, grid_points,
-                              tolerance, policy());
 }
 
 Optimum Engine::optimize_rejuvenation_interval(const SystemParameters& base,
@@ -215,9 +178,7 @@ std::vector<ArchitectureResult> Engine::architectures(
     const SystemParameters& base,
     const ArchitectureSpaceExplorer::Options& options) const {
   const obs::ScopedSpan span("engine.architectures");
-  ArchitectureSpaceExplorer::Options explore_options = options;
-  explore_options.strict = explore_options.strict || engine_options_.strict;
-  return ArchitectureSpaceExplorer(explore_options).explore(base);
+  return ArchitectureSpaceExplorer(options).explore(base, policy());
 }
 
 }  // namespace nvp::core

@@ -11,40 +11,23 @@
 #include "src/core/params.hpp"
 #include "src/core/sensitivity.hpp"
 #include "src/core/sweep.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/sim/dspn_simulator.hpp"
 
 namespace nvp::core {
 
-/// Where a RunResult came from: enough to reproduce the invocation.
-struct Provenance {
-  std::string entry;   ///< engine entry point ("analyze", "simulate", ...)
-  std::string params;  ///< SystemParameters::describe()
-  std::string git_sha;
-  std::uint64_t seed = 0;  ///< 0 = no stochastic component
-  std::size_t jobs = 0;    ///< effective worker count of the default pool
-};
-
-/// Common envelope returned by every Engine entry point: the payload
-/// (analytic and/or simulated), the metrics the run produced, and
-/// provenance. Exactly one of `analytic` / `simulated` is set by analyze()
-/// and simulate(); batch entry points return their own payload types and
-/// leave envelope assembly to the caller via Engine::snapshot().
+/// Common envelope returned by Engine::analyze / analyze_within /
+/// simulate: the payload of the entry point that ran (`analysis` or
+/// `estimate`) and whether it succeeded.
 ///
 /// Graceful degradation: when a solve fails and the engine is not strict,
 /// the entry point still returns an envelope — `ok = false`, `error` filled,
-/// no payload flag set — so batch drivers and services keep their metrics
-/// and provenance instead of unwinding.
+/// payload left default — so services answer with the error instead of
+/// unwinding.
 struct RunResult {
-  AnalysisResult analysis;            ///< valid when `analytic`
-  sim::ReplicationEstimate estimate;  ///< valid when `simulated`
-  bool analytic = false;
-  bool simulated = false;
+  AnalysisResult analysis;            ///< analyze()'s payload
+  sim::ReplicationEstimate estimate;  ///< simulate()'s payload
   bool ok = true;
   fault::ErrorInfo error;  ///< set when `ok` is false
-
-  obs::MetricsSnapshot metrics;  ///< registry state after the run
-  Provenance provenance;
 };
 
 /// The library's single public entry point: one object that owns the
@@ -82,12 +65,9 @@ class Engine {
   };
 
   Engine() = default;
-  explicit Engine(ReliabilityAnalyzer::Options options)
-      : analyzer_options_(options), analyzer_(options) {}
+  explicit Engine(ReliabilityAnalyzer::Options options) : analyzer_(options) {}
   Engine(ReliabilityAnalyzer::Options options, Options engine_options)
-      : analyzer_options_(options),
-        engine_options_(engine_options),
-        analyzer_(options) {
+      : engine_options_(engine_options), analyzer_(options) {
     open_store(engine_options_);
   }
 
@@ -125,13 +105,14 @@ class Engine {
     return simulate(params, SimulateOptions());
   }
 
-  /// Payload-only variants (what the batch drivers below call per point):
-  /// byte-for-byte the pre-facade direct-call path.
+  /// Payload-only analysis: byte-for-byte the direct analyzer call, never
+  /// an envelope.
   AnalysisResult analyze_raw(const SystemParameters& params) const;
-  double reliability(const SystemParameters& params) const;
 
-  /// Batch drivers. Each fans out on the runtime pool and is bit-identical
-  /// to the corresponding free function with this engine's analyzer.
+  /// Batch entry points: the free functions with this engine's analyzer
+  /// and Options::strict (sensitivity always fails fast), each running its
+  /// points through analyze_points. `optimize_rejuvenation_interval`'s
+  /// 24-point grid and 0.5 s tolerance are the library's one default.
   std::vector<SweepPoint> sweep(const SystemParameters& base,
                                 const ParameterSetter& setter,
                                 const std::vector<double>& values) const;
@@ -140,9 +121,6 @@ class Engine {
                                     const ParameterSetter& setter,
                                     const std::vector<double>& values,
                                     double tolerance = 1.0) const;
-  Optimum optimize(const SystemParameters& base, const ParameterSetter& setter,
-                   double lo, double hi, std::size_t grid_points = 16,
-                   double tolerance = 1e-3) const;
   Optimum optimize_rejuvenation_interval(const SystemParameters& base,
                                          double lo, double hi,
                                          std::size_t grid_points = 24,
@@ -153,13 +131,9 @@ class Engine {
       const SystemParameters& base,
       const ArchitectureSpaceExplorer::Options& options = {}) const;
 
-  /// Envelope assembly for batch runs: current metrics + provenance.
-  RunResult snapshot(const std::string& entry, const SystemParameters& params,
-                     std::uint64_t seed = 0) const;
-
   const ReliabilityAnalyzer& analyzer() const { return analyzer_; }
   const ReliabilityAnalyzer::Options& options() const {
-    return analyzer_options_;
+    return analyzer_.options();
   }
   const Options& engine_options() const { return engine_options_; }
 
@@ -169,10 +143,9 @@ class Engine {
   static void open_store(const Options& options);
 
   fault::Policy policy() const { return {engine_options_.strict}; }
-  RunResult simulate_impl(const SystemParameters& params,
-                          const SimulateOptions& options) const;
+  sim::ReplicationEstimate simulate_impl(const SystemParameters& params,
+                                         const SimulateOptions& options) const;
 
-  ReliabilityAnalyzer::Options analyzer_options_{};
   Options engine_options_{};
   ReliabilityAnalyzer analyzer_{};
 };

@@ -3,9 +3,8 @@
 #include <cmath>
 #include <limits>
 
-#include "src/obs/metrics.hpp"
+#include "src/core/sweep.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/util/contracts.hpp"
 
 namespace nvp::core {
@@ -19,59 +18,25 @@ Optimum maximize_reliability(
   NVP_EXPECTS(grid_points >= 3);
   NVP_EXPECTS(tolerance > 0.0);
   const obs::ScopedSpan span("core.optimize");
-  static obs::Counter& degraded =
-      obs::Registry::global().counter("fault.degraded_points");
   constexpr double kFailed = -std::numeric_limits<double>::infinity();
-
-  // Degradation: a failed evaluation scores -inf, so the search simply
-  // never selects it; strict mode rethrows.
-  auto value_of = [&](const SystemParameters& params) {
-    if (policy.strict) return analyzer.analyze(params).expected_reliability;
-    try {
-      return analyzer.analyze(params).expected_reliability;
-    } catch (const std::exception&) {
-      degraded.add();
-      return kFailed;
-    }
+  // A failed evaluation scores -inf, so the search never selects it.
+  const auto score = [](const PointResult& point) {
+    return point.ok ? point.expected_reliability : kFailed;
   };
 
-  std::size_t evals = 0;
-  auto f = [&](double x) {
-    SystemParameters params = base;
-    setter(params, x);
-    ++evals;
-    return value_of(params);
-  };
-
-  // Coarse grid to bracket the global maximum: the grid points are
-  // independent solves, so evaluate them in one parallel batch after a
-  // serial first point warms the staged structure/rates caches every grid
-  // point shares (the golden-section refinement below is inherently
-  // sequential, but its re-evaluations go through the analyzer's
-  // memoization cache).
+  // Coarse grid to bracket the global maximum, as one batch.
   const double step =
       (hi - lo) / static_cast<double>(grid_points - 1);
-  std::vector<double> grid_f(grid_points, kFailed);
-  auto grid_eval = [&](std::size_t i) {
-    SystemParameters params = base;
-    setter(params, lo + step * static_cast<double>(i));
-    grid_f[i] = value_of(params);
-  };
-  grid_eval(0);
-  try {
-    runtime::parallel_for(grid_points - 1,
-                          [&](std::size_t i) { grid_eval(i + 1); });
-  } catch (const std::exception&) {
-    // Pool-level failure (outside value_of's guard): the unevaluated grid
-    // entries keep their -inf marker.
-    if (policy.strict) throw;
-    degraded.add();
-  }
-  evals += grid_points;
-  double best_x = lo, best_f = grid_f[0];
+  std::vector<SystemParameters> grid(grid_points, base);
+  for (std::size_t i = 0; i < grid_points; ++i)
+    setter(grid[i], lo + step * static_cast<double>(i));
+  const std::vector<PointResult> grid_f =
+      analyze_points(analyzer, grid, policy);
+  std::size_t evals = grid_points;
+  double best_x = lo, best_f = score(grid_f[0]);
   for (std::size_t i = 1; i < grid_points; ++i) {
-    if (grid_f[i] > best_f) {
-      best_f = grid_f[i];
+    if (score(grid_f[i]) > best_f) {
+      best_f = score(grid_f[i]);
       best_x = lo + step * static_cast<double>(i);
     }
   }
@@ -85,7 +50,14 @@ Optimum maximize_reliability(
   double a = std::max(lo, best_x - step);
   double b = std::min(hi, best_x + step);
 
-  // Golden-section refinement inside the bracket.
+  // Golden-section refinement inside the bracket. Its steps are
+  // sequential: one single-point batch each.
+  auto f = [&](double x) {
+    SystemParameters params = base;
+    setter(params, x);
+    ++evals;
+    return score(analyze_points(analyzer, {params}, policy)[0]);
+  };
   constexpr double kInvPhi = 0.6180339887498949;
   double x1 = b - kInvPhi * (b - a);
   double x2 = a + kInvPhi * (b - a);

@@ -1,12 +1,36 @@
 #include "src/core/params.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "src/util/contracts.hpp"
 #include "src/util/string_util.hpp"
 
 namespace nvp::core {
+
+namespace {
+
+/// Indexed by RewardConvention.
+constexpr const char* kConventionNames[] = {"verbatim", "generalized",
+                                            "strict"};
+
+}  // namespace
+
+const char* to_string(RewardConvention convention) {
+  return kConventionNames[static_cast<std::size_t>(convention)];
+}
+
+std::optional<RewardConvention> parse_convention(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kConventionNames); ++i)
+    if (name == kConventionNames[i]) return static_cast<RewardConvention>(i);
+  return std::nullopt;
+}
+
+std::string convention_names() {
+  return util::join({std::begin(kConventionNames), std::end(kConventionNames)},
+                    "|");
+}
 
 bool SystemParameters::heterogeneous() const {
   return !canonicalized().groups.empty();
@@ -71,6 +95,20 @@ double SystemParameters::weighted_quota() const {
   return 2.0 * wf + wr + w_min;
 }
 
+bool SystemParameters::weighted_feasible() const {
+  std::vector<double> weights = module_weights();
+  std::sort(weights.begin(), weights.end(), std::greater<double>());
+  const double w_total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  double wf = 0.0;
+  for (int i = 0; i < max_faulty && i < static_cast<int>(weights.size()); ++i)
+    wf += weights[static_cast<std::size_t>(i)];
+  double wr = 0.0;
+  const int r = rejuvenation ? max_rejuvenating : 0;
+  for (int i = 0; i < r && i < static_cast<int>(weights.size()); ++i)
+    wr += weights[static_cast<std::size_t>(i)];
+  return w_total + 1e-12 >= 3.0 * wf + 2.0 * wr + weights.back();
+}
+
 int SystemParameters::voting_threshold() const {
   return rejuvenation ? 2 * max_faulty + max_rejuvenating + 1
                       : 2 * max_faulty + 1;
@@ -133,23 +171,7 @@ void SystemParameters::validate() const {
     }
     NVP_EXPECTS_MSG(total == n_versions,
                     "module group counts must sum to n_versions");
-    // Weighted-quota feasibility (reduces to the unit-weight rules above):
-    // the voter must stay decidable with the f heaviest modules lying and
-    // (with rejuvenation) the r heaviest silent.
-    std::vector<double> weights = module_weights();
-    std::sort(weights.begin(), weights.end(), std::greater<double>());
-    const double w_total =
-        std::accumulate(weights.begin(), weights.end(), 0.0);
-    double wf = 0.0;
-    for (int i = 0; i < max_faulty && i < static_cast<int>(weights.size());
-         ++i)
-      wf += weights[static_cast<std::size_t>(i)];
-    double wr = 0.0;
-    const int r = rejuvenation ? max_rejuvenating : 0;
-    for (int i = 0; i < r && i < static_cast<int>(weights.size()); ++i)
-      wr += weights[static_cast<std::size_t>(i)];
-    const double w_min = weights.back();
-    NVP_EXPECTS_MSG(w_total + 1e-12 >= 3.0 * wf + 2.0 * wr + w_min,
+    NVP_EXPECTS_MSG(weighted_feasible(),
                     "weighted voting requires total weight >= "
                     "3 W_f + 2 W_r + w_min");
   }

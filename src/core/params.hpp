@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,6 +25,14 @@ enum class FiringSemantics { kSingleServer, kInfiniteServer };
 ///    that the voter actually produces a *correct* output (inconclusive
 ///    outputs are not credited as reliable).
 enum class RewardConvention { kPaperVerbatim, kGeneralized, kStrict };
+
+/// "verbatim" / "generalized" / "strict": the one spelling of each
+/// convention that nvpcli, nvpd and the benches accept and print.
+const char* to_string(RewardConvention convention);
+/// The convention spelled `name`; nullopt for any other spelling.
+std::optional<RewardConvention> parse_convention(std::string_view name);
+/// "verbatim|generalized|strict", for rejection messages.
+std::string convention_names();
 
 /// One group of interchangeable ML module versions inside a heterogeneous
 /// architecture. The paper's models are the special case of a single group;
@@ -141,6 +150,12 @@ struct SystemParameters {
   /// weight >= Q; the adversary/rejuvenator is assumed to take the heaviest
   /// modules, which is what makes the rule safe.
   double weighted_quota() const;
+
+  /// Weighted-quota feasibility: total weight W >= 3 W_f + 2 W_r + w_min,
+  /// i.e. the voter stays decidable with the f heaviest modules lying and
+  /// (with rejuvenation) the r heaviest silent. Reduces to n >= 3f + 1 /
+  /// n >= 3f + 2r + 1 for uniform weights; validate() enforces it.
+  bool weighted_feasible() const;
 
   /// Voter correctness threshold: 2f+1 without rejuvenation, 2f+r+1 with
   /// (assumptions A.2/A.3).

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/sweep.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/string_util.hpp"
 #include "src/util/table.hpp"
@@ -19,36 +19,21 @@ namespace {
 
 struct Knob {
   const char* name;
+  double SystemParameters::*field;
   bool rejuvenation_only;
   bool is_probability;
-  double (*get)(const SystemParameters&);
-  void (*set)(SystemParameters&, double);
 };
 
+using SP = SystemParameters;
 const Knob kKnobs[] = {
-    {"alpha", false, true,
-     [](const SystemParameters& p) { return p.alpha; },
-     [](SystemParameters& p, double v) { p.alpha = v; }},
-    {"p", false, true, [](const SystemParameters& p) { return p.p; },
-     [](SystemParameters& p, double v) { p.p = v; }},
-    {"p'", false, true,
-     [](const SystemParameters& p) { return p.p_prime; },
-     [](SystemParameters& p, double v) { p.p_prime = v; }},
-    {"1/lambda_c", false, false,
-     [](const SystemParameters& p) { return p.mean_time_to_compromise; },
-     [](SystemParameters& p, double v) { p.mean_time_to_compromise = v; }},
-    {"1/lambda", false, false,
-     [](const SystemParameters& p) { return p.mean_time_to_failure; },
-     [](SystemParameters& p, double v) { p.mean_time_to_failure = v; }},
-    {"1/mu", false, false,
-     [](const SystemParameters& p) { return p.mean_time_to_repair; },
-     [](SystemParameters& p, double v) { p.mean_time_to_repair = v; }},
-    {"1/gamma", true, false,
-     [](const SystemParameters& p) { return p.rejuvenation_interval; },
-     [](SystemParameters& p, double v) { p.rejuvenation_interval = v; }},
-    {"rejuv duration", true, false,
-     [](const SystemParameters& p) { return p.rejuvenation_duration; },
-     [](SystemParameters& p, double v) { p.rejuvenation_duration = v; }},
+    {"alpha", &SP::alpha, false, true},
+    {"p", &SP::p, false, true},
+    {"p'", &SP::p_prime, false, true},
+    {"1/lambda_c", &SP::mean_time_to_compromise, false, false},
+    {"1/lambda", &SP::mean_time_to_failure, false, false},
+    {"1/mu", &SP::mean_time_to_repair, false, false},
+    {"1/gamma", &SP::rejuvenation_interval, true, false},
+    {"rejuv duration", &SP::rejuvenation_duration, true, false},
 };
 
 }  // namespace
@@ -59,48 +44,47 @@ std::vector<SensitivityEntry> sensitivity_report(
   NVP_EXPECTS(relative_step > 0.0 && relative_step < 1.0);
   const obs::ScopedSpan span("core.sensitivity");
   base.validate();
-  // The serial center evaluation also warms the staged structure cache:
-  // every knob below perturbs a timing or reward parameter, so all 2x8
-  // parallel evaluations reuse the explored reachability structure.
-  const double center = analyzer.analyze(base).expected_reliability;
-  NVP_EXPECTS_MSG(center > 0.0, "sensitivity needs a nonzero baseline");
-
-  // Collect the active knobs' perturbed parameter sets, then evaluate all
-  // of them (two solves per knob) in one parallel batch.
+  // One strict batch [center, down_1, up_1, ...] (a SensitivityEntry has no
+  // error envelope). The center runs first and warms the staged structure
+  // cache: every knob perturbs a timing or reward parameter, so all the
+  // perturbed points reuse the explored reachability structure.
   struct Perturbation {
     const Knob* knob;
     double theta, lo, hi;
-    SystemParameters down, up;
   };
   std::vector<Perturbation> work;
+  std::vector<SystemParameters> points{base};
   for (const Knob& knob : kKnobs) {
     if (knob.rejuvenation_only && !base.rejuvenation) continue;
-    const double theta = knob.get(base);
+    const double theta = base.*knob.field;
     if (theta == 0.0) continue;  // relative perturbation undefined
 
     Perturbation p{&knob, theta, theta * (1.0 - relative_step),
-                   theta * (1.0 + relative_step), base, base};
+                   theta * (1.0 + relative_step)};
     if (knob.is_probability) p.hi = std::min(p.hi, 1.0);
-    knob.set(p.down, p.lo);
-    knob.set(p.up, p.hi);
+    points.emplace_back(base).*knob.field = p.lo;
+    points.emplace_back(base).*knob.field = p.hi;
     work.push_back(p);
   }
+  const std::vector<PointResult> values =
+      analyze_points(analyzer, points, fault::Policy{true});
+  const double center = values[0].expected_reliability;
+  NVP_EXPECTS_MSG(center > 0.0, "sensitivity needs a nonzero baseline");
 
   std::vector<SensitivityEntry> report(work.size());
-  runtime::parallel_for(work.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < work.size(); ++i) {
     const Perturbation& p = work[i];
-    SensitivityEntry entry;
+    SensitivityEntry& entry = report[i];
     entry.parameter = p.knob->name;
     entry.base_value = p.theta;
-    entry.value_down = analyzer.analyze(p.down).expected_reliability;
-    entry.value_up = analyzer.analyze(p.up).expected_reliability;
+    entry.value_down = values[2 * i + 1].expected_reliability;
+    entry.value_up = values[2 * i + 2].expected_reliability;
     const double dtheta = (p.hi - p.lo) / p.theta;
     entry.elasticity =
         dtheta > 0.0
             ? ((entry.value_up - entry.value_down) / center) / dtheta
             : 0.0;
-    report[i] = entry;
-  });
+  }
   std::sort(report.begin(), report.end(),
             [](const SensitivityEntry& a, const SensitivityEntry& b) {
               return a.swing() > b.swing();

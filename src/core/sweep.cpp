@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -12,13 +13,60 @@ namespace nvp::core {
 
 namespace {
 
-obs::Counter& degraded_points() {
-  static obs::Counter& counter =
-      obs::Registry::global().counter("fault.degraded_points");
-  return counter;
+/// `base` with each of `values` applied through `setter`.
+std::vector<SystemParameters> points_at(const SystemParameters& base,
+                                        const ParameterSetter& setter,
+                                        const std::vector<double>& values) {
+  std::vector<SystemParameters> points(values.size(), base);
+  for (std::size_t i = 0; i < values.size(); ++i) setter(points[i], values[i]);
+  return points;
 }
 
 }  // namespace
+
+std::vector<PointResult> analyze_points(
+    const ReliabilityAnalyzer& analyzer,
+    const std::vector<SystemParameters>& points, const fault::Policy& policy) {
+  static obs::Counter& degraded =
+      obs::Registry::global().counter("fault.degraded_points");
+  std::vector<PointResult> out(points.size());
+  std::vector<char> done(points.size(), 0);
+  const auto degrade = [&](std::size_t i, fault::ErrorInfo info) {
+    out[i].ok = false;
+    out[i].tangible_states = info.states;
+    out[i].error = std::move(info);
+    degraded.add();
+  };
+  const auto run = [&](std::size_t i) {
+    try {
+      const AnalysisResult analysis = analyzer.analyze(points[i]);
+      out[i].expected_reliability = analysis.expected_reliability;
+      out[i].tangible_states = analysis.tangible_states;
+    } catch (const std::exception&) {
+      if (policy.strict) throw;
+      degrade(i, fault::ErrorInfo::from_current_exception());
+    }
+    done[i] = 1;
+  };
+  if (points.empty()) return out;
+  // Point 0 on the caller: it builds the staged structure/rates artifacts
+  // the other points share (a batch usually varies one parameter), instead
+  // of every worker racing to build them.
+  run(0);
+  if (points.size() == 1) return out;
+  try {
+    runtime::parallel_for(points.size() - 1,
+                          [&](std::size_t i) { run(i + 1); });
+  } catch (const std::exception&) {
+    // Only the pool itself throws past run's guard (e.g. an injected
+    // task-dispatch fault): degrade the points it never started.
+    if (policy.strict) throw;
+    const fault::ErrorInfo info = fault::ErrorInfo::from_current_exception();
+    for (std::size_t i = 1; i < points.size(); ++i)
+      if (!done[i]) degrade(i, info);
+  }
+  return out;
+}
 
 std::vector<double> linspace(double lo, double hi, std::size_t count) {
   NVP_EXPECTS(count >= 2);
@@ -37,52 +85,12 @@ std::vector<SweepPoint> sweep_parameter(const ReliabilityAnalyzer& analyzer,
                                         const fault::Policy& policy) {
   NVP_EXPECTS(setter != nullptr);
   const obs::ScopedSpan span("core.sweep");
-  if (values.empty()) return {};
-  auto eval = [&](double v) {
-    SweepPoint point;
-    point.x = v;
-    try {
-      SystemParameters params = base;
-      setter(params, v);
-      point.expected_reliability = analyzer.analyze(params).expected_reliability;
-    } catch (const std::exception&) {
-      if (policy.strict) throw;
-      point.ok = false;
-      point.error = fault::ErrorInfo::from_current_exception();
-      degraded_points().add();
-    }
-    return point;
-  };
-  // Evaluate the first point serially: it populates the staged
-  // structure/rates caches the remaining points share (a sweep varies one
-  // parameter, so every point reuses at least the structure stage), instead
-  // of every worker racing to build the same artifacts. The fan-out assigns
-  // by index, so the output is identical to the serial loop for any job
-  // count.
+  std::vector<PointResult> results =
+      analyze_points(analyzer, points_at(base, setter, values), policy);
   std::vector<SweepPoint> out(values.size());
-  std::vector<char> done(values.size(), 0);
-  const auto run = [&](std::size_t i) {
-    out[i] = eval(values[i]);
-    done[i] = 1;
-  };
-  run(0);
-  try {
-    runtime::parallel_for(values.size() - 1,
-                          [&](std::size_t i) { run(i + 1); });
-  } catch (const std::exception&) {
-    // Failures outside eval's guard (e.g. injected task-dispatch faults in
-    // the pool itself) leave whole points unevaluated; degrade those into
-    // envelopes rather than dropping the completed ones.
-    if (policy.strict) throw;
-    const fault::ErrorInfo info = fault::ErrorInfo::from_current_exception();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (done[i]) continue;
-      out[i].x = values[i];
-      out[i].ok = false;
-      out[i].error = info;
-      degraded_points().add();
-    }
-  }
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out[i] = {values[i], results[i].expected_reliability, results[i].ok,
+              std::move(results[i].error)};
   return out;
 }
 
@@ -96,40 +104,22 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
   NVP_EXPECTS(values.size() >= 2);
   NVP_EXPECTS(tolerance > 0.0);
   const obs::ScopedSpan span("core.crossovers");
-  constexpr double kFailed = std::numeric_limits<double>::quiet_NaN();
-  auto diff = [&](double x) {
-    SystemParameters a = config_a, b = config_b;
-    setter(a, x);
-    setter(b, x);
-    return analyzer.analyze(a).expected_reliability -
-           analyzer.analyze(b).expected_reliability;
+  const auto curve = [&](const SystemParameters& config,
+                         const std::vector<double>& xs) {
+    return analyze_points(analyzer, points_at(config, setter, xs), policy);
   };
-  // Degradation: a failed evaluation yields NaN, which masks the adjacent
-  // intervals (and abandons an in-flight bisection) instead of aborting.
-  auto safe_diff = [&](double x) {
-    if (policy.strict) return diff(x);
-    try {
-      return diff(x);
-    } catch (const std::exception&) {
-      degraded_points().add();
-      return kFailed;
-    }
+  // f(a) - f(b) at each of `xs`, NaN where either side failed: NaN masks
+  // the adjacent grid intervals and abandons an in-flight bisection.
+  const auto differences = [&](const std::vector<double>& xs) {
+    const std::vector<PointResult> a = curve(config_a, xs);
+    const std::vector<PointResult> b = curve(config_b, xs);
+    std::vector<double> d(xs.size(), std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      if (a[i].ok && b[i].ok)
+        d[i] = a[i].expected_reliability - b[i].expected_reliability;
+    return d;
   };
-  // Scan phase: every grid point is independent, so evaluate the curve
-  // difference in parallel after one serial point warms the staged
-  // structure/rates caches both configurations share; the bisection
-  // refinements below re-evaluate through the analyzer's memoization cache.
-  std::vector<double> grid_diff(values.size(), kFailed);
-  grid_diff[0] = safe_diff(values[0]);
-  try {
-    runtime::parallel_for(values.size() - 1, [&](std::size_t i) {
-      grid_diff[i + 1] = safe_diff(values[i + 1]);
-    });
-  } catch (const std::exception&) {
-    if (policy.strict) throw;
-    // Pool-level failure: unevaluated entries keep their NaN marker.
-    degraded_points().add();
-  }
+  const std::vector<double> grid_diff = differences(values);
   std::vector<Crossover> out;
   double prev_x = values[0];
   double prev_d = grid_diff[0];
@@ -142,7 +132,7 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
       bool abandoned = false;
       while (hi - lo > tolerance) {
         const double mid = (lo + hi) / 2.0;
-        const double dm = safe_diff(mid);
+        const double dm = differences({mid})[0];
         if (!std::isfinite(dm)) {
           abandoned = true;
           break;
@@ -156,14 +146,8 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
       }
       if (!abandoned) {
         const double xc = (lo + hi) / 2.0;
-        SystemParameters a = config_a;
-        setter(a, xc);
-        try {
-          out.push_back({xc, analyzer.analyze(a).expected_reliability});
-        } catch (const std::exception&) {
-          if (policy.strict) throw;
-          degraded_points().add();
-        }
+        const PointResult at = curve(config_a, {xc})[0];
+        if (at.ok) out.push_back({xc, at.expected_reliability});
       }
     }
     prev_x = x;
@@ -180,24 +164,10 @@ ParameterSetter setter_for(std::string_view name) {
   };
 }
 
-ParameterSetter set_mean_time_to_compromise() {
-  return [](SystemParameters& p, double v) { p.mean_time_to_compromise = v; };
-}
-
-ParameterSetter set_alpha() {
-  return [](SystemParameters& p, double v) { p.alpha = v; };
-}
-
-ParameterSetter set_p() {
-  return [](SystemParameters& p, double v) { p.p = v; };
-}
-
-ParameterSetter set_p_prime() {
-  return [](SystemParameters& p, double v) { p.p_prime = v; };
-}
-
-ParameterSetter set_rejuvenation_interval() {
-  return [](SystemParameters& p, double v) { p.rejuvenation_interval = v; };
-}
+ParameterSetter set_mean_time_to_compromise() { return setter_for("mttc"); }
+ParameterSetter set_alpha() { return setter_for("alpha"); }
+ParameterSetter set_p() { return setter_for("p"); }
+ParameterSetter set_p_prime() { return setter_for("p-prime"); }
+ParameterSetter set_rejuvenation_interval() { return setter_for("interval"); }
 
 }  // namespace nvp::core

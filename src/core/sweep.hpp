@@ -11,10 +11,33 @@
 
 namespace nvp::core {
 
-/// One point of a sensitivity sweep. A point whose solve failed under
-/// graceful degradation carries `ok = false` plus the error envelope
-/// instead of aborting the whole sweep; `expected_reliability` is then
-/// meaningless (left at 0).
+/// One analyzed point of a batch: the two numbers every multi-point
+/// analysis reads. A point whose analysis failed carries `ok = false` plus
+/// the error envelope; `expected_reliability` is then 0 and
+/// `tangible_states` the failed model's size when the error recorded it.
+/// Deliberately no state distribution: a batch can hold 100 000 points.
+struct PointResult {
+  double expected_reliability = 0.0;
+  std::size_t tangible_states = 0;
+  bool ok = true;
+  fault::ErrorInfo error;
+};
+
+/// The batch evaluator that sweeps, crossovers, the optimizer, sensitivity
+/// and the architecture space all run on. Point 0 runs on the calling
+/// thread and warms the staged caches the rest share; the rest fan out by
+/// index on the runtime pool, so the result does not depend on the job
+/// count. A one-point batch never touches the pool.
+///
+/// Degradation: a point whose analysis throws becomes an error envelope
+/// unless `policy.strict`, which rethrows; when the pool itself fails, every
+/// point it left unevaluated gets the pool's error. Each degraded point adds
+/// 1 to the `fault.degraded_points` counter.
+std::vector<PointResult> analyze_points(
+    const ReliabilityAnalyzer& analyzer,
+    const std::vector<SystemParameters>& points, const fault::Policy& policy);
+
+/// One point of a parameter sweep; see PointResult for the envelope.
 struct SweepPoint {
   double x = 0.0;
   double expected_reliability = 0.0;
@@ -29,9 +52,8 @@ using ParameterSetter =
 /// Evenly spaced values in [lo, hi] (inclusive), `count` >= 2.
 std::vector<double> linspace(double lo, double hi, std::size_t count);
 
-/// Runs the analyzer over `values` applied to `base` through `setter`.
-/// A point whose solve throws becomes an error envelope (SweepPoint::ok =
-/// false) unless `policy.strict`, which restores fail-fast.
+/// Analyzes `base` with each of `values` applied through `setter`, as one
+/// analyze_points batch (same degradation and strict semantics).
 std::vector<SweepPoint> sweep_parameter(const ReliabilityAnalyzer& analyzer,
                                         const SystemParameters& base,
                                         const ParameterSetter& setter,
@@ -47,10 +69,11 @@ struct Crossover {
 };
 
 /// Finds all sign changes of f(a) - f(b) across `values` and refines each by
-/// bisection. `setter` is applied to both parameter sets. Unless
-/// `policy.strict`, a failed grid evaluation masks its two adjacent
-/// intervals and a failure during bisection abandons that crossover —
-/// degraded, never aborted.
+/// bisection. `setter` is applied to both parameter sets. The grid is one
+/// batch per configuration; each bisection step and the final point are
+/// one-point batches. Unless `policy.strict`, a point where either side
+/// failed masks its two adjacent intervals, and a failure during bisection
+/// abandons that crossover — degraded, never aborted.
 std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
                                        const SystemParameters& config_a,
                                        const SystemParameters& config_b,

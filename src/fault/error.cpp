@@ -100,6 +100,7 @@ ErrorInfo ErrorInfo::from(const std::exception& e) {
   info.message = e.what();
   if (const auto* err = dynamic_cast<const Error*>(&e)) {
     info.site = err->context().site;
+    info.states = err->context().states;
     info.causes = err->context().causes;
   }
   return info;

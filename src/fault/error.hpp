@@ -69,6 +69,7 @@ struct ErrorInfo {
   Category category = Category::kInternal;
   std::string message;             ///< the exception's what()
   std::string site;                ///< Error context site when available
+  std::size_t states = 0;          ///< Error context states when available
   std::vector<std::string> causes; ///< Error context causes when available
 
   static ErrorInfo from(const std::exception& e);

@@ -46,7 +46,7 @@ EmbeddedChainOperator::EmbeddedChainOperator(
         group.subordinated.pour(sparse_subordinated_values(g, group.in_set));
     SparseUniformization uniformization = [&] {
       const obs::ScopedSpan uniform_span("markov.sparse_uniformization");
-      return SparseUniformization(q, tau);
+      return SparseUniformization(q, tau, "mfree");
     }();
 
     std::vector<Triplet> ft;

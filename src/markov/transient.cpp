@@ -169,14 +169,15 @@ Vector ctmc_transient(const DenseMatrix& generator, const Vector& pi0,
 }
 
 SparseUniformization::SparseUniformization(
-    const linalg::SparseMatrixCsr& generator, double tau, double epsilon)
+    const linalg::SparseMatrixCsr& generator, double tau, const char* backend,
+    double epsilon)
     : tau_(tau), size_(generator.rows()) {
   NVP_EXPECTS(generator.rows() == generator.cols());
   NVP_EXPECTS(tau >= 0.0);
   if (fault::fire(fault::Site::kUniformization)) {
     fault::Context context;
     context.site = "markov.sparse_uniformization";
-    context.backend = "sparse";
+    context.backend = backend;
     context.states = size_;
     context.detail = "injected";
     throw fault::Error(fault::Category::kNoConvergence,
@@ -307,12 +308,16 @@ Vector SparseUniformization::omega_row(const Vector& pi0) const {
 
 Vector ctmc_transient(const linalg::SparseMatrixCsr& generator,
                       const Vector& pi0, double t) {
-  return SparseUniformization(generator, t, 1e-14).row_pair(pi0).omega;
+  return SparseUniformization(generator, t, "sparse", 1e-14)
+      .row_pair(pi0)
+      .omega;
 }
 
 Vector ctmc_accumulated_sojourn(const linalg::SparseMatrixCsr& generator,
                                 const Vector& pi0, double t) {
-  return SparseUniformization(generator, t, 1e-14).row_pair(pi0).sojourn;
+  return SparseUniformization(generator, t, "sparse", 1e-14)
+      .row_pair(pi0)
+      .sojourn;
 }
 
 Vector ctmc_accumulated_sojourn(const DenseMatrix& generator,

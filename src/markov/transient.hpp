@@ -51,10 +51,14 @@ struct TransientRowPair {
 /// matrix_exponential_pair, which materializes the full n x n exponential.
 /// The matrix-free MRGP operator propagates one vector per deterministic
 /// group through it; queries are independent, so callers may fan them out
-/// in parallel (the object is immutable after construction).
+/// in parallel (the object is immutable after construction). `backend`
+/// labels a construction failure with the solver backend that asked for
+/// the propagator ("sparse" for the CSR transient queries, "mfree" for the
+/// operator).
 class SparseUniformization {
  public:
   SparseUniformization(const linalg::SparseMatrixCsr& generator, double tau,
+                       const char* backend = "sparse",
                        double epsilon = 1e-16);
 
   /// omega/sojourn rows for the point-mass initial vector e_state.

@@ -190,28 +190,22 @@ bool parse_options(const wire::Value& node,
                    core::ReliabilityAnalyzer::Options* options,
                    std::string* error) {
   if (node.get("convention") != nullptr) {
-    const std::string convention = node.string_or("convention", "");
-    if (convention == "verbatim")
-      options->convention = core::RewardConvention::kPaperVerbatim;
-    else if (convention == "generalized")
-      options->convention = core::RewardConvention::kGeneralized;
-    else if (convention == "strict")
-      options->convention = core::RewardConvention::kStrict;
-    else {
-      *error = "options.convention must be verbatim|generalized|strict";
+    const auto convention =
+        core::parse_convention(node.string_or("convention", ""));
+    if (!convention) {
+      *error = "options.convention must be " + core::convention_names();
       return false;
     }
+    options->convention = *convention;
   }
   if (node.get("attachment") != nullptr) {
-    const std::string attachment = node.string_or("attachment", "");
-    if (attachment == "operational")
-      options->attachment = core::RewardAttachment::kOperationalStatesOnly;
-    else if (attachment == "appendix")
-      options->attachment = core::RewardAttachment::kAppendixMatrices;
-    else {
-      *error = "options.attachment must be operational|appendix";
+    const auto attachment =
+        core::parse_attachment(node.string_or("attachment", ""));
+    if (!attachment) {
+      *error = "options.attachment must be " + core::attachment_names();
       return false;
     }
+    options->attachment = *attachment;
   }
   if (node.get("solver") != nullptr) {
     const std::string solver = node.string_or("solver", "");

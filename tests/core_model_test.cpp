@@ -201,6 +201,20 @@ TEST(Analyzer, RewardConventionsOrdering) {
   }
 }
 
+TEST(Analyzer, OptionNamesRoundTripAndRejectMisspellings) {
+  for (const auto convention :
+       {RewardConvention::kPaperVerbatim, RewardConvention::kGeneralized,
+        RewardConvention::kStrict})
+    EXPECT_EQ(parse_convention(to_string(convention)), convention);
+  EXPECT_EQ(parse_attachment("operational"),
+            RewardAttachment::kOperationalStatesOnly);
+  EXPECT_EQ(parse_attachment("appendix"), RewardAttachment::kAppendixMatrices);
+  EXPECT_FALSE(parse_convention("generalised").has_value());
+  EXPECT_FALSE(parse_attachment("appendx").has_value());
+  EXPECT_EQ(convention_names(), "verbatim|generalized|strict");
+  EXPECT_EQ(attachment_names(), "operational|appendix");
+}
+
 TEST(Analyzer, CustomRewardModelMustMatchN) {
   const ReliabilityAnalyzer analyzer;
   const PaperFourVersionReliability four_rewards(0.08, 0.5, 0.5);
@@ -364,7 +378,7 @@ TEST(Optimizer, RequiresRejuvenatingModel) {
   const ReliabilityAnalyzer analyzer;
   EXPECT_THROW(optimize_rejuvenation_interval(
                    analyzer, SystemParameters::paper_four_version(), 100.0,
-                   1000.0),
+                   1000.0, 16, 1.0),
                util::ContractViolation);
 }
 

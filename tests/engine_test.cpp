@@ -1,13 +1,11 @@
 // Tests for the core::Engine facade: every entry point must be
-// bit-identical to the direct-call path it fronts, and the RunResult
-// envelope must carry provenance and metrics.
+// bit-identical to the direct-call path it fronts.
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.hpp"
 #include "src/core/model_factory.hpp"
 #include "src/core/reliability.hpp"
-#include "src/obs/manifest.hpp"
 #include "src/sim/dspn_simulator.hpp"
 
 namespace {
@@ -27,8 +25,7 @@ TEST(Engine, AnalyzeMatchesDirectPathBitIdentical) {
   for (const auto& params : {four_version(), six_version()}) {
     const auto direct = analyzer.analyze(params);
     const auto result = engine.analyze(params);
-    EXPECT_TRUE(result.analytic);
-    EXPECT_FALSE(result.simulated);
+    EXPECT_TRUE(result.ok);
     EXPECT_EQ(result.analysis.expected_reliability,
               direct.expected_reliability);
     EXPECT_EQ(result.analysis.tangible_states, direct.tangible_states);
@@ -60,8 +57,7 @@ TEST(Engine, SimulateMatchesDirectPathBitIdentical) {
 
   const core::Engine engine;
   const auto result = engine.simulate(params, options);
-  EXPECT_TRUE(result.simulated);
-  EXPECT_FALSE(result.analytic);
+  EXPECT_TRUE(result.ok);
 
   // Direct path: same model, same reward, same replication schedule.
   const auto model = core::PerceptionModelFactory::build(params);
@@ -163,34 +159,6 @@ TEST(Engine, ArchitecturesMatchExplorer) {
     EXPECT_EQ(via_engine[i].expected_reliability,
               direct[i].expected_reliability);
   }
-}
-
-TEST(Engine, RunResultCarriesProvenanceAndMetrics) {
-  const core::Engine engine;
-  const auto params = six_version();
-  const auto result = engine.analyze(params);
-  EXPECT_EQ(result.provenance.entry, "analyze");
-  EXPECT_EQ(result.provenance.params, params.describe());
-  EXPECT_EQ(result.provenance.git_sha, obs::build_git_sha());
-  EXPECT_GT(result.provenance.jobs, 0u);
-  // The analyzer counters ticked during this run (a solve, or a rewards
-  // cache hit), so the envelope's metrics snapshot must mention them.
-  EXPECT_TRUE(result.metrics.counters.count("core.analyzer.solves") == 1 ||
-              result.metrics.counters.count("core.rewards_cache.hits") == 1);
-
-  core::Engine::SimulateOptions sim_options;
-  sim_options.horizon = 1e4;
-  sim_options.seed = 42;
-  sim_options.replications = 2;
-  const auto simulated = engine.simulate(params, sim_options);
-  EXPECT_EQ(simulated.provenance.entry, "simulate");
-  EXPECT_EQ(simulated.provenance.seed, 42u);
-
-  const auto snapshot = engine.snapshot("sweep", params, 9);
-  EXPECT_EQ(snapshot.provenance.entry, "sweep");
-  EXPECT_EQ(snapshot.provenance.seed, 9u);
-  EXPECT_FALSE(snapshot.analytic);
-  EXPECT_FALSE(snapshot.simulated);
 }
 
 }  // namespace

@@ -272,10 +272,10 @@ TEST(MonitorSession, ReSolveIsBitIdenticalToColdSolve) {
   estimated.mean_time_to_compromise = it->mttc_hat;
   estimated.p_prime = it->p_prime_hat;
   estimated.rejuvenation_interval = it->target_interval;
-  const double warm = engine.reliability(estimated);
+  const double warm = engine.analyze_raw(estimated).expected_reliability;
   EXPECT_EQ(warm, it->expected_reliability);
   core::clear_stage_caches();
-  const double cold = engine.reliability(estimated);
+  const double cold = engine.analyze_raw(estimated).expected_reliability;
   EXPECT_EQ(cold, warm);
 }
 

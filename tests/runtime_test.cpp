@@ -8,15 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/core/analyzer.hpp"
+#include "src/core/architecture_space.hpp"
 #include "src/core/model_factory.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/reliability.hpp"
+#include "src/core/sensitivity.hpp"
 #include "src/core/staged.hpp"
 #include "src/core/sweep.hpp"
 #include "src/obs/metrics.hpp"
@@ -323,21 +326,72 @@ TEST(Determinism, ReplicatedEstimateIsIdenticalForAnyJobCount) {
   runtime::set_default_jobs(0);
 }
 
-TEST(Determinism, OptimizerIsIdenticalForAnyJobCount) {
-  auto optimize_with = [](std::size_t jobs) {
+/// Runs `batch` on cleared stage caches at 1, 2 and 8 jobs; every run
+/// must report exactly the serial run's numbers.
+void expect_identical_for_any_job_count(
+    const std::function<std::vector<double>()>& batch) {
+  const auto run_with = [&](std::size_t jobs) {
     runtime::set_default_jobs(jobs);
     core::clear_stage_caches();
+    return batch();
+  };
+  const std::vector<double> serial = run_with(1);
+  EXPECT_FALSE(serial.empty());
+  for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}})
+    EXPECT_EQ(run_with(jobs), serial) << "jobs=" << jobs;
+  runtime::set_default_jobs(0);
+}
+
+TEST(Determinism, OptimizerIsIdenticalForAnyJobCount) {
+  expect_identical_for_any_job_count([] {
     const core::ReliabilityAnalyzer analyzer;
-    return core::optimize_rejuvenation_interval(
+    const auto optimum = core::optimize_rejuvenation_interval(
         analyzer, core::SystemParameters::paper_six_version(), 200.0, 1500.0,
         /*grid_points=*/6, /*tolerance=*/50.0);
-  };
-  const auto serial = optimize_with(1);
-  const auto parallel = optimize_with(8);
-  EXPECT_EQ(parallel.x, serial.x);
-  EXPECT_EQ(parallel.expected_reliability, serial.expected_reliability);
-  EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  runtime::set_default_jobs(0);
+    return std::vector<double>{optimum.x, optimum.expected_reliability,
+                               static_cast<double>(optimum.evaluations)};
+  });
+}
+
+TEST(Determinism, CrossoversAreIdenticalForAnyJobCount) {
+  // 6v against 4v over MTTC crosses twice in [100, 20000].
+  expect_identical_for_any_job_count([] {
+    const core::ReliabilityAnalyzer analyzer;
+    std::vector<double> out;
+    for (const core::Crossover& c : core::find_crossovers(
+             analyzer, core::SystemParameters::paper_six_version(),
+             core::SystemParameters::paper_four_version(),
+             core::set_mean_time_to_compromise(),
+             core::linspace(100.0, 20000.0, 12)))
+      out.insert(out.end(), {c.x, c.reliability});
+    return out;
+  });
+}
+
+TEST(Determinism, SensitivityIsIdenticalForAnyJobCount) {
+  expect_identical_for_any_job_count([] {
+    const core::ReliabilityAnalyzer analyzer;
+    std::vector<double> out;
+    for (const core::SensitivityEntry& e : core::sensitivity_report(
+             analyzer, core::SystemParameters::paper_six_version()))
+      out.insert(out.end(), {e.value_down, e.value_up, e.elasticity});
+    return out;
+  });
+}
+
+TEST(Determinism, ArchitectureSpaceIsIdenticalForAnyJobCount) {
+  expect_identical_for_any_job_count([] {
+    core::ArchitectureSpaceExplorer::Options options;
+    options.max_versions = 7;
+    std::vector<double> out;
+    for (const core::ArchitectureResult& r :
+         core::ArchitectureSpaceExplorer(options).explore(
+             core::SystemParameters::paper_six_version()))
+      out.insert(out.end(), {static_cast<double>(r.n),
+                             static_cast<double>(r.r), r.expected_reliability,
+                             static_cast<double>(r.tangible_states)});
+    return out;
+  });
 }
 
 }  // namespace

@@ -298,6 +298,21 @@ TEST(RequestTest, RejectsBadRequests) {
           "monitor": {"horizon": 1e9, "update_every": 1}})");
 }
 
+TEST(RequestTest, RejectsMisspelledOptionNames) {
+  service::Request request;
+  std::string error;
+  auto payload = parse(R"({"id": 1, "method": "analyze",
+                           "options": {"convention": "generalised"}})");
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_FALSE(service::parse_request(*payload, &request, &error));
+  EXPECT_EQ(error, "options.convention must be verbatim|generalized|strict");
+  payload = parse(R"({"id": 1, "method": "analyze",
+                      "options": {"attachment": "appendx"}})");
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_FALSE(service::parse_request(*payload, &request, &error));
+  EXPECT_EQ(error, "options.attachment must be operational|appendix");
+}
+
 TEST(RequestTest, ParsesMonitorWithDefaultsAndOverrides) {
   const auto request = must_parse(
       R"({"id": 9, "method": "monitor", "params": {"paper": "6v"},
@@ -374,7 +389,6 @@ TEST(EngineDeadlineTest, ExpiredDeadlineShortCircuits) {
       params, std::chrono::steady_clock::now() - std::chrono::seconds(1));
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.error.category, fault::Category::kDeadlineExceeded);
-  EXPECT_FALSE(result.analytic);
 }
 
 TEST(EngineDeadlineTest, GenerousDeadlineSucceedsIdentically) {

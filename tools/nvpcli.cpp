@@ -365,14 +365,20 @@ core::SystemParameters paper_params(const util::CliArgs& args) {
 core::ReliabilityAnalyzer::Options analyzer_options(
     const util::CliArgs& args) {
   core::ReliabilityAnalyzer::Options options;
-  const std::string convention = args.get("convention", "verbatim");
-  if (convention == "generalized")
-    options.convention = core::RewardConvention::kGeneralized;
-  else if (convention == "strict")
-    options.convention = core::RewardConvention::kStrict;
-  const std::string attachment = args.get("attachment", "operational");
-  if (attachment == "appendix")
-    options.attachment = core::RewardAttachment::kAppendixMatrices;
+  if (args.has("convention")) {
+    const auto convention = core::parse_convention(args.get("convention", ""));
+    if (!convention)
+      throw std::invalid_argument("--convention must be " +
+                                  core::convention_names());
+    options.convention = *convention;
+  }
+  if (args.has("attachment")) {
+    const auto attachment = core::parse_attachment(args.get("attachment", ""));
+    if (!attachment)
+      throw std::invalid_argument("--attachment must be " +
+                                  core::attachment_names());
+    options.attachment = *attachment;
+  }
   if (args.has("solver-config"))
     options.solver.apply(args.get("solver-config", ""));
   return options;
