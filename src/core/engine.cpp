@@ -158,14 +158,14 @@ std::vector<Crossover> Engine::crossovers(
                          tolerance, policy());
 }
 
-Optimum Engine::optimize_rejuvenation_interval(const SystemParameters& base,
-                                               double lo, double hi,
-                                               std::size_t grid_points,
-                                               double tolerance) const {
+Optimum Engine::optimize_rejuvenation_interval(
+    const SystemParameters& base, double lo, double hi,
+    std::size_t grid_points, double tolerance,
+    std::optional<double> start) const {
   const obs::ScopedSpan span("engine.optimize");
   return core::optimize_rejuvenation_interval(analyzer_, base, lo, hi,
                                               grid_points, tolerance,
-                                              policy());
+                                              policy(), start);
 }
 
 std::vector<SensitivityEntry> Engine::sensitivity(

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,8 @@ class Engine {
   /// Batch entry points: the free functions with this engine's analyzer
   /// and Options::strict (sensitivity always fails fast), each running its
   /// points through analyze_points. `optimize_rejuvenation_interval`'s
-  /// 24-point grid and 0.5 s tolerance are the library's one default.
+  /// 24-point grid and 0.5 s tolerance are the library's one default; a
+  /// `start` (the monitor's last-good optimum) selects the warm bracket.
   std::vector<SweepPoint> sweep(const SystemParameters& base,
                                 const ParameterSetter& setter,
                                 const std::vector<double>& values) const;
@@ -121,10 +123,10 @@ class Engine {
                                     const ParameterSetter& setter,
                                     const std::vector<double>& values,
                                     double tolerance = 1.0) const;
-  Optimum optimize_rejuvenation_interval(const SystemParameters& base,
-                                         double lo, double hi,
-                                         std::size_t grid_points = 24,
-                                         double tolerance = 0.5) const;
+  Optimum optimize_rejuvenation_interval(
+      const SystemParameters& base, double lo, double hi,
+      std::size_t grid_points = 24, double tolerance = 0.5,
+      std::optional<double> start = std::nullopt) const;
   std::vector<SensitivityEntry> sensitivity(const SystemParameters& base,
                                             double relative_step = 0.1) const;
   std::vector<ArchitectureResult> architectures(

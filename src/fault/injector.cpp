@@ -1,5 +1,6 @@
 #include "src/fault/injector.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -16,14 +17,16 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "pool",  "alloc", "mfree", "store-read",     "store-write"};
 
 obs::Counter& injected_counter(Site site) {
-  static obs::Counter* counters[kSiteCount] = {nullptr};
-  const std::size_t i = static_cast<std::size_t>(site);
-  // Racy-but-idempotent init: Registry::counter returns the same object for
-  // the same name, so concurrent first calls store the same pointer.
-  if (counters[i] == nullptr)
-    counters[i] = &obs::Registry::global().counter(
-        std::string("fault.injected.") + kSiteNames[i]);
-  return *counters[i];
+  // Every site's counter, resolved once by the (thread-safe) initializer of
+  // the function-local static; pool threads only read the array.
+  static const std::array<obs::Counter*, kSiteCount> counters = [] {
+    std::array<obs::Counter*, kSiteCount> out{};
+    for (std::size_t i = 0; i < kSiteCount; ++i)
+      out[i] = &obs::Registry::global().counter(
+          std::string("fault.injected.") + kSiteNames[i]);
+    return out;
+  }();
+  return *counters[static_cast<std::size_t>(site)];
 }
 
 }  // namespace

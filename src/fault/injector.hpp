@@ -21,7 +21,8 @@ enum class Site : std::size_t {
   kPowerIteration,  ///< linalg power iteration: forced non-convergence
   kUniformization,  ///< markov transient pairs: forced series failure
   kCache,           ///< runtime LRU cache: forced lookup miss
-  kPool,            ///< runtime thread pool: forced task-dispatch failure
+  kPool,            ///< runtime thread pool: forced task-dispatch failure,
+                    ///< one decision per parallel_for on the caller
   kAlloc,           ///< markov dense assembly: forced allocation failure
   kMatrixFree,      ///< markov matrix-free solve: forced operator failure
   kStoreRead,       ///< persistent store read: forced (counted) miss
@@ -47,7 +48,8 @@ std::optional<Site> parse_site(std::string_view name);
 /// run with the same spec and the same per-site decision order reproduces
 /// the same fault pattern regardless of wall-clock or PRNG state elsewhere.
 /// (Under the thread pool the *assignment* of decisions to loop indices can
-/// vary with the schedule; rates 0.0 and 1.0 are schedule-independent.)
+/// vary with the schedule; rates 0.0 and 1.0 are schedule-independent. The
+/// `pool` site itself draws once per parallel_for, on the calling thread.)
 ///
 /// Every fired decision increments the obs counter `fault.injected.<site>`.
 class Injector {

@@ -21,6 +21,11 @@ obs::Counter& resolves_total() {
       obs::Registry::global().counter("monitor.resolves");
   return c;
 }
+obs::Counter& evaluations_total() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("monitor.evaluations");
+  return c;
+}
 obs::Counter& retunes_total() {
   static obs::Counter& c = obs::Registry::global().counter("monitor.retunes");
   return c;
@@ -118,14 +123,16 @@ void MonitorController::update(double time) {
   try {
     obs::ScopedSpan span("monitor.resolve");
     const auto t0 = std::chrono::steady_clock::now();
+    // Warm: search the lattice bracket around the last-good optimum.
     const core::Optimum opt = engine_.optimize_rejuvenation_interval(
         estimated, config_.interval_lo, config_.interval_hi,
-        config_.grid_points, config_.tolerance);
+        config_.grid_points, config_.tolerance, last_good_target_);
     resolve_seconds().observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
     ++resolves_;
     resolves_total().add();
+    evaluations_total().add(opt.evaluations);
     record.target_interval = opt.x;
     record.expected_reliability = opt.expected_reliability;
     last_good_target_ = opt.x;

@@ -44,6 +44,12 @@ struct ControlRecord {
 /// by every update (same architecture — one reachability exploration per
 /// process), and repeated quantized points cost nothing at all.
 ///
+/// Each re-solve starts from the last-good target: the optimizer searches
+/// a warm 3-point bracket on a fixed geometric lattice around it and falls
+/// back to the full `grid_points` grid only when a warm point fails or the
+/// bracket is not unimodal (core::maximize_reliability). The
+/// `monitor.evaluations` counter sums the analyses every re-solve asked.
+///
 /// Failure envelope: if the re-solve fails (all grid points degraded —
 /// e.g. under fault injection), the controller falls back to the last-good
 /// target and records a degraded ControlRecord instead of aborting; the
@@ -58,8 +64,10 @@ class MonitorController {
     double min_events = 2.0;  ///< compromise evidence needed before acting
     double interval_lo = 60.0;   ///< optimizer search range
     double interval_hi = 3000.0;
-    std::size_t grid_points = 10;
-    double tolerance = 10.0;  ///< golden-section tolerance (seconds)
+    std::size_t grid_points = 10;  ///< fallback grid of a re-solve
+    /// Optimizer tolerance (seconds): the target lies within tolerance/2
+    /// of the bracketed maximizer.
+    double tolerance = 10.0;
     /// Relative quantization step for estimates entering the model (0
     /// disables). 0.05 ≈ 5% grid: well under the credible-interval width
     /// at the evidence volumes that pass `min_events`.

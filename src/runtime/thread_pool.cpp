@@ -60,8 +60,6 @@ struct LoopGroup {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
-        if (fault::fire(fault::Site::kPool))
-          throw_injected_dispatch_failure();
         body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
@@ -188,14 +186,15 @@ void ThreadPool::parallel_for(
   if (n == 0) return;
   PoolMetrics::get().loops.add();
   PoolMetrics::get().indices.add(n);
+  // The `pool` fault decision: one per loop, drawn on the caller before any
+  // index runs, so an injected dispatch failure reads the same for any
+  // schedule and job count.
+  if (fault::fire(fault::Site::kPool)) throw_injected_dispatch_failure();
   if (impl_->workers.empty() || n == 1) {
     // Serial pool (jobs == 1) or trivial loop: run inline, exceptions
     // propagate naturally (a single failure, same as the parallel path's
     // single-error rethrow).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fault::fire(fault::Site::kPool)) throw_injected_dispatch_failure();
-      body(i);
-    }
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 

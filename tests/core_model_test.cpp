@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/core/analyzer.hpp"
 #include "src/core/model_factory.hpp"
 #include "src/core/optimizer.hpp"
+#include "src/core/staged.hpp"
 #include "src/core/sweep.hpp"
 #include "src/petri/structural.hpp"
 #include "src/util/contracts.hpp"
@@ -372,6 +374,133 @@ TEST(Optimizer, GenericMaximizerOnSmoothFunction) {
       [](SystemParameters& p, double v) { p.mean_time_to_compromise = v; },
       1000.0, 5000.0, 8, 1.0);
   EXPECT_NEAR(optimum.x, 5000.0, 20.0);
+  // A decreasing objective (reliability falls with the healthy error rate
+  // p) lands exactly on the lower bound: no step beats the grid's lo.
+  const auto decreasing = maximize_reliability(
+      analyzer, SystemParameters::paper_four_version(),
+      [](SystemParameters& p, double v) { p.p = v; }, 0.01, 0.2, 8, 0.001);
+  EXPECT_EQ(decreasing.x, 0.01);
+}
+
+SystemParameters rejuvenating(int n, int f, int r) {
+  SystemParameters params = SystemParameters::paper_six_version();
+  params.n_versions = n;
+  params.max_faulty = f;
+  params.max_rejuvenating = r;
+  return params;
+}
+
+TEST(Optimizer, BrentRefinesTheGridInAtMostEightSteps) {
+  // The library default (24 grid points, 0.5 s) over [100, 3000] on the
+  // three rejuvenating architectures the design study optimizes; golden
+  // section took 16 steps on each.
+  const ReliabilityAnalyzer analyzer;
+  for (const auto& params :
+       {rejuvenating(6, 1, 1), rejuvenating(8, 1, 1), rejuvenating(10, 2, 1)}) {
+    const auto optimum = optimize_rejuvenation_interval(analyzer, params, 100.0,
+                                                        3000.0, 24, 0.5);
+    EXPECT_LE(optimum.evaluations - 24, 8u) << "N=" << params.n_versions;
+    EXPECT_GT(optimum.x, 100.0);
+    EXPECT_LT(optimum.x, 3000.0);
+  }
+}
+
+TEST(Optimizer, OptimumMatchesAnIndependentFineScan) {
+  // The returned x is within tolerance/2 of the curve's maximizer; an
+  // independent 0.05 s scan over +-2 s locates that maximizer to one step.
+  const ReliabilityAnalyzer analyzer;
+  const auto params = SystemParameters::paper_six_version();
+  const double tolerance = 0.5;
+  const auto optimum = optimize_rejuvenation_interval(analyzer, params, 100.0,
+                                                      3000.0, 24, tolerance);
+  const auto scan =
+      sweep_parameter(analyzer, params, set_rejuvenation_interval(),
+                      linspace(optimum.x - 2.0, optimum.x + 2.0, 81));
+  const auto argmax = std::max_element(
+      scan.begin(), scan.end(), [](const SweepPoint& a, const SweepPoint& b) {
+        return a.expected_reliability < b.expected_reliability;
+      });
+  EXPECT_LE(std::abs(optimum.x - argmax->x), tolerance / 2.0 + 0.05);
+  EXPECT_GE(optimum.expected_reliability,
+            argmax->expected_reliability - 1e-9);
+}
+
+TEST(Optimizer, UnsolvableSubRangeStillYieldsAFiniteOptimum) {
+  // A negative MTTC is rejected by the model, so every point in [300, 400]
+  // fails: the search scores them -inf and never fits a parabola to them.
+  const ReliabilityAnalyzer analyzer;
+  const auto params = SystemParameters::paper_six_version();
+  const auto optimum = maximize_reliability(
+      analyzer, params,
+      [](SystemParameters& p, double v) {
+        p.rejuvenation_interval = v;
+        if (v >= 300.0 && v <= 400.0) p.mean_time_to_compromise = -1.0;
+      },
+      100.0, 3000.0, 24, 0.5);
+  EXPECT_TRUE(std::isfinite(optimum.expected_reliability));
+  EXPECT_GE(optimum.x, 100.0);
+  EXPECT_LE(optimum.x, 3000.0);
+  EXPECT_FALSE(optimum.x >= 300.0 && optimum.x <= 400.0);
+  const auto clean =
+      optimize_rejuvenation_interval(analyzer, params, 100.0, 3000.0, 24, 0.5);
+  EXPECT_NEAR(optimum.x, clean.x, 0.5);
+}
+
+TEST(Optimizer, WarmBracketMatchesTheColdSearch) {
+  // The monitor's range and tolerance. MTTC 190 s puts the optimum near
+  // lo, 20000 s at hi; every start must land where the cold grid does, and
+  // a start at the optimum (a monitor's steady state) asks fewer questions
+  // than the grid alone.
+  const ReliabilityAnalyzer analyzer;
+  for (const double mttc : {1523.0, 190.0, 20000.0}) {
+    SystemParameters params = SystemParameters::paper_six_version();
+    params.mean_time_to_compromise = mttc;
+    const auto cold =
+        optimize_rejuvenation_interval(analyzer, params, 60.0, 3000.0, 10, 10.0);
+    for (const double start : {60.0, 600.0, 3000.0, cold.x}) {
+      const auto warm = optimize_rejuvenation_interval(
+          analyzer, params, 60.0, 3000.0, 10, 10.0, {}, start);
+      EXPECT_NEAR(warm.x, cold.x, 10.0) << "mttc " << mttc << " start " << start;
+      if (start == cold.x) {
+        EXPECT_LT(warm.evaluations, 10u) << "mttc " << mttc;
+      }
+    }
+  }
+}
+
+TEST(Optimizer, WarmBracketFallsBackToTheGridWhenNotUnimodal) {
+  // interval = |v - 1000| + 100 makes the curve bimodal in v, with its dip
+  // at v = 1000: the warm trio around 960 has its lowest point in the
+  // middle, so the search runs the cold grid after its three warm points.
+  const ReliabilityAnalyzer analyzer;
+  const auto bimodal = [](SystemParameters& p, double v) {
+    p.rejuvenation_interval = std::abs(v - 1000.0) + 100.0;
+  };
+  const auto params = SystemParameters::paper_six_version();
+  const auto cold =
+      maximize_reliability(analyzer, params, bimodal, 60.0, 3000.0, 10, 10.0);
+  const auto warm = maximize_reliability(analyzer, params, bimodal, 60.0,
+                                         3000.0, 10, 10.0, {}, 960.0);
+  EXPECT_EQ(warm.x, cold.x);
+  EXPECT_EQ(warm.expected_reliability, cold.expected_reliability);
+  EXPECT_EQ(warm.evaluations, cold.evaluations + 3);
+}
+
+TEST(Optimizer, NearbyWarmStartsAskTheSameQuestions) {
+  // The lattice, not the raw start, fixes the warm points: a repeat with
+  // the same inputs, or a start that rounds to the same lattice point, is
+  // answered by the rewards cache.
+  const ReliabilityAnalyzer analyzer;
+  const auto params = SystemParameters::paper_six_version();
+  const auto first = optimize_rejuvenation_interval(
+      analyzer, params, 60.0, 3000.0, 10, 10.0, {}, 600.0);
+  for (const double start : {600.0, 620.0}) {
+    const auto before = stage_cache_stats().rewards;
+    const auto again = optimize_rejuvenation_interval(
+        analyzer, params, 60.0, 3000.0, 10, 10.0, {}, start);
+    EXPECT_EQ(stage_cache_stats().rewards.misses, before.misses) << start;
+    EXPECT_EQ(again.x, first.x) << start;
+  }
 }
 
 TEST(Optimizer, RequiresRejuvenatingModel) {

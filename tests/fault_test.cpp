@@ -4,9 +4,11 @@
 // degradation of the batch drivers (sweep / crossovers / optimizer /
 // architecture space / Engine envelopes).
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -457,6 +459,31 @@ TEST_F(FaultInjectionTest, PoolDispatchInjectionThrowsResourceError) {
   EXPECT_EQ(ran.load(), 0);
 }
 
+TEST_F(FaultInjectionTest, PoolDecisionIsOnePerLoopForAnyJobCount) {
+  // The caller draws one `pool` decision per parallel_for before any index
+  // runs, so which loops fail, and how, is the same for every job count.
+  const auto failures = [](std::size_t jobs) {
+    fault::Injector::global().set(fault::Site::kPool, 0.5, 3);
+    runtime::ThreadPool pool(jobs);
+    std::vector<std::string> out;
+    for (int loop = 0; loop < 16; ++loop) {
+      std::atomic<int> ran{0};
+      try {
+        pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
+        out.push_back("ran " + std::to_string(ran.load()));
+      } catch (const fault::Error& e) {
+        out.push_back(std::string(e.what()) + " after " +
+                      std::to_string(ran.load()));
+      }
+    }
+    EXPECT_EQ(fault::Injector::global().decisions(fault::Site::kPool), 16u);
+    return out;
+  };
+  const std::vector<std::string> serial = failures(1);
+  EXPECT_NE(std::count(serial.begin(), serial.end(), "ran 8"), 16);
+  EXPECT_EQ(failures(4), serial);
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation of the batch drivers.
 
@@ -509,12 +536,17 @@ TEST_F(FaultInjectionTest, OptimizerThrowsWhenEveryGridPointFails) {
   fault::Injector::global().set(fault::Site::kAlloc, 1.0, 0);
   const auto analyzer = cold_analyzer();
   const auto params = core::SystemParameters::paper_six_version();
-  try {
-    core::optimize_rejuvenation_interval(analyzer, params, 100.0, 3000.0, 4,
-                                         10.0);
-    FAIL() << "expected all-points failure";
-  } catch (const fault::Error& e) {
-    EXPECT_EQ(e.category(), fault::Category::kNoConvergence);
+  // Cold, and warm: failed warm-bracket points fall back to the grid.
+  for (const std::optional<double> start : {std::optional<double>{}, {600.0}}) {
+    try {
+      core::optimize_rejuvenation_interval(analyzer, params, 100.0, 3000.0, 4,
+                                           10.0, {}, start);
+      FAIL() << "expected all-points failure";
+    } catch (const fault::Error& e) {
+      EXPECT_EQ(e.category(), fault::Category::kNoConvergence);
+      EXPECT_NE(std::string(e.what()).find("every grid evaluation failed"),
+                std::string::npos);
+    }
   }
 }
 

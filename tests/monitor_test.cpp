@@ -295,6 +295,29 @@ TEST(MonitorSession, AdaptiveDoesNotLoseToBestStaticUnderDrift) {
   EXPECT_GE(adaptive.reliability, best_static);
 }
 
+TEST(MonitorSession, ReSolvesAverageAtMostTenEvaluations) {
+  // `nvpcli monitor --paper 6v --schedule step --horizon 20000 --period
+  // 10000 --seed 2024`: every re-solve starts its warm bracket from the
+  // last-good target, the configured interval before the first optimum
+  // (the full grid alone is 10 points).
+  monitor::SessionConfig config;
+  config.params = core::SystemParameters::paper_six_version();
+  config.schedule.kind = monitor::DriftSchedule::Kind::kStep;
+  config.schedule.period = 10000.0;
+  config.duration = 20000.0;
+  config.seed = 2024;
+  config.hysteresis.min_interval = config.controller.interval_lo;
+  config.hysteresis.max_interval = config.controller.interval_hi;
+  const obs::Counter& evaluations =
+      obs::Registry::global().counter("monitor.evaluations");
+  const std::uint64_t before = evaluations.value();
+  const monitor::SessionResult result =
+      run_monitor_session(core::Engine{}, config);
+  ASSERT_GT(result.resolves, 0u);
+  EXPECT_EQ(result.degraded_updates, 0u);
+  EXPECT_LE(evaluations.value() - before, 10 * result.resolves);
+}
+
 TEST(MonitorSession, StaticPolicyNeverTouchesTheClock) {
   const core::Engine engine;
   monitor::SessionConfig config = short_session(5);

@@ -13,7 +13,9 @@ asserts the robustness contract end to end:
     results bit-identical to the clean baseline,
   * every other armed run shows its site fired (`fault.injected.<site>` in
     the run's --metrics-json): kAuto's dispatch must not quietly route a
-    schedule around the code it is meant to break.
+    schedule around the code it is meant to break,
+  * the `pool` schedule (every parallel_for dispatch fails) gives the same
+    bytes over three runs at --jobs 4 as at --jobs 1.
 
 One JSON artifact per run plus a summary land in --out (default
 gauntlet-out/) so CI uploads them for post-mortem on failure.
@@ -137,9 +139,40 @@ def run_sweep(cli, model, spec, points, extra_args, metrics_path):
         "model": model,
         "exit_code": proc.returncode,
         "stderr": proc.stderr.strip(),
+        "stdout": proc.stdout,
         "counters": counters,
         "rows": rows,
     }
+
+
+# The pool site fails parallel_for dispatch. The decision is drawn once per
+# loop on the calling thread, before any index runs, so the degraded sweep
+# (values and envelope text alike) must be byte-identical over repeated
+# runs at --jobs 4 and equal to the --jobs 1 output.
+POOL_SPEC = "pool:1.0:0"
+POOL_JOBS = ["4", "4", "4", "1"]
+
+
+def check_pool(runs, points):
+    errors = []
+    for run in runs:
+        if run["exit_code"] != 0:
+            errors.append("aborted with exit code %d: %s"
+                          % (run["exit_code"], run["stderr"]))
+    if errors:
+        return errors
+    if runs[0]["counters"].get("fault.injected.pool", 0) <= 0:
+        errors.append("fault site pool never armed")
+    if len(runs[0]["rows"]) != points:
+        errors.append("expected %d sweep rows, got %d"
+                      % (points, len(runs[0]["rows"])))
+    if not any(row.get("error", "") for row in runs[0]["rows"]):
+        errors.append("no point degraded into an envelope")
+    for jobs, run in zip(POOL_JOBS[1:], runs[1:]):
+        if run["stdout"] != runs[0]["stdout"]:
+            errors.append("--jobs %s output differs from the first --jobs 4 "
+                          "run" % jobs)
+    return errors
 
 
 def check(run, expectation, points, baseline):
@@ -851,6 +884,21 @@ def main():
             if errors:
                 failed = True
                 summary["failures"] += 1
+    pool_runs = [
+        run_sweep(args.cli, "6v", POOL_SPEC, args.points, ["--jobs", jobs],
+                  os.path.join(args.out, "pool-6v-%d.metrics.json" % i))
+        for i, jobs in enumerate(POOL_JOBS)]
+    errors = check_pool(pool_runs, args.points)
+    with open(os.path.join(args.out, "pool-6v.json"), "w") as f:
+        json.dump({"runs": pool_runs, "check_errors": errors}, f, indent=2)
+    print("[%s] pool-6v (identical for any --jobs): %s"
+          % ("ok" if not errors else "FAIL", errors or "pass"))
+    summary["runs"].append({"name": "pool-6v",
+                            "expectation": "identical for any --jobs",
+                            "ok": not errors, "errors": errors})
+    if errors:
+        failed = True
+        summary["failures"] += 1
     with open(os.path.join(args.out, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2)
     if failed:
