@@ -49,19 +49,24 @@ int main(int argc, char** argv) {
 
   bench::dump_csv("architecture_space.csv",
                   {"n", "f", "r", "rejuvenation", "e_r"}, rows);
-  bench::JsonResult result("bench_architecture_space");
+  bench::JsonResult result(
+      "bench_architecture_space",
+      "feasible (N, f, r, rejuvenation) architectures up to N = 10 under "
+      "generalized rewards; best is the highest-E[R] one");
+  const std::string config = bench::default_config();
+  result.add("space", "core.analyze", "architectures_evaluated", "count",
+             static_cast<double>(results.size()), config);
   if (!results.empty()) {
     const auto& best = results.front();
-    result.section("best",
-                   "highest-E[R] feasible architecture up to N = 10",
-                   {{"n", static_cast<double>(best.n)},
-                    {"f", static_cast<double>(best.f)},
-                    {"r", static_cast<double>(best.r)},
-                    {"rejuvenation", best.rejuvenation ? 1.0 : 0.0},
-                    {"e_r", best.expected_reliability}});
+    const auto add = [&](const char* metric, const char* unit, double value) {
+      result.add("best", "core.analyze", metric, unit, value, config);
+    };
+    add("n", "count", best.n);
+    add("f", "count", best.f);
+    add("r", "count", best.r);
+    add("rejuvenation", "bool", best.rejuvenation ? 1.0 : 0.0);
+    add("e_r", "prob", best.expected_reliability);
   }
-  result.scalar("architectures_evaluated",
-                static_cast<double>(results.size()));
-  result.write("architecture_space.json");
+  bench::write_result(result, "architecture_space.json");
   return 0;
 }

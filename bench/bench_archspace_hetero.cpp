@@ -21,8 +21,8 @@
 //     the deployment question directly: what does hardening a subset of
 //     the versions buy at a fixed module budget?
 //
-// Results go to bench_results/BENCH_archspace.json (or $NVP_BENCH_OUT),
-// which tools/check_bench_regression.py --archspace gates in CI, and the
+// Results go to bench_results/BENCH_archspace.json (or $NVP_BENCH_OUT)
+// with their rules, which tools/check_bench_regression.py gates, and the
 // per-budget comparison to bench_results/heterogeneous_archspace.csv.
 //
 // Exit code: 0 on success, 1 when bit-identity or a warm-reuse invariant
@@ -214,27 +214,43 @@ int main(int argc, char** argv) {
                    "hetero_gain"},
                   rows);
 
-  bench::JsonResult json("bench_archspace_hetero");
-  json.section("family",
-               "cold vs store-warm exploration of the two-group candidate "
-               "family",
-               {{"candidates", candidates},
-                {"cold_ms", cold.ms},
-                {"warm_ms", warm.ms},
-                {"cold_candidates_per_s", cold_rate},
-                {"warm_candidates_per_s", warm_rate},
-                {"warm_speedup", speedup},
-                {"warm_explorations",
-                 static_cast<double>(warm.explorations)},
-                {"warm_solves", static_cast<double>(warm.solves)},
-                {"bit_identical_to_cold", identical ? 1.0 : 0.0},
-                {"failed_candidates", static_cast<double>(failed)}});
-  json.section("quality",
-               "best weighted two-group split vs best homogeneous "
-               "architecture at equal module count",
-               {{"budgets_compared", static_cast<double>(rows.size())},
-                {"hetero_wins", static_cast<double>(hetero_wins)}});
-  json.write("BENCH_archspace.json");
+  bench::JsonResult json(
+      "bench_archspace_hetero",
+      "family: cold vs store-warm exploration of the two-group candidate "
+      "family (store-warm = memory tiers cleared in the same process); "
+      "quality: best weighted two-group split vs best homogeneous "
+      "architecture at equal module count");
+  const std::string config = bench::default_config();
+  const auto family_row = [&](const char* layer, const char* metric,
+                              const char* unit, double value,
+                              bench::Rule rule = {}) {
+    json.add("family", layer, metric, unit, value, config, std::move(rule));
+  };
+  family_row("core.analyze", "candidates", "count", candidates,
+             bench::bound("ge", 200.0));
+  family_row("core.analyze", "cold_ms", "ms", cold.ms);
+  family_row("store", "warm_ms", "ms", warm.ms);
+  family_row("core.analyze", "cold_candidates_per_s", "1/s", cold_rate,
+             bench::bound("gt", 0.0));
+  family_row("store", "warm_candidates_per_s", "1/s", warm_rate,
+             bench::bound("gt", 0.0));
+  family_row("store", "warm_speedup", "ratio", speedup,
+             bench::bound("ge", 5.0));
+  family_row("petri.reachability", "warm_explorations", "count",
+             static_cast<double>(warm.explorations), bench::bound("eq", 0.0));
+  family_row("markov.solve", "warm_solves", "count",
+             static_cast<double>(warm.solves), bench::bound("eq", 0.0));
+  family_row("store", "bit_identical_to_cold", "bool", identical ? 1.0 : 0.0,
+             bench::bound("eq", 1.0));
+  family_row("core.analyze", "failed_candidates", "count",
+             static_cast<double>(failed), bench::bound("eq", 0.0));
+  json.add("quality", "core.analyze", "budgets_compared", "count",
+           static_cast<double>(rows.size()), config,
+           bench::bound("ge", 1.0));
+  json.add("quality", "core.analyze", "hetero_wins", "count",
+           static_cast<double>(hetero_wins), config,
+           bench::bound("ge", 1.0));
+  bench::write_result(json, "BENCH_archspace.json");
 
   std::filesystem::remove_all(dir);
   if (!identical || warm.explorations != 0 || warm.solves != 0) {

@@ -2,21 +2,21 @@
 
 // Shared helpers for the experiment harnesses: consistent banner/printing,
 // CSV dumps of every reproduced series (so figures can be re-plotted with
-// external tools), and terminal rendering of the paper's figures.
+// external tools), terminal rendering of the paper's figures, and the
+// schema-2 result documents of json_result.hpp.
 
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "json_result.hpp"
 #include "src/core/analyzer.hpp"
 #include "src/core/sweep.hpp"
-#include "src/obs/json.hpp"
+#include "src/markov/solver_config.hpp"
 #include "src/obs/manifest.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -87,68 +87,17 @@ inline core::SystemParameters six_version() {
   return core::SystemParameters::paper_six_version();
 }
 
-/// Today's UTC date, "YYYY-MM-DD" (the "recorded" field of result files).
-inline std::string utc_date() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[16];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%d", &tm);
-  return buf;
+/// Writes a result document under output_dir() as `filename`.
+inline bool write_result(const JsonResult& result,
+                         const std::string& filename) {
+  return result.write((output_dir() / filename).string());
 }
 
-/// Builder for a per-bench JSON result document in the same shape as
-/// bench_results/BENCH_runtime.json: a top-level object with "recorded" and
-/// "source", flat numeric scalars, and named sections that carry a "what"
-/// description plus numeric fields.
-class JsonResult {
- public:
-  explicit JsonResult(std::string source) : source_(std::move(source)) {}
-
-  void scalar(const std::string& name, double value) {
-    scalars_.emplace_back(name, value);
-  }
-
-  void section(const std::string& name, const std::string& what,
-               std::vector<std::pair<std::string, double>> fields) {
-    sections_.push_back({name, what, std::move(fields)});
-  }
-
-  std::string to_json() const {
-    obs::JsonWriter json;
-    json.begin_object();
-    json.kv("recorded", utc_date());
-    json.kv("git_sha", obs::build_git_sha());
-    json.kv("source", source_);
-    for (const auto& [name, value] : scalars_) json.kv(name, value);
-    for (const auto& section : sections_) {
-      json.key(section.name).begin_object();
-      json.kv("what", section.what);
-      for (const auto& [name, value] : section.fields) json.kv(name, value);
-      json.end_object();
-    }
-    json.end_object();
-    return json.str() + "\n";
-  }
-
-  /// Writes the document under output_dir() and logs the path.
-  void write(const std::string& filename) const {
-    const auto path = (output_dir() / filename).string();
-    std::ofstream out(path);
-    out << to_json();
-    std::printf("[json written to %s]\n", path.c_str());
-  }
-
- private:
-  struct Section {
-    std::string name;
-    std::string what;
-    std::vector<std::pair<std::string, double>> fields;
-  };
-  std::string source_;
-  std::vector<std::pair<std::string, double>> scalars_;
-  std::vector<Section> sections_;
-};
+/// describe() of the default (kAuto) solver config: the `config` of every
+/// row whose solves force no backend.
+inline std::string default_config() {
+  return markov::SolverConfig{}.describe();
+}
 
 /// Argument harness for the experiment binaries: the same shared option
 /// surface as nvpcli (--jobs/--seed/--format/--output plus --metrics-json

@@ -39,13 +39,17 @@ int main(int argc, char** argv) {
 
   bench::dump_csv("fig3_rejuv_interval.csv", {"interval_s", "e_r_6v"},
                   rows);
-  bench::JsonResult result("bench_fig3_rejuv_interval");
-  result.section("optimum",
-                 "argmax of E[R_6v] over 1/gamma in [200, 3000] s",
-                 {{"interval_s", optimum.x},
-                  {"e_r", optimum.expected_reliability},
-                  {"evaluations",
-                   static_cast<double>(optimum.evaluations)}});
-  result.write("fig3_rejuv_interval.json");
+  bench::JsonResult result(
+      "bench_fig3_rejuv_interval",
+      "argmax of E[R_6v] over 1/gamma in [200, 3000] s (24-point grid, "
+      "1 s tolerance)");
+  const std::string config = bench::default_config();
+  result.add("optimum", "core.analyze", "interval_s", "s", optimum.x,
+             config);
+  result.add("optimum", "core.analyze", "e_r", "prob",
+             optimum.expected_reliability, config);
+  result.add("optimum", "core.analyze", "evaluations", "count",
+             static_cast<double>(optimum.evaluations), config);
+  bench::write_result(result, "fig3_rejuv_interval.json");
   return 0;
 }

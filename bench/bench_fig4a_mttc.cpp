@@ -50,15 +50,13 @@ int main(int argc, char** argv) {
                 c.reliability);
 
   bench::dump_csv("fig4a_mttc.csv", {"mttc_s", "e_r_4v", "e_r_6v"}, rows);
-  bench::JsonResult result("bench_fig4a_mttc");
-  std::vector<std::pair<std::string, double>> fields;
+  bench::JsonResult result(
+      "bench_fig4a_mttc",
+      "4v/6v crossover points over 1/lambda_c (paper: ~525 s and ~6000 s)");
   for (std::size_t i = 0; i < crossovers.size(); ++i)
-    fields.push_back({util::format("crossover_%zu_s", i + 1),
-                      crossovers[i].x});
-  result.section("crossovers",
-                 "4v/6v crossover points over 1/lambda_c (paper: ~525 s "
-                 "and ~6000 s)",
-                 fields);
-  result.write("fig4a_mttc.json");
+    result.add("crossovers", "core.analyze",
+               util::format("crossover_%zu_s", i + 1), "s",
+               crossovers[i].x, bench::default_config());
+  bench::write_result(result, "fig4a_mttc.json");
   return 0;
 }

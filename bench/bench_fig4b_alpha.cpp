@@ -43,12 +43,14 @@ int main(int argc, char** argv) {
       drop(four), drop(six));
 
   bench::dump_csv("fig4b_alpha.csv", {"alpha", "e_r_4v", "e_r_6v"}, rows);
-  bench::JsonResult result("bench_fig4b_alpha");
-  result.section("degradation",
-                 "relative E[R] drop from alpha 0.1 to 1.0 (paper: ~1.5% "
-                 "for 4v, ~6.6% for 6v)",
-                 {{"four_version_pct", drop(four)},
-                  {"six_version_pct", drop(six)}});
-  result.write("fig4b_alpha.json");
+  bench::JsonResult result(
+      "bench_fig4b_alpha",
+      "relative E[R] drop from alpha 0.1 to 1.0 (paper: ~1.5% for 4v, "
+      "~6.6% for 6v)");
+  result.add("degradation", "core.analyze", "four_version_pct", "pct",
+             drop(four), bench::default_config());
+  result.add("degradation", "core.analyze", "six_version_pct", "pct",
+             drop(six), bench::default_config());
+  bench::write_result(result, "fig4b_alpha.json");
   return 0;
 }

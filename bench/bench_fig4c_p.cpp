@@ -48,13 +48,17 @@ int main(int argc, char** argv) {
       six_always_above ? "yes" : "no", drop(four), drop(six));
 
   bench::dump_csv("fig4c_p.csv", {"p", "e_r_4v", "e_r_6v"}, rows);
-  bench::JsonResult result("bench_fig4c_p");
-  result.scalar("six_always_above_four", six_always_above ? 1.0 : 0.0);
-  result.section("degradation",
-                 "relative E[R] drop from p 0.01 to 0.2 (paper: ~5% for "
-                 "4v, ~13% for 6v)",
-                 {{"four_version_pct", drop(four)},
-                  {"six_version_pct", drop(six)}});
-  result.write("fig4c_p.json");
+  bench::JsonResult result(
+      "bench_fig4c_p",
+      "relative E[R] drop from p 0.01 to 0.2 (paper: ~5% for 4v, ~13% for "
+      "6v), and whether 6v stays above 4v at every p (paper: yes)");
+  const std::string config = bench::default_config();
+  result.add("degradation", "core.analyze", "six_always_above_four",
+             "bool", six_always_above ? 1.0 : 0.0, config);
+  result.add("degradation", "core.analyze", "four_version_pct", "pct",
+             drop(four), config);
+  result.add("degradation", "core.analyze", "six_version_pct", "pct",
+             drop(six), config);
+  bench::write_result(result, "fig4c_p.json");
   return 0;
 }

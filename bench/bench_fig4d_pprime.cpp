@@ -43,12 +43,12 @@ int main(int argc, char** argv) {
 
   bench::dump_csv("fig4d_pprime.csv", {"p_prime", "e_r_4v", "e_r_6v"},
                   rows);
-  bench::JsonResult result("bench_fig4d_pprime");
-  std::vector<std::pair<std::string, double>> fields;
+  bench::JsonResult result("bench_fig4d_pprime",
+                           "4v/6v crossover points over p' (paper: ~0.3)");
   for (std::size_t i = 0; i < crossovers.size(); ++i)
-    fields.push_back({util::format("crossover_%zu", i + 1), crossovers[i].x});
-  result.section("crossovers",
-                 "4v/6v crossover points over p' (paper: ~0.3)", fields);
-  result.write("fig4d_pprime.json");
+    result.add("crossovers", "core.analyze",
+               util::format("crossover_%zu", i + 1), "prob",
+               crossovers[i].x, bench::default_config());
+  bench::write_result(result, "fig4d_pprime.json");
   return 0;
 }

@@ -50,16 +50,22 @@ int main(int argc, char** argv) {
       {"architecture", "paper", "measured"},
       {{4.0, 0.8233477, four.expected_reliability},
        {6.0, 0.93464665, six.expected_reliability}});
-  bench::JsonResult result("bench_headline");
-  result.section("four_version",
-                 "4-version, 3-out-of-4 voting, no rejuvenation",
-                 {{"e_r_paper", 0.8233477},
-                  {"e_r_measured", four.expected_reliability}});
-  result.section("six_version",
-                 "6-version, 4-out-of-6 voting, time-based rejuvenation",
-                 {{"e_r_paper", 0.93464665},
-                  {"e_r_measured", six.expected_reliability}});
-  result.scalar("improvement_pct", improvement);
-  result.write("headline.json");
+  bench::JsonResult result(
+      "bench_headline",
+      "E[R] at the Table II defaults: four_version is 3-out-of-4 voting "
+      "without rejuvenation, six_version 4-out-of-6 voting with time-based "
+      "rejuvenation");
+  const std::string config = bench::default_config();
+  result.add("four_version", "core.analyze", "e_r_paper", "prob",
+             0.8233477, config);
+  result.add("four_version", "core.analyze", "e_r_measured", "prob",
+             four.expected_reliability, config);
+  result.add("six_version", "core.analyze", "e_r_paper", "prob",
+             0.93464665, config);
+  result.add("six_version", "core.analyze", "e_r_measured", "prob",
+             six.expected_reliability, config);
+  result.add("six_version", "core.analyze", "improvement_pct", "pct",
+             improvement, config);
+  bench::write_result(result, "headline.json");
   return 0;
 }

@@ -19,10 +19,10 @@
 // first solve of the process, re-solves may not rebuild reachability
 // (structure_explorations <= 1 across the whole session).
 //
-// Results go to bench_results/BENCH_monitor.json (gated in CI by
-// tools/check_bench_regression.py --monitor: adaptive must beat the best
-// static arm by the recorded margin within tolerance) and the per-update
-// trajectory to bench_results/monitor_drift.csv.
+// Results go to bench_results/BENCH_monitor.json with their rules (gated by
+// tools/check_bench_regression.py: adaptive must beat the best static arm,
+// by at least 0.75x the recorded margin) and the per-update trajectory to
+// bench_results/monitor_drift.csv.
 //
 // Exit code: 0 on success, 1 if the adaptive session degrades, leaves the
 // structure cache, or loses to the best static interval.
@@ -144,35 +144,49 @@ int main(int argc, char** argv) {
                   rows);
 
   bench::JsonResult json(
-      "bench_monitor (Release); step drift in the compromise rate at "
-      "horizon/2, adaptive monitor vs each fixed interval under identical "
-      "seeds");
-  json.section(
-      "drift",
-      "campaign reliability under drift: closed-loop adaptive vs the best "
-      "member of a fixed-interval grid (an after-the-fact oracle)",
-      {{"horizon", horizon},
-       {"multiplier", multiplier},
-       {"adaptive", adaptive.reliability},
-       {"best_static", best_static},
-       {"best_static_interval", best_static_interval},
-       {"margin", margin},
-       {"adaptive_beats_best_static", beats ? 1.0 : 0.0}});
-  json.section(
-      "controller",
-      "closed-loop bookkeeping for the adaptive arm: every re-solve must "
-      "ride the staged rates-only path (no reachability rebuilds after "
-      "the first solve of the process)",
-      {{"updates", static_cast<double>(adaptive.updates)},
-       {"resolves", static_cast<double>(adaptive.resolves)},
-       {"retunes", static_cast<double>(adaptive.retunes)},
-       {"degraded_updates", static_cast<double>(adaptive.degraded_updates)},
-       {"detections", static_cast<double>(adaptive.detections)},
-       {"structure_explorations", static_cast<double>(explorations)},
-       {"final_interval", adaptive.final_interval},
-       {"mean_interval", adaptive.mean_interval},
-       {"adaptive_ms", adaptive_ms}});
-  json.write("BENCH_monitor.json");
+      "bench_monitor",
+      "drift: campaign reliability under a step drift in the compromise "
+      "rate at horizon/2, the closed-loop adaptive monitor vs the best "
+      "member of a fixed-interval grid (an after-the-fact oracle) under "
+      "identical seeds; controller: the adaptive arm's bookkeeping, whose "
+      "re-solves must ride the staged rates-only path (no reachability "
+      "rebuild after the first solve of the process)");
+  const std::string solver = bench::default_config();
+  const auto add = [&](const char* case_name, const char* metric,
+                       const char* unit, double value, bench::Rule rule = {}) {
+    json.add(case_name, "monitor", metric, unit, value, solver,
+             std::move(rule));
+  };
+  add("drift", "horizon", "s", horizon);
+  add("drift", "multiplier", "ratio", multiplier);
+  add("drift", "adaptive", "prob", adaptive.reliability);
+  add("drift", "best_static", "prob", best_static);
+  add("drift", "best_static_interval", "s", best_static_interval,
+      bench::bound("gt", 0.0));
+  // The margin must stay positive, and keep 3/4 of the recorded one; the
+  // first rule keeps a negative recorded margin from licensing a loss.
+  add("drift", "margin", "prob", margin, bench::bound("gt", 0.0));
+  add("drift", "margin", "prob", margin, bench::ratio("ge", 0.75));
+  add("drift", "adaptive_beats_best_static", "bool", beats ? 1.0 : 0.0,
+      bench::bound("eq", 1.0));
+  add("controller", "updates", "count",
+      static_cast<double>(adaptive.updates));
+  add("controller", "resolves", "count",
+      static_cast<double>(adaptive.resolves), bench::bound("gt", 0.0));
+  add("controller", "retunes", "count", static_cast<double>(adaptive.retunes),
+      bench::bound("gt", 0.0));
+  add("controller", "degraded_updates", "count",
+      static_cast<double>(adaptive.degraded_updates),
+      bench::bound("eq", 0.0));
+  add("controller", "detections", "count",
+      static_cast<double>(adaptive.detections));
+  json.add("controller", "petri.reachability", "structure_explorations",
+           "count", static_cast<double>(explorations), solver,
+           bench::bound("le", 1.0));
+  add("controller", "final_interval", "s", adaptive.final_interval);
+  add("controller", "mean_interval", "s", adaptive.mean_interval);
+  add("controller", "adaptive_ms", "ms", adaptive_ms);
+  bench::write_result(json, "BENCH_monitor.json");
 
   if (!clean || !cached || !beats) {
     std::printf("\nFAIL: %s\n",

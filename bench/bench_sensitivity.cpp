@@ -13,7 +13,10 @@ int main(int argc, char** argv) {
       "parameter sensitivity tornado (+-10% around Table II)");
 
   const core::Engine engine;
-  bench::JsonResult result("bench_sensitivity");
+  bench::JsonResult result(
+      "bench_sensitivity",
+      "elasticity of E[R] per +-10% parameter perturbation, largest swing "
+      "first");
   for (const bool rejuvenation : {false, true}) {
     const auto params =
         rejuvenation ? bench::six_version() : bench::four_version();
@@ -23,15 +26,12 @@ int main(int argc, char** argv) {
                 engine.analyze_raw(params).expected_reliability);
     const auto report = engine.sensitivity(params, 0.10);
     std::printf("%s", core::render_tornado(report).c_str());
-    std::vector<std::pair<std::string, double>> fields;
     for (const auto& entry : report)
-      fields.push_back({entry.parameter + "_elasticity", entry.elasticity});
-    result.section(rejuvenation ? "six_version" : "four_version",
-                   "elasticity of E[R] per +-10% parameter perturbation, "
-                   "largest swing first",
-                   fields);
+      result.add(rejuvenation ? "six_version" : "four_version",
+                 "core.analyze", entry.parameter + "_elasticity", "ratio",
+                 entry.elasticity, bench::default_config());
   }
-  result.write("sensitivity.json");
+  bench::write_result(result, "sensitivity.json");
   std::printf(
       "\nreading: without rejuvenation, p' dominates by an order of "
       "magnitude (modules spend most time compromised — Fig. 4(d)); with "

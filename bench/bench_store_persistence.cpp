@@ -19,10 +19,10 @@
 //     primitive costs (open scans the index; get is an mmap + checksum +
 //     copy; put is a temp-file + fsync + rename transaction).
 //
-// Results go to bench_results/BENCH_store.json (or $NVP_BENCH_OUT), which
-// tools/check_bench_regression.py --store gates in CI: the warm sweep must
-// be faster than cold by the recorded floor with the counters above, and
-// the primitive latencies must have really been measured.
+// Results go to bench_results/BENCH_store.json (or $NVP_BENCH_OUT) with
+// their rules, which tools/check_bench_regression.py gates: the warm sweep
+// at least 5x faster than cold with the counters above, every probe read
+// hitting, and the primitive latencies really measured.
 //
 // Exit code: 0 on success, 1 if bit-identity or a warm-reuse invariant
 // fails (the speedup floor is gated by the regression script, not here, so
@@ -188,34 +188,51 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.entries),
               static_cast<unsigned long long>(stats.bytes));
 
-  bench::JsonResult json("bench_store_persistence (Release); warm = same "
-                         "process with in-memory caches cleared, all "
-                         "rewards-stage results served from disk");
-  json.section(
-      "warm_sweep",
-      "6v rejuvenation-interval sweep, cold (populating the store) vs warm "
-      "(memory tiers cleared, disk tier serves every point)",
-      {{"points", static_cast<double>(points)},
-       {"cold_ms", cold.ms},
-       {"warm_ms", warm.ms},
-       {"speedup", speedup},
-       {"bit_identical_to_cold", identical ? 1.0 : 0.0},
-       {"warm_explorations", static_cast<double>(warm.explorations)},
-       {"warm_solves", static_cast<double>(warm.solves)},
-       {"warm_store_hits", static_cast<double>(warm.store_hits)},
-       {"warm_store_misses", static_cast<double>(warm.store_misses)},
-       {"cold_store_writes", static_cast<double>(cold.store_writes)}});
-  json.section(
-      "latency",
-      "store primitive costs: open on the populated directory, synthetic "
-      "64 KiB put (temp+fsync+rename) and get (mmap+checksum+copy)",
-      {{"open_ms", open_ms},
-       {"write_ms_mean", write_ms},
-       {"read_ms_mean", read_ms},
-       {"payload_bytes", static_cast<double>(payload.size())},
-       {"ops", static_cast<double>(ops)},
-       {"reads_hit", static_cast<double>(read_ok)}});
-  json.write("BENCH_store.json");
+  bench::JsonResult json(
+      "bench_store_persistence",
+      "warm_sweep: a 6v rejuvenation-interval sweep, cold (populating a "
+      "fresh store) vs warm (memory tiers cleared in the same process, the "
+      "disk tier serves every point); latency: open on the populated "
+      "directory, synthetic 64 KiB put (temp+fsync+rename) and get "
+      "(mmap+checksum+copy)");
+  const std::string config = bench::default_config();
+  const auto sweep = [&](const char* layer, const char* metric,
+                         const char* unit, double value,
+                         bench::Rule rule = {}) {
+    json.add("warm_sweep", layer, metric, unit, value, config,
+             std::move(rule));
+  };
+  sweep("core.staged", "points", "count", static_cast<double>(points));
+  sweep("core.staged", "cold_ms", "ms", cold.ms);
+  sweep("core.staged", "warm_ms", "ms", warm.ms);
+  sweep("core.staged", "speedup", "ratio", speedup, bench::bound("ge", 5.0));
+  sweep("core.staged", "bit_identical_to_cold", "bool",
+        identical ? 1.0 : 0.0, bench::bound("eq", 1.0));
+  sweep("petri.reachability", "warm_explorations", "count",
+        static_cast<double>(warm.explorations), bench::bound("eq", 0.0));
+  sweep("markov.solve", "warm_solves", "count",
+        static_cast<double>(warm.solves), bench::bound("eq", 0.0));
+  sweep("store", "warm_store_hits", "count",
+        static_cast<double>(warm.store_hits), bench::bound("gt", 0.0));
+  sweep("store", "warm_store_misses", "count",
+        static_cast<double>(warm.store_misses), bench::bound("eq", 0.0));
+  sweep("store", "cold_store_writes", "count",
+        static_cast<double>(cold.store_writes), bench::bound("gt", 0.0));
+  const std::string probes = util::format(
+      "payload_bytes=%zu,ops=%zu", payload.size(), ops);
+  const auto latency = [&](const char* metric, const char* unit, double value,
+                           bench::Rule rule) {
+    json.add("latency", "store", metric, unit, value, probes,
+             std::move(rule));
+  };
+  latency("open_ms", "ms", open_ms, bench::bound("gt", 0.0));
+  latency("write_ms_mean", "ms", write_ms, bench::bound("gt", 0.0));
+  latency("read_ms_mean", "ms", read_ms, bench::bound("gt", 0.0));
+  // Every probe must hit: a miss means get() rejected an entry the same
+  // process just wrote.
+  latency("read_misses", "count", static_cast<double>(ops - read_ok),
+          bench::bound("eq", 0.0));
+  bench::write_result(json, "BENCH_store.json");
 
   store::close_global();
   std::filesystem::remove_all(dir);

@@ -22,8 +22,10 @@
 // counters: each staged run reports exactly one reachability exploration
 // per sweep and, for the reward-only sweep, exactly one solve.
 //
-// Results go to bench_results/BENCH_sweep.json (or $NVP_BENCH_OUT), which
-// tools/check_bench_regression.py --list / --sweep gates in CI.
+// Results go to bench_results/BENCH_sweep.json (or $NVP_BENCH_OUT) with
+// their rules: the reward-only sweep >= 10x faster than cold, the rate-only
+// one >= 2x, both bit-identical, one exploration per sweep and one solve
+// for the reward-only sweep. tools/check_bench_regression.py gates them.
 //
 // Exit code: 0 on success, 1 if bit-identity or a reuse invariant fails
 // (speedup floors are gated by the regression script, not here, so a noisy
@@ -34,7 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -66,6 +67,7 @@ struct SweepCase {
   core::ParameterSetter setter;
   std::vector<double> values;
   bool reward_only = false;  ///< true: the staged run must solve exactly once
+  double speedup_floor = 0.0;  ///< the gated cold/staged ratio
 };
 
 /// Timed repetitions per side; the report keeps each side's median, so one
@@ -191,22 +193,33 @@ void report_case(const SweepCase& c, const CaseResult& r,
               static_cast<unsigned long long>(r.stats.rates.misses),
               static_cast<unsigned long long>(r.stats.reward_table.hits),
               static_cast<unsigned long long>(r.stats.reward_table.misses));
-  json.section(
-      c.id, c.what,
-      {{"points", static_cast<double>(c.values.size())},
-       {"cold_ms", r.cold_ms},
-       {"staged_ms", r.staged_ms},
-       {"speedup", speedup},
-       {"staged_explorations", static_cast<double>(r.staged_explorations)},
-       {"staged_solves", static_cast<double>(r.staged_solves)},
-       {"cold_explorations", static_cast<double>(r.cold_explorations)},
-       {"cold_solves", static_cast<double>(r.cold_solves)},
-       {"bit_identical_to_cold", r.bit_identical ? 1.0 : 0.0},
-       {"structure_cache_misses",
-        static_cast<double>(r.stats.structure.misses)},
-       {"rates_cache_misses", static_cast<double>(r.stats.rates.misses)},
-       {"reward_table_cache_misses",
-        static_cast<double>(r.stats.reward_table.misses)}});
+  const std::string config = bench::default_config();
+  const auto add = [&](const char* layer, const char* metric,
+                       const char* unit, double value, bench::Rule rule = {}) {
+    json.add(c.id, layer, metric, unit, value, config, std::move(rule));
+  };
+  add("core.staged", "points", "count", static_cast<double>(c.values.size()));
+  add("core.staged", "cold_ms", "ms", r.cold_ms);
+  add("core.staged", "staged_ms", "ms", r.staged_ms);
+  add("core.staged", "speedup", "ratio", speedup,
+      bench::bound("ge", c.speedup_floor));
+  add("core.staged", "bit_identical_to_cold", "bool",
+      r.bit_identical ? 1.0 : 0.0, bench::bound("eq", 1.0));
+  add("petri.reachability", "staged_explorations", "count",
+      static_cast<double>(r.staged_explorations), bench::bound("eq", 1.0));
+  add("markov.solve", "staged_solves", "count",
+      static_cast<double>(r.staged_solves),
+      c.reward_only ? bench::bound("eq", 1.0) : bench::Rule{});
+  add("petri.reachability", "cold_explorations", "count",
+      static_cast<double>(r.cold_explorations));
+  add("markov.solve", "cold_solves", "count",
+      static_cast<double>(r.cold_solves));
+  add("core.staged", "structure_cache_misses", "count",
+      static_cast<double>(r.stats.structure.misses));
+  add("core.staged", "rates_cache_misses", "count",
+      static_cast<double>(r.stats.rates.misses));
+  add("core.staged", "reward_table_cache_misses", "count",
+      static_cast<double>(r.stats.reward_table.misses));
 }
 
 }  // namespace
@@ -231,6 +244,7 @@ int main(int argc, char** argv) {
     c.setter = core::set_alpha();
     c.values = core::linspace(0.5, 0.999, points);
     c.reward_only = true;
+    c.speedup_floor = 10.0;
     cases.push_back(c);
   }
   {
@@ -248,23 +262,26 @@ int main(int argc, char** argv) {
     c.base.rejuvenation = false;
     c.setter = core::set_mean_time_to_compromise();
     c.values = core::linspace(500.0, 5000.0, points);
+    c.speedup_floor = 2.0;
     cases.push_back(c);
   }
 
-  bench::JsonResult json("bench_sweep_throughput (Release), 50-point "
-                         "sweeps; cold = use_cache=false analyzer in the "
-                         "same binary; cold_ms and staged_ms are each the "
-                         "median of 5 timed whole sweeps, the staged ones "
-                         "on freshly cleared stage caches");
-  json.scalar("cores",
-              static_cast<double>(std::thread::hardware_concurrency()));
+  bench::JsonResult json(
+      "bench_sweep_throughput",
+      "50-point sweeps: alpha_sweep_6v is reward-only (paper six-version "
+      "MRGP, one exploration and one solve per sweep), mttc_sweep_n40 "
+      "rate-only (N=40 f=13 plain, an 861-state pure CTMC on the sparse "
+      "backend, one exploration and a solve per point); cold = a "
+      "use_cache=false analyzer in the same binary; cold_ms and staged_ms "
+      "are each the median of 5 timed whole sweeps, the staged ones on "
+      "freshly cleared stage caches");
   bool ok = true;
   for (const auto& c : cases) {
     const CaseResult r = run_case(c, core::ReliabilityAnalyzer::Options{});
     report_case(c, r, json);
     ok = ok && r.bit_identical && r.reuse_ok;
   }
-  json.write("BENCH_sweep.json");
+  bench::write_result(json, "BENCH_sweep.json");
   if (!ok) {
     std::printf("\nFAIL: staged sweep diverged from the cold path (see "
                 "above)\n");

@@ -69,13 +69,17 @@ class Objective {
         analyze_points(analyzer_, points, policy_);
     evaluations_ += xs.size();
     std::vector<Probe> out(xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
+    for (std::size_t i = 0; i < xs.size(); ++i) {
       out[i] = {xs[i], results[i].ok ? results[i].expected_reliability
                                      : kFailed};
+      if (!results[i].ok && failed_++ == 0) error_ = results[i].error;
+    }
     return out;
   }
   Probe at(double x) { return batch({x})[0]; }
   std::size_t evaluations() const { return evaluations_; }
+  std::size_t failed() const { return failed_; }
+  const fault::ErrorInfo& error() const { return error_; }
 
  private:
   const ReliabilityAnalyzer& analyzer_;
@@ -83,6 +87,8 @@ class Objective {
   const std::function<void(SystemParameters&, double)>& setter_;
   const fault::Policy& policy_;
   std::size_t evaluations_ = 0;
+  std::size_t failed_ = 0;
+  fault::ErrorInfo error_;
 };
 
 /// The cold bracket: a `grid_points` grid over [lo, hi] as one batch.
@@ -229,6 +235,8 @@ Optimum maximize_reliability(
   out.x = best.x;
   out.expected_reliability = best.f;
   out.evaluations = objective.evaluations();
+  out.failed = objective.failed();
+  out.error = objective.error();
   return out;
 }
 

@@ -16,6 +16,10 @@ struct Optimum {
   /// Every analysis the search asked for: grid or warm-bracket points plus
   /// the Brent steps.
   std::size_t evaluations = 0;
+  /// The evaluations that degraded into an error envelope (scored -inf),
+  /// and the first of their errors.
+  std::size_t failed = 0;
+  fault::ErrorInfo error;
 };
 
 /// Finds the rejuvenation interval 1/gamma in [lo, hi] that maximizes

@@ -223,8 +223,8 @@ const char* backend_span(SolverBackend backend) {
 // 401 dense won by 5% (8.1 vs 8.5 ms), at 330 states and 1335 mfree won by
 // 28% (172 vs 220 ms). Any constant in [2.9, 3.8) keeps kAuto within 1.28x
 // of the faster backend on every cell of the grid; 3.6 sits in that range.
-// bench_mrgp_scaling re-measures such a grid and check_bench_regression.py
-// --mrgp holds kAuto within 1.5x of the faster backend on every cell.
+// bench_solver_grid re-measures such a grid (BENCH_solver.json), and a rule
+// on each of its MRGP cells holds kAuto within 1.5x of the faster backend.
 constexpr double kDenseSeriesTermsPerState = 3.6;
 
 // kAuto's pure-CTMC rule: CSR + Krylov from this many tangible states, dense

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "src/fault/error.hpp"
 #include "src/obs/metrics.hpp"
@@ -68,6 +69,7 @@ MonitorController::MonitorController(
   NVP_EXPECTS(config.update_every > 0.0);
   NVP_EXPECTS(config.interval_lo > 0.0);
   NVP_EXPECTS(config.interval_hi > config.interval_lo);
+  NVP_EXPECTS(config.grid_points >= 3);  // core::maximize_reliability's floor
   NVP_EXPECTS(config.quantization >= 0.0);
 }
 
@@ -120,6 +122,10 @@ void MonitorController::update(double time) {
   estimated.mean_time_to_compromise = record.mttc_hat;
   estimated.p_prime = record.p_prime_hat;
 
+  // A re-solve that lost any evaluation (or all of them: the optimizer
+  // throws) degrades to the last-good target instead of steering the clock
+  // by an optimum of the points that happened to solve.
+  std::optional<fault::ErrorInfo> failure;
   try {
     obs::ScopedSpan span("monitor.resolve");
     const auto t0 = std::chrono::steady_clock::now();
@@ -130,19 +136,24 @@ void MonitorController::update(double time) {
     resolve_seconds().observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
-    ++resolves_;
-    resolves_total().add();
     evaluations_total().add(opt.evaluations);
-    record.target_interval = opt.x;
-    record.expected_reliability = opt.expected_reliability;
-    last_good_target_ = opt.x;
+    if (opt.failed > 0) {
+      failure = opt.error;
+    } else {
+      ++resolves_;
+      resolves_total().add();
+      record.target_interval = opt.x;
+      record.expected_reliability = opt.expected_reliability;
+      last_good_target_ = opt.x;
+    }
   } catch (const std::exception& e) {
-    // Every grid point failed (e.g. under fault injection): degrade to the
-    // last-good target instead of aborting the session.
+    failure = fault::ErrorInfo::from(e);
+  }
+  if (failure) {
     ++degraded_;
     degraded_total().add();
     record.degraded = true;
-    record.error = fault::ErrorInfo::from(e).summary();
+    record.error = failure->summary();
     record.target_interval = last_good_target_;
   }
 

@@ -50,10 +50,10 @@ struct ControlRecord {
 /// bracket is not unimodal (core::maximize_reliability). The
 /// `monitor.evaluations` counter sums the analyses every re-solve asked.
 ///
-/// Failure envelope: if the re-solve fails (all grid points degraded —
-/// e.g. under fault injection), the controller falls back to the last-good
-/// target and records a degraded ControlRecord instead of aborting; the
-/// clock keeps running at the last applied interval.
+/// Failure envelope: if the re-solve loses any evaluation (e.g. under fault
+/// injection; core::Optimum::failed), the controller falls back to the
+/// last-good target and records a degraded ControlRecord instead of
+/// aborting; the clock keeps running at the last applied interval.
 class MonitorController {
  public:
   struct Config {
@@ -64,7 +64,7 @@ class MonitorController {
     double min_events = 2.0;  ///< compromise evidence needed before acting
     double interval_lo = 60.0;   ///< optimizer search range
     double interval_hi = 3000.0;
-    std::size_t grid_points = 10;  ///< fallback grid of a re-solve
+    std::size_t grid_points = 10;  ///< fallback grid of a re-solve (>= 3)
     /// Optimizer tolerance (seconds): the target lies within tolerance/2
     /// of the bracketed maximizer.
     double tolerance = 10.0;

@@ -1,6 +1,5 @@
 #include "src/obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -113,117 +112,5 @@ std::string JsonWriter::escape(std::string_view raw) {
   out += '"';
   return out;
 }
-
-namespace {
-
-/// Recursive-descent structural check over `text[pos..]`.
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  bool run() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (depth_ > 256 || pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object() {
-    ++depth_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; --depth_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++depth_;
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; --depth_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; --depth_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        ++pos_;  // accept any escape payload; \uXXXX hex not re-checked
-      }
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    const std::size_t digit = text_[start] == '-' ? start + 1 : start;
-    return pos_ > digit && digit < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[digit]));
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
-
-}  // namespace
-
-bool json_is_valid(std::string_view text) { return Validator(text).run(); }
 
 }  // namespace nvp::obs

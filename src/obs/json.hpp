@@ -49,9 +49,4 @@ class JsonWriter {
   bool after_key_ = false;
 };
 
-/// Minimal structural validator (objects/arrays/strings/numbers/literals,
-/// UTF-8 passthrough). Used by tests to round-trip manifests without a JSON
-/// dependency; not a full RFC 8259 parser.
-bool json_is_valid(std::string_view text);
-
 }  // namespace nvp::obs

@@ -8,10 +8,6 @@
 
 #include "src/obs/json.hpp"
 
-#ifndef NVP_GIT_SHA
-#define NVP_GIT_SHA "unknown"
-#endif
-
 namespace nvp::obs {
 
 long peak_rss_bytes() {
@@ -19,8 +15,6 @@ long peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   return usage.ru_maxrss * 1024L;  // ru_maxrss is KiB on Linux
 }
-
-const char* build_git_sha() { return NVP_GIT_SHA; }
 
 void RunManifest::capture() {
   git_sha = build_git_sha();

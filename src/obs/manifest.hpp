@@ -42,8 +42,12 @@ struct RunManifest {
 /// Peak resident set size of this process in bytes (getrusage).
 long peak_rss_bytes();
 
-/// Git SHA the binary was built from (CMake-injected; "unknown" outside a
-/// git checkout).
+/// Git SHA the binary was built from: 12 hex digits, "-dirty" when a
+/// tracked file differed from HEAD, "unknown" outside a git work tree.
+/// Stamped on every build (src/obs/build_info.cmake).
 const char* build_git_sha();
+
+/// CMAKE_BUILD_TYPE of the build ("unknown" when none was set).
+const char* build_type();
 
 }  // namespace nvp::obs

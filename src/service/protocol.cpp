@@ -395,9 +395,9 @@ bool parse_request(const wire::Value& payload, Request* request,
       return false;
     }
     if (!(request->mon_interval_hi > request->mon_interval_lo) ||
-        !(request->mon_interval_lo > 0.0) || request->mon_grid_points < 2) {
+        !(request->mon_interval_lo > 0.0) || request->mon_grid_points < 3) {
       *error = "monitor needs 0 < interval_lo < interval_hi and "
-               "grid_points >= 2";
+               "grid_points >= 3";
       return false;
     }
     if (request->mon_horizon / request->mon_update_every > 100000.0) {

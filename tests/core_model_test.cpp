@@ -446,6 +446,33 @@ TEST(Optimizer, UnsolvableSubRangeStillYieldsAFiniteOptimum) {
   EXPECT_NEAR(optimum.x, clean.x, 0.5);
 }
 
+TEST(Optimizer, CountsFailedEvaluations) {
+  // Every interval above 2000 s is unsolvable: the grid points there fail,
+  // the refinement near the optimum (about 500 s) never reaches them, and
+  // the count and the first error say so.
+  const ReliabilityAnalyzer analyzer;
+  const auto params = SystemParameters::paper_six_version();
+  std::size_t unsolvable = 0;
+  const auto optimum = maximize_reliability(
+      analyzer, params,
+      [&](SystemParameters& p, double v) {
+        p.rejuvenation_interval = v;
+        if (v > 2000.0) {
+          p.mean_time_to_compromise = -1.0;
+          ++unsolvable;
+        }
+      },
+      100.0, 3000.0, 24, 0.5);
+  EXPECT_GT(unsolvable, 0u);
+  EXPECT_EQ(optimum.failed, unsolvable);
+  EXPECT_LT(optimum.failed, optimum.evaluations);
+  EXPECT_FALSE(optimum.error.message.empty());
+  const auto clean =
+      optimize_rejuvenation_interval(analyzer, params, 100.0, 3000.0, 24, 0.5);
+  EXPECT_EQ(clean.failed, 0u);
+  EXPECT_TRUE(clean.error.message.empty());
+}
+
 TEST(Optimizer, WarmBracketMatchesTheColdSearch) {
   // The monitor's range and tolerance. MTTC 190 s puts the optimum near
   // lo, 20000 s at hi; every start must land where the cold grid does, and

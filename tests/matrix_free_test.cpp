@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <regex>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -33,6 +33,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/petri/reachability.hpp"
 #include "src/runtime/thread_pool.hpp"
+#include "src/service/wire.hpp"
 #include "src/util/rng.hpp"
 
 namespace nvp {
@@ -469,33 +470,44 @@ TEST(DispatchBackendTest, AutoFollowsTheModelClassThresholds) {
 }
 
 TEST(DispatchBackendTest, PublishedBenchRowsRouteToTheRecordedBackend) {
-  // Every row of the recorded BENCH_mrgp_scaling.json artifact carries the
-  // state count, the series terms and the backend kAuto picked; today's
-  // dispatch must still route each row there — a rule change that silently
-  // re-routes the published measurements has to re-record the artifact.
+  // Every MRGP case of the recorded BENCH_solver.json (bench_solver_grid)
+  // carries the state count, the series terms and whether kAuto picked
+  // dense; today's dispatch must still route each there — a rule change
+  // that silently re-routes the published measurements has to re-record
+  // the grid.
   std::ifstream in(std::string(NVP_SOURCE_DIR) +
-                   "/bench_results/BENCH_mrgp_scaling.json");
-  ASSERT_TRUE(in.good()) << "recorded BENCH_mrgp_scaling.json missing";
+                   "/bench_results/BENCH_solver.json");
+  ASSERT_TRUE(in.good()) << "recorded BENCH_solver.json missing";
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string doc = buffer.str();
+  const auto doc = service::wire::parse(buffer.str());
+  ASSERT_TRUE(doc.has_value());
+  const service::wire::Value* rows = doc->get("rows");
+  ASSERT_NE(rows, nullptr);
 
-  const std::regex row_re(
-      "\\{[^{}]*\"states\":\\s*(\\d+)[^{}]*\"series_terms\":\\s*"
-      "([-+.eE0-9]+)[^{}]*\"auto_backend\":\\s*\"([a-z]+)\"[^{}]*\\}");
+  // case -> metric -> value, for the default-config rows.
+  std::map<std::string, std::map<std::string, double>> cases;
+  const std::string defaults_spec = markov::SolverConfig{}.describe();
+  for (const service::wire::Value& row : rows->array)
+    if (row.string_or("config", "") == defaults_spec)
+      cases[row.string_or("case", "")][row.string_or("metric", "")] =
+          row.number_or("value", -1.0);
   const markov::SolverConfig defaults;  // kAuto
-  std::size_t rows = 0;
-  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), row_re);
-       it != std::sregex_iterator(); ++it, ++rows) {
-    const std::size_t states = std::stoull((*it)[1].str());
-    const double terms = std::stod((*it)[2].str());
-    const std::string recorded = (*it)[3].str();
+  std::size_t checked = 0;
+  for (const auto& [name, metrics] : cases) {
+    if (!metrics.count("series_terms")) continue;  // CTMC and summary cases
+    ASSERT_TRUE(metrics.count("states") && metrics.count("auto_picks_dense"))
+        << name;
     const auto dispatched = markov::dispatch_backend(
-        defaults, states, /*has_deterministic=*/true, terms);
-    EXPECT_EQ(markov::to_string(dispatched), recorded)
-        << "row with " << states << " states, " << terms << " series terms";
+        defaults, static_cast<std::size_t>(metrics.at("states")),
+        /*has_deterministic=*/true, metrics.at("series_terms"));
+    EXPECT_EQ(dispatched == markov::SolverBackend::kDense,
+              metrics.at("auto_picks_dense") == 1.0)
+        << name << ": " << metrics.at("states") << " states, "
+        << metrics.at("series_terms") << " series terms";
+    ++checked;
   }
-  EXPECT_GE(rows, 28u) << "expected 8 families x 3 horizons + 4 scaling rows";
+  EXPECT_GE(checked, 28u) << "expected 8 families x 3 horizons + 4 scaling";
 }
 
 /// The perception family with N versions (f = r = 1) at interval tau.

@@ -17,6 +17,7 @@
 #include "src/monitor/session.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/runtime/thread_pool.hpp"
+#include "src/util/contracts.hpp"
 
 namespace nvp {
 namespace {
@@ -158,6 +159,21 @@ TEST(Policy, FactoryRejectsUnknownNames) {
   EXPECT_THROW(monitor::make_policy("pid", {}), fault::Error);
   EXPECT_EQ(monitor::make_policy("static", {})->name(), "static");
   EXPECT_EQ(monitor::make_policy("hysteresis", {})->name(), "hysteresis");
+}
+
+TEST(MonitorController, RejectsAGridTheOptimizerCannotSearch) {
+  // core::maximize_reliability needs 3 grid points; a smaller fallback grid
+  // would turn every re-solve into a precondition failure.
+  const core::Engine engine;
+  monitor::MonitorController::Config config;
+  config.params = core::SystemParameters::paper_six_version();
+  config.grid_points = 2;
+  EXPECT_THROW(monitor::MonitorController(
+                   engine, config, monitor::make_policy("static", {})),
+               util::ContractViolation);
+  config.grid_points = 3;
+  EXPECT_NO_THROW(monitor::MonitorController(
+      engine, config, monitor::make_policy("static", {})));
 }
 
 monitor::SessionConfig short_session(std::uint64_t seed) {

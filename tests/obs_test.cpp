@@ -1,11 +1,12 @@
 // Tests for src/obs/: metric aggregation across threads, trace span
-// nesting and parenting, JSON writing/validation, and run-manifest
-// round-trips.
+// nesting and parenting, JSON writing (checked by the service's wire
+// parser), run-manifest round-trips and the build stamp.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,10 +17,15 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/thread_pool.hpp"
+#include "src/service/wire.hpp"
 
 namespace {
 
 using namespace nvp;
+
+bool parses(const std::string& text) {
+  return service::wire::parse(text).has_value();
+}
 
 // --- metrics ---------------------------------------------------------------
 
@@ -162,7 +168,7 @@ TEST(ObsTrace, TreeRenderings) {
   obs::set_tracing(false);
   const auto records = obs::TraceRecorder::global().finished();
   const std::string json = obs::span_tree_json(records);
-  EXPECT_TRUE(obs::json_is_valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   EXPECT_NE(json.find("\"parent\""), std::string::npos);
   EXPECT_NE(json.find("\"children\""), std::string::npos);
   const std::string text = obs::span_tree_text(records);
@@ -171,7 +177,7 @@ TEST(ObsTrace, TreeRenderings) {
   obs::TraceRecorder::global().clear();
 }
 
-// --- JSON writer / validator -----------------------------------------------
+// --- JSON writer -------------------------------------------------------------
 
 TEST(ObsJson, WriterProducesValidDocuments) {
   obs::JsonWriter json;
@@ -185,20 +191,20 @@ TEST(ObsJson, WriterProducesValidDocuments) {
   json.end_array();
   json.key("nan_is_null").value(std::nan(""));
   json.end_object();
-  EXPECT_TRUE(obs::json_is_valid(json.str())) << json.str();
+  EXPECT_TRUE(parses(json.str())) << json.str();
   EXPECT_NE(json.str().find("\\n"), std::string::npos);
   EXPECT_NE(json.str().find("null"), std::string::npos);
 }
 
 TEST(ObsJson, ValidatorRejectsMalformedText) {
-  EXPECT_TRUE(obs::json_is_valid("{}"));
-  EXPECT_TRUE(obs::json_is_valid("[1, 2.5, -3e4, \"x\", null, true]"));
-  EXPECT_FALSE(obs::json_is_valid(""));
-  EXPECT_FALSE(obs::json_is_valid("{"));
-  EXPECT_FALSE(obs::json_is_valid("{\"a\":}"));
-  EXPECT_FALSE(obs::json_is_valid("[1,]"));
-  EXPECT_FALSE(obs::json_is_valid("{\"a\":1} trailing"));
-  EXPECT_FALSE(obs::json_is_valid("-"));
+  EXPECT_TRUE(parses("{}"));
+  EXPECT_TRUE(parses("[1, 2.5, -3e4, \"x\", null, true]"));
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses("{"));
+  EXPECT_FALSE(parses("{\"a\":}"));
+  EXPECT_FALSE(parses("[1,]"));
+  EXPECT_FALSE(parses("{\"a\":1} trailing"));
+  EXPECT_FALSE(parses("-"));
 }
 
 // --- run manifest ----------------------------------------------------------
@@ -226,7 +232,7 @@ TEST(ObsManifest, CaptureAndRoundTrip) {
   ASSERT_FALSE(manifest.spans.empty());
 
   const std::string json = manifest.to_json();
-  EXPECT_TRUE(obs::json_is_valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   for (const char* key :
        {"\"tool\"", "\"command\"", "\"params\"", "\"seed\"", "\"jobs\"",
         "\"git_sha\"", "\"timestamp_utc\"", "\"peak_rss_bytes\"",
@@ -242,6 +248,16 @@ TEST(ObsManifest, CaptureAndRoundTrip) {
   EXPECT_EQ(buffer.str(), json + "\n");
   std::remove(path.c_str());
   obs::TraceRecorder::global().clear();
+}
+
+TEST(ObsManifest, BuildStampNamesTheCommitAndBuildType) {
+  // Stamped on every build: 12 hex digits of HEAD, marked dirty when a
+  // tracked file differs from it, or "unknown" outside a git work tree.
+  const std::string sha = obs::build_git_sha();
+  EXPECT_TRUE(std::regex_match(
+      sha, std::regex("^[0-9a-f]{12}(-dirty)?$|^unknown$")))
+      << sha;
+  EXPECT_FALSE(std::string(obs::build_type()).empty());
 }
 
 }  // namespace

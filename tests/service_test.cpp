@@ -293,6 +293,13 @@ TEST(RequestTest, RejectsBadRequests) {
   check_fails(
       R"({"id": 1, "method": "monitor",
           "monitor": {"interval_lo": 500, "interval_hi": 100}})");
+  // The optimizer behind every re-solve needs a 3-point grid.
+  const auto payload = parse(
+      R"({"id": 1, "method": "monitor", "monitor": {"grid_points": 2}})");
+  ASSERT_TRUE(payload.has_value());
+  service::Request monitor;
+  EXPECT_FALSE(service::parse_request(*payload, &monitor, &error));
+  EXPECT_NE(error.find("grid_points >= 3"), std::string::npos) << error;
   check_fails(
       R"({"id": 1, "method": "monitor",
           "monitor": {"horizon": 1e9, "update_every": 1}})");

@@ -673,8 +673,9 @@ def run_archspace_gauntlet(args):
 # Monitor mode: the closed-loop rejuvenation controller under injection.
 # The perception campaign's RNG is independent of the analytic solves, so
 # cost-only schedules replay the exact same frames and must reproduce the
-# per-update CSV byte for byte; only the alloc schedule — which fails every
-# re-solve — changes the records, and then only into envelope rows.
+# per-update CSV byte for byte; only the alloc and pool schedules — which
+# fail evaluations of every re-solve — change the records, and then only
+# into envelope rows.
 
 # (schedule, NVP_FAULT_INJECT spec, expectation, needs_store). "identical"
 # pins the CSV to the clean baseline; "clean" requires values everywhere
@@ -688,6 +689,7 @@ MONITOR_SCHEDULES = [
     ("store-write", "store-write:1.0:43", "identical", True),
     ("mfree-fallback", "mfree:1.0:31", "clean", False),
     ("alloc", "alloc:1.0:23", "envelopes", False),
+    ("pool", "pool:1.0:0", "envelopes", False),
 ]
 
 # The session's initial set-point (the paper default): with every re-solve

@@ -22,10 +22,13 @@
 // D=1 makes every request identical (the coalescing showcase) and a large
 // D exercises distinct solves.
 //
-// The scenario result is merged into --out (default
-// bench_results/BENCH_service.json) under .scenarios.<label>, preserving
-// other scenarios, so CI can gate on the file with
-// check_bench_regression.py --service.
+// The scenario's rows (case = --label, layer "service") replace that case's
+// rows in --out (default bench_results/BENCH_service.json), keeping every
+// other case, so one file collects a run of scenarios. Every scenario
+// gates on having measured responses, throughput and latency percentiles;
+// the acceptance burst (--label coalesce_burst) also on >= 10000 requests
+// in flight, a coalescing rate >= 0.9 and no errors of either kind.
+// tools/check_bench_regression.py evaluates them.
 //
 // Exit code 0 on success, 1 on usage errors, 2 when the run itself failed
 // (could not connect, transport errors, or zero responses).
@@ -44,7 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/obs/json.hpp"
+#include "bench/json_result.hpp"
 #include "src/service/client.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/wire.hpp"
@@ -284,56 +287,35 @@ void run_connection(const Config& config, std::size_t index,
   client.close();
 }
 
-/// Merges the scenario object into the BENCH_service.json document at
-/// `path` (creating it when absent), preserving other scenarios.
-bool merge_scenario(const std::string& path, const std::string& label,
-                    const service::wire::Value& scenario) {
-  service::wire::Value document;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      std::string error;
-      auto parsed = service::wire::parse(buffer.str(), &error);
-      if (parsed && parsed->is_object()) document = std::move(*parsed);
+/// The rows of the schema-2 document at `path` whose case is not `label`
+/// (none when the file is absent or of another schema).
+std::vector<bench::Row> other_cases(const std::string& path,
+                                    const std::string& label) {
+  std::vector<bench::Row> rows;
+  std::ifstream in(path);
+  if (!in) return rows;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const auto document = service::wire::parse(buffer.str(), nullptr);
+  if (!document || document->number_or("schema_version", 0.0) != 2.0)
+    return rows;
+  const service::wire::Value* recorded = document->get("rows");
+  if (recorded == nullptr) return rows;
+  for (const service::wire::Value& row : recorded->array) {
+    bench::Row kept{row.string_or("case", ""),  row.string_or("layer", ""),
+                    row.string_or("metric", ""), row.string_or("unit", ""),
+                    row.number_or("value", 0.0), row.string_or("config", ""),
+                    {}};
+    if (kept.case_name == label) continue;
+    if (const service::wire::Value* rule = row.get("rule")) {
+      kept.rule.op = rule->string_or("op", "");
+      kept.rule.ratio = rule->get("ratio") != nullptr;
+      kept.rule.limit = rule->number_or(kept.rule.ratio ? "ratio" : "bound",
+                                        0.0);
     }
+    rows.push_back(std::move(kept));
   }
-  if (!document.is_object()) {
-    document.type = service::wire::Value::Type::kObject;
-    service::wire::Value version;
-    version.type = service::wire::Value::Type::kNumber;
-    version.number = 1.0;
-    document.object.emplace_back("schema_version", std::move(version));
-    service::wire::Value bench;
-    bench.type = service::wire::Value::Type::kString;
-    bench.string = "service";
-    document.object.emplace_back("bench", std::move(bench));
-  }
-  service::wire::Value* scenarios = nullptr;
-  for (auto& [key, member] : document.object)
-    if (key == "scenarios") scenarios = &member;
-  if (scenarios == nullptr) {
-    service::wire::Value empty;
-    empty.type = service::wire::Value::Type::kObject;
-    document.object.emplace_back("scenarios", std::move(empty));
-    scenarios = &document.object.back().second;
-  }
-  bool replaced = false;
-  for (auto& [key, member] : scenarios->object)
-    if (key == label) {
-      member = scenario;
-      replaced = true;
-    }
-  if (!replaced) scenarios->object.emplace_back(label, scenario);
-
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  out << service::wire::dump(document) << "\n";
-  return out.good();
+  return rows;
 }
 
 }  // namespace
@@ -426,32 +408,49 @@ int main(int argc, char** argv) {
           : 0.0;
   const std::uint64_t peak = g_peak_in_flight.load();
 
-  obs::JsonWriter json;
-  json.begin_object();
-  json.kv("mode", config.mode);
-  json.kv("connections", static_cast<std::uint64_t>(config.connections));
-  json.kv("window", static_cast<std::uint64_t>(config.window));
-  json.kv("distinct", static_cast<std::uint64_t>(config.distinct));
-  json.kv("sent", total.sent);
-  json.kv("responses", responses);
-  json.kv("ok", total.ok);
-  json.kv("errors", total.errors);
-  json.kv("rejected", total.rejected);
-  json.kv("deadline_missed_client", total.deadline);
-  json.kv("transport_errors", total.transport_errors);
-  json.kv("peak_concurrent", peak);
-  json.kv("wall_seconds", wall_s);
-  json.kv("throughput_rps", throughput);
-  json.kv("p50_ms", p50_ms);
-  json.kv("p95_ms", p95_ms);
-  json.kv("p99_ms", p99_ms);
-  json.kv("daemon_executed", d_executed);
-  json.kv("daemon_coalesced", d_coalesced);
-  json.kv("daemon_rejected", d_rejected);
-  json.kv("daemon_deadline_missed", d_deadline);
-  json.kv("coalesce_rate", coalesce_rate);
-  json.kv("rejection_rate", rejection_rate);
-  json.end_object();
+  bench::JsonResult json(
+      "loadgen",
+      "nvpd load scenarios, one case each: latency percentiles are "
+      "client-observed over pipelined connections, daemon_* counters are "
+      "before/after deltas of the daemon's stats request");
+  for (bench::Row& row : other_cases(config.out_path, config.label))
+    json.add(std::move(row));
+  const std::string settings = util::format(
+      "mode=%s,connections=%zu,window=%zu,requests=%zu,distinct=%zu,"
+      "rate=%g,deadline_ms=%g",
+      config.mode.c_str(), config.connections, config.window, config.requests,
+      config.distinct, config.rate, config.deadline_ms);
+  // The service's acceptance burst (CI service-smoke, README).
+  const bool burst = config.label == "coalesce_burst";
+  const auto add = [&](const char* metric, const char* unit, double value,
+                       bench::Rule rule = {}) {
+    json.add(config.label, "service", metric, unit, value, settings,
+             std::move(rule));
+  };
+  const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+  add("sent", "count", count(total.sent));
+  add("responses", "count", count(responses), bench::bound("gt", 0.0));
+  add("ok", "count", count(total.ok));
+  add("errors", "count", count(total.errors),
+      burst ? bench::bound("eq", 0.0) : bench::Rule{});
+  add("rejected", "count", count(total.rejected));
+  add("deadline_missed_client", "count", count(total.deadline));
+  add("transport_errors", "count", count(total.transport_errors),
+      burst ? bench::bound("eq", 0.0) : bench::Rule{});
+  add("peak_concurrent", "count", count(peak),
+      burst ? bench::bound("ge", 10000.0) : bench::Rule{});
+  add("wall_seconds", "s", wall_s);
+  add("throughput_rps", "1/s", throughput, bench::bound("gt", 0.0));
+  add("p50_ms", "ms", p50_ms, bench::bound("gt", 0.0));
+  add("p95_ms", "ms", p95_ms, bench::bound("gt", 0.0));
+  add("p99_ms", "ms", p99_ms, bench::bound("gt", 0.0));
+  add("daemon_executed", "count", d_executed);
+  add("daemon_coalesced", "count", d_coalesced);
+  add("daemon_rejected", "count", d_rejected);
+  add("daemon_deadline_missed", "count", d_deadline);
+  add("coalesce_rate", "ratio", coalesce_rate,
+      burst ? bench::bound("ge", 0.9) : bench::Rule{});
+  add("rejection_rate", "ratio", rejection_rate);
 
   std::fprintf(stderr,
                "%s: %llu sent, %llu ok, %llu errors (%llu rejected), "
@@ -466,11 +465,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(peak), throughput, p50_ms,
                p95_ms, p99_ms, coalesce_rate, d_executed, d_coalesced);
 
-  auto scenario = service::wire::parse(json.str(), nullptr);
-  if (!scenario) return 2;
-  if (!config.out_path.empty() &&
-      !merge_scenario(config.out_path, config.label, *scenario))
-    return 2;
+  if (!config.out_path.empty() && !json.write(config.out_path)) return 2;
   if (total.transport_errors > 0) return 2;
   return 0;
 }

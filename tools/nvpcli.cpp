@@ -658,11 +658,17 @@ int optimize(const core::Engine& engine, const util::CliArgs& args,
   const double to = args.get_double("to", 3000.0);
   const auto optimum =
       engine.optimize_rejuvenation_interval(params, from, to);
+  // Failed evaluations show only when there are any (the sweep's envelope
+  // convention), so clean output keeps its shape.
   if (common.format == util::OutputFormat::kTable) {
     out += util::format(
         "optimal rejuvenation interval: %.1f s -> E[R_sys] = %.7f (%zu "
-        "evaluations)\n",
+        "evaluations",
         optimum.x, optimum.expected_reliability, optimum.evaluations);
+    if (optimum.failed > 0)
+      out += util::format(", %zu failed, first: %s", optimum.failed,
+                          optimum.error.summary().c_str());
+    out += ")\n";
     return 0;
   }
   Report report;
@@ -671,6 +677,12 @@ int optimize(const core::Engine& engine, const util::CliArgs& args,
   report.rows = {{util::format("%.1f", optimum.x),
                   util::format("%.7f", optimum.expected_reliability),
                   util::format("%zu", optimum.evaluations)}};
+  if (optimum.failed > 0) {
+    report.columns.insert(report.columns.end(), {"failed", "error"});
+    report.rows[0].insert(report.rows[0].end(),
+                          {util::format("%zu", optimum.failed),
+                           optimum.error.summary()});
+  }
   out = render(report, common.format);
   return 0;
 }
@@ -708,7 +720,8 @@ int monitor_session(const core::Engine& engine, const util::CliArgs& args,
   const monitor::SessionConfig config = monitor_config(args, common);
   if (!(config.duration > 0.0) || !(config.schedule.multiplier >= 1.0) ||
       !(config.schedule.period > 0.0) ||
-      !(config.controller.update_every > 0.0))
+      !(config.controller.update_every > 0.0) ||
+      args.get_int("grid-points", 10) < 3)
     return usage();
   const monitor::SessionResult result =
       run_monitor_session(engine, config);
