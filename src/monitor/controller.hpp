@@ -29,6 +29,13 @@ struct ControlRecord {
   bool retuned = false;
   bool degraded = false;
   std::string error;  ///< failure summary when degraded
+
+  /// True when this update's re-solve ran and succeeded, so
+  /// `expected_reliability` is a solve value. False for a degraded record
+  /// and for one written before there was evidence enough to solve
+  /// (`mttc_hat` is set only when the controller solves). Every output
+  /// shows E[R_sys] exactly when this holds.
+  bool solved() const { return !degraded && mttc_hat > 0.0; }
 };
 
 /// Closed-loop rejuvenation controller: consumes the verdict stream through

@@ -7,10 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
+#include "src/util/cli.hpp"
 #include "src/util/string_util.hpp"
 
 namespace nvp::service {
@@ -137,13 +137,10 @@ bool parse_endpoint(const std::string& endpoint, std::string* host,
     port_part = endpoint.substr(colon + 1);
     if (host_part.empty()) host_part = "127.0.0.1";
   }
-  if (port_part.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(port_part.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value <= 0 || value > 65535)
-    return false;
+  const std::optional<int> value = util::parse_int(port_part);
+  if (!value || *value <= 0 || *value > 65535) return false;
   *host = host_part;
-  *port = static_cast<int>(value);
+  *port = *value;
   return true;
 }
 

@@ -3,12 +3,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "src/core/staged.hpp"
 #include "src/markov/ctmc.hpp"
-#include "src/markov/fallback.hpp"
 #include "src/markov/solver_config.hpp"
 #include "src/obs/json.hpp"
 #include "src/runtime/fnv.hpp"
@@ -27,16 +32,19 @@ const char* to_string(FrameStatus status) {
   return "?";
 }
 
+namespace {
+
+constexpr std::pair<Method, const char*> kMethodNames[] = {
+    {Method::kPing, "ping"},         {Method::kAnalyze, "analyze"},
+    {Method::kSweep, "sweep"},       {Method::kSimulate, "simulate"},
+    {Method::kMonitor, "monitor"},   {Method::kStats, "stats"},
+    {Method::kShutdown, "shutdown"}};
+
+}  // namespace
+
 const char* to_string(Method method) {
-  switch (method) {
-    case Method::kPing: return "ping";
-    case Method::kAnalyze: return "analyze";
-    case Method::kSweep: return "sweep";
-    case Method::kSimulate: return "simulate";
-    case Method::kMonitor: return "monitor";
-    case Method::kStats: return "stats";
-    case Method::kShutdown: return "shutdown";
-  }
+  for (const auto& [m, name] : kMethodNames)
+    if (m == method) return name;
   return "?";
 }
 
@@ -121,6 +129,27 @@ bool write_frame(int fd, std::string_view payload) {
 
 namespace {
 
+/// Member `key` of `node` as a count, `fallback` when absent. A negative or
+/// out-of-range value reads as 0, which every caller's lower bound refuses.
+std::size_t count_or(const wire::Value& node, std::string_view key,
+                     std::size_t fallback) {
+  const double v = node.number_or(key, static_cast<double>(fallback));
+  return v >= 0.0 && v <= 9007199254740992.0 ? static_cast<std::size_t>(v)
+                                              : 0;
+}
+
+/// The object member `key` of `payload`; an empty object when absent, null
+/// (with `*error` set) when present but not an object.
+const wire::Value* section(const wire::Value& payload, const char* key,
+                           std::string* error) {
+  static const wire::Value kEmptyObject = *wire::parse("{}");
+  const wire::Value* node = payload.get(key);
+  if (node == nullptr) return &kEmptyObject;
+  if (node->is_object()) return node;
+  *error = util::format("%s must be an object", key);
+  return nullptr;
+}
+
 bool parse_params(const wire::Value& node, core::SystemParameters* params,
                   std::string* error) {
   const std::string paper = node.string_or("paper", "6v");
@@ -181,14 +210,20 @@ bool parse_params(const wire::Value& node, core::SystemParameters* params,
   return true;
 }
 
-/// Overlays the request's `options` object onto `*options`, which the
-/// caller seeds (the daemon seeds its own analyzer configuration). Keys
-/// absent from the node keep the seeded value — the CLI client only
-/// forwards flags the user typed, so absence means "the daemon's default",
-/// not "the library's default".
+/// Overlays the request's `options` object onto the caller-seeded
+/// `*options`. An absent key keeps the seed: nvpcli forwards only the flags
+/// the user typed, so absence means "the daemon's default".
 bool parse_options(const wire::Value& node,
                    core::ReliabilityAnalyzer::Options* options,
                    std::string* error) {
+  for (const auto& [key, spec] :
+       {std::pair{"solver", "backend=<name>"},
+        std::pair{"fallback", "fallback=<stage+stage+...>"}})
+    if (node.get(key) != nullptr) {
+      *error = util::format(
+          "options.%s was removed, use options.solver_config %s", key, spec);
+      return false;
+    }
   if (node.get("convention") != nullptr) {
     const auto convention =
         core::parse_convention(node.string_or("convention", ""));
@@ -207,26 +242,7 @@ bool parse_options(const wire::Value& node,
     }
     options->attachment = *attachment;
   }
-  if (node.get("solver") != nullptr) {
-    const std::string solver = node.string_or("solver", "");
-    const auto backend = markov::parse_backend(solver);
-    if (!backend) {
-      *error = "options.solver must be auto|dense|sparse|mfree";
-      return false;
-    }
-    options->solver.backend = *backend;
-  }
-  const std::string fallback = node.string_or("fallback", "");
-  if (!fallback.empty()) {
-    try {
-      options->solver.fallback.stages = markov::parse_fallback_stages(fallback);
-    } catch (const std::exception& e) {
-      *error = util::format("invalid options.fallback: %s", e.what());
-      return false;
-    }
-  }
-  // Full-config overlay, applied after the legacy keys so an explicit spec
-  // wins. The same spec grammar nvpcli --solver-config speaks.
+  // The same spec grammar nvpcli --solver-config speaks.
   const std::string solver_config = node.string_or("solver_config", "");
   if (!solver_config.empty()) {
     try {
@@ -239,174 +255,272 @@ bool parse_options(const wire::Value& node,
   return true;
 }
 
+bool parse_sweep(const wire::Value& node, Request* request,
+                 std::string* error) {
+  request->sweep_param = node.string_or("param", "interval");
+  const core::ParameterField* field =
+      core::find_parameter_field(request->sweep_param);
+  if (field == nullptr || field->system == nullptr) {
+    std::string names;
+    for (const core::ParameterField& f : core::parameter_fields())
+      if (f.system != nullptr)
+        names += std::string(names.empty() ? "" : "|") + f.name;
+    *error = "sweep.param must be one of " + names;
+    return false;
+  }
+  request->sweep_from = node.number_or("from", 0.0);
+  request->sweep_to = node.number_or("to", 0.0);
+  request->sweep_points = count_or(node, "points", 15);
+  if (!(request->sweep_to > request->sweep_from) ||
+      request->sweep_points < 2) {
+    *error = "sweep needs from < to and points >= 2";
+    return false;
+  }
+  if (request->sweep_points > 100000) {
+    *error = "sweep.points exceeds the per-request limit (100000)";
+    return false;
+  }
+  return true;
+}
+
+bool parse_simulate(const wire::Value& node,
+                    core::Engine::SimulateOptions* sim, std::string* error) {
+  sim->horizon = node.number_or("horizon", sim->horizon);
+  sim->replications = count_or(node, "reps", sim->replications);
+  sim->seed = node.u64_or("seed", sim->seed);
+  if (!(sim->horizon > 0.0) || sim->replications == 0) {
+    *error = "simulate needs horizon > 0 and reps >= 1";
+    return false;
+  }
+  return true;
+}
+
+bool parse_monitor(const wire::Value& node, monitor::SessionConfig* config,
+                   std::string* error) {
+  const std::string schedule = node.string_or(
+      "schedule", monitor::DriftSchedule::kind_name(config->schedule.kind));
+  try {
+    config->schedule.kind = monitor::DriftSchedule::parse_kind(schedule);
+  } catch (const std::exception&) {
+    *error = "monitor.schedule must be one of step|ramp|sinusoid";
+    return false;
+  }
+  config->policy = node.string_or("policy", config->policy);
+  if (config->policy != "hysteresis" && config->policy != "static") {
+    *error = "monitor.policy must be one of hysteresis|static";
+    return false;
+  }
+  monitor::DriftSchedule& drift = config->schedule;
+  monitor::MonitorController::Config& control = config->controller;
+  drift.multiplier = node.number_or("multiplier", drift.multiplier);
+  drift.period = node.number_or("period", drift.period);
+  drift.segment = node.number_or("segment", drift.segment);
+  config->duration = node.number_or("horizon", config->duration);
+  control.update_every = node.number_or("update_every", control.update_every);
+  control.interval_lo = node.number_or("interval_lo", control.interval_lo);
+  control.interval_hi = node.number_or("interval_hi", control.interval_hi);
+  control.grid_points = count_or(node, "grid_points", control.grid_points);
+  config->hysteresis.band = node.number_or("band", config->hysteresis.band);
+  config->seed = node.u64_or("seed", config->seed);
+  if (!(config->duration > 0.0) || !(drift.multiplier >= 1.0) ||
+      !(drift.period > 0.0) || !(drift.segment > 0.0) ||
+      !(control.update_every > 0.0)) {
+    *error = "monitor needs horizon/period/segment/update_every > 0 and "
+             "multiplier >= 1";
+    return false;
+  }
+  if (!(control.interval_hi > control.interval_lo) ||
+      !(control.interval_lo > 0.0) || control.grid_points < 3 ||
+      !(config->hysteresis.band >= 0.0)) {
+    *error = "monitor needs 0 < interval_lo < interval_hi, grid_points >= 3 "
+             "and band >= 0";
+    return false;
+  }
+  if (!config->params.rejuvenation) {
+    *error = "monitor steers the rejuvenation clock and needs "
+             "params.rejuvenation";
+    return false;
+  }
+  if (config->duration / control.update_every > 100000.0) {
+    *error = "monitor.horizon/update_every exceeds the per-request limit "
+             "(100000 updates)";
+    return false;
+  }
+  // The policy clamp is the optimizer's search range.
+  config->hysteresis.min_interval = control.interval_lo;
+  config->hysteresis.max_interval = control.interval_hi;
+  return true;
+}
+
 }  // namespace
 
 bool parse_request(const wire::Value& payload, Request* request,
                    std::string* error) {
+  // Start from the defaults; only the caller-seeded options survive.
+  core::ReliabilityAnalyzer::Options seeded = std::move(request->options);
+  *request = Request{};
+  request->options = std::move(seeded);
   if (!payload.is_object()) {
     *error = "request must be a JSON object";
     return false;
   }
   request->id = payload.u64_or("id", 0);
   const std::string method = payload.string_or("method", "");
-  if (method == "ping")
-    request->method = Method::kPing;
-  else if (method == "analyze")
-    request->method = Method::kAnalyze;
-  else if (method == "sweep")
-    request->method = Method::kSweep;
-  else if (method == "simulate")
-    request->method = Method::kSimulate;
-  else if (method == "monitor")
-    request->method = Method::kMonitor;
-  else if (method == "stats")
-    request->method = Method::kStats;
-  else if (method == "shutdown")
-    request->method = Method::kShutdown;
-  else {
+  const auto named = std::find_if(
+      std::begin(kMethodNames), std::end(kMethodNames),
+      [&](const auto& entry) { return method == entry.second; });
+  if (named == std::end(kMethodNames)) {
     *error = method.empty() ? "request lacks a method"
                             : util::format("unknown method '%s'",
                                            method.c_str());
     return false;
   }
+  request->method = named->first;
   request->deadline_ms = payload.number_or("deadline_ms", 0.0);
   if (request->deadline_ms < 0.0) {
     *error = "deadline_ms must be non-negative";
     return false;
   }
 
-  const bool needs_model = request->method == Method::kAnalyze ||
-                           request->method == Method::kSweep ||
-                           request->method == Method::kSimulate ||
-                           request->method == Method::kMonitor;
-  if (!needs_model) return true;
+  if (request->method == Method::kPing || request->method == Method::kStats ||
+      request->method == Method::kShutdown)
+    return true;
 
-  const wire::Value* params_node = payload.get("params");
-  static const wire::Value kEmptyObject = [] {
-    wire::Value v;
-    v.type = wire::Value::Type::kObject;
-    return v;
-  }();
-  if (params_node == nullptr) params_node = &kEmptyObject;
-  if (!params_node->is_object()) {
-    *error = "params must be an object";
+  const wire::Value* params = section(payload, "params", error);
+  if (params == nullptr || !parse_params(*params, &request->params, error))
     return false;
-  }
-  if (!parse_params(*params_node, &request->params, error)) return false;
+  const wire::Value* options = section(payload, "options", error);
+  if (options == nullptr ||
+      !parse_options(*options, &request->options, error))
+    return false;
 
-  const wire::Value* options_node = payload.get("options");
-  if (options_node != nullptr) {
-    if (!options_node->is_object()) {
-      *error = "options must be an object";
-      return false;
-    }
-    if (!parse_options(*options_node, &request->options, error)) return false;
-  }
+  if (request->method == Method::kAnalyze) return true;
+  // Each other work method reads the section named after it.
+  const wire::Value* node =
+      section(payload, to_string(request->method), error);
+  if (node == nullptr) return false;
+  if (request->method == Method::kSweep)
+    return parse_sweep(*node, request, error);
+  if (request->method == Method::kSimulate)
+    return parse_simulate(*node, &request->simulate, error);
+  request->monitor.params = request->params;
+  return parse_monitor(*node, &request->monitor, error);
+}
 
-  if (request->method == Method::kSweep) {
-    const wire::Value* sweep = payload.get("sweep");
-    if (sweep == nullptr || !sweep->is_object()) {
-      *error = "sweep requests need a sweep object";
-      return false;
-    }
-    request->sweep_param = sweep->string_or("param", "interval");
-    const core::ParameterField* field =
-        core::find_parameter_field(request->sweep_param);
-    if (field == nullptr || field->system == nullptr) {
-      std::string names;
-      for (const core::ParameterField& f : core::parameter_fields())
-        if (f.system != nullptr)
-          names += std::string(names.empty() ? "" : "|") + f.name;
-      *error = "sweep.param must be one of " + names;
-      return false;
-    }
-    request->sweep_from = sweep->number_or("from", 0.0);
-    request->sweep_to = sweep->number_or("to", 0.0);
-    request->sweep_points =
-        static_cast<std::size_t>(sweep->number_or("points", 15.0));
-    if (!(request->sweep_to > request->sweep_from) ||
-        request->sweep_points < 2) {
-      *error = "sweep needs from < to and points >= 2";
-      return false;
-    }
-    if (request->sweep_points > 100000) {
-      *error = "sweep.points exceeds the per-request limit (100000)";
-      return false;
-    }
+// ---------------------------------------------------------------------------
+// nvpcli's flag-to-key map.
+
+namespace {
+
+enum class FlagKind { kNumber, kCount, kText };
+using enum FlagKind;
+
+/// An nvpcli flag of a request section; its wire key is its name with each
+/// '-' spelled '_'.
+struct Flag {
+  const char* name;
+  FlagKind kind;
+};
+
+constexpr Flag kOptionFlags[] = {
+    {"convention", kText}, {"attachment", kText}, {"solver-config", kText}};
+constexpr Flag kSweepFlags[] = {
+    {"param", kText}, {"from", kNumber}, {"to", kNumber}, {"points", kCount}};
+constexpr Flag kSimulateFlags[] = {
+    {"horizon", kNumber}, {"reps", kCount}, {"seed", kCount}};
+constexpr Flag kMonitorFlags[] = {
+    {"schedule", kText},       {"horizon", kNumber},
+    {"multiplier", kNumber},   {"period", kNumber},
+    {"segment", kNumber},      {"policy", kText},
+    {"update-every", kNumber}, {"interval-lo", kNumber},
+    {"interval-hi", kNumber},  {"grid-points", kCount},
+    {"band", kNumber},         {"seed", kCount}};
+
+void write_section(obs::JsonWriter& json, const char* section,
+                   const util::CliArgs& args, std::span<const Flag> flags) {
+  json.key(section).begin_object();
+  for (const Flag& flag : flags) {
+    if (!args.has(flag.name)) continue;
+    std::string key = flag.name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    json.key(key);
+    if (flag.kind == kNumber)
+      json.value(args.get_double(flag.name, 0.0));
+    else if (flag.kind == kCount)
+      json.value(args.get_int(flag.name, 0));
+    else
+      json.value(args.get(flag.name, ""));
   }
-  if (request->method == Method::kSimulate) {
-    const wire::Value* sim = payload.get("simulate");
-    if (sim != nullptr) {
-      if (!sim->is_object()) {
-        *error = "simulate must be an object";
-        return false;
-      }
-      request->sim_horizon = sim->number_or("horizon", request->sim_horizon);
-      request->sim_replications = static_cast<std::size_t>(
-          sim->number_or("reps", double(request->sim_replications)));
-      request->sim_seed = sim->u64_or("seed", request->sim_seed);
+  json.end_object();
+}
+
+/// A `--groups` spec — `count[:mttc[:mttf[:mttr[:p[:p-prime[:weight
+/// [:repair-degradation]]]]]]];...` — as group objects. The fields after
+/// the count are the parameter table's group rows, in order; an empty or
+/// omitted field stays out, so the decoder inherits it.
+void write_groups(obs::JsonWriter& json, const std::string& spec) {
+  std::vector<const char*> rows;
+  for (const core::ParameterField& field : core::parameter_fields())
+    if (field.group != nullptr) rows.push_back(field.name);
+  json.key("groups").begin_array();
+  int index = 0;
+  for (const std::string& group_spec : util::split(spec, ';')) {
+    if (group_spec.empty()) continue;
+    ++index;
+    const std::vector<std::string> fields = util::split(group_spec, ':');
+    if (fields.size() > rows.size() + 1)
+      throw std::invalid_argument(util::format(
+          "--groups group %d has %zu fields, at most %zu", index,
+          fields.size(), rows.size() + 1));
+    const std::optional<int> count = util::parse_int(fields[0]);
+    if (!count)
+      throw std::invalid_argument(util::format(
+          "--groups group %d count expects an integer, got '%s'", index,
+          fields[0].c_str()));
+    json.begin_object().kv("count", *count);
+    for (std::size_t i = 1; i < fields.size(); ++i) {
+      if (fields[i].empty()) continue;
+      const std::optional<double> value = util::parse_finite(fields[i]);
+      if (!value)
+        throw std::invalid_argument(util::format(
+            "--groups group %d %s expects a finite number, got '%s'", index,
+            rows[i - 1], fields[i].c_str()));
+      json.kv(rows[i - 1], *value);
     }
-    if (!(request->sim_horizon > 0.0) || request->sim_replications == 0) {
-      *error = "simulate needs horizon > 0 and reps >= 1";
-      return false;
-    }
+    json.end_object();
   }
-  if (request->method == Method::kMonitor) {
-    const wire::Value* mon = payload.get("monitor");
-    if (mon != nullptr) {
-      if (!mon->is_object()) {
-        *error = "monitor must be an object";
-        return false;
-      }
-      request->mon_schedule = mon->string_or("schedule",
-                                             request->mon_schedule);
-      request->mon_horizon = mon->number_or("horizon", request->mon_horizon);
-      request->mon_multiplier =
-          mon->number_or("multiplier", request->mon_multiplier);
-      request->mon_period = mon->number_or("period", request->mon_period);
-      request->mon_segment = mon->number_or("segment", request->mon_segment);
-      request->mon_policy = mon->string_or("policy", request->mon_policy);
-      request->mon_update_every =
-          mon->number_or("update_every", request->mon_update_every);
-      request->mon_interval_lo =
-          mon->number_or("interval_lo", request->mon_interval_lo);
-      request->mon_interval_hi =
-          mon->number_or("interval_hi", request->mon_interval_hi);
-      request->mon_grid_points = static_cast<std::size_t>(
-          mon->number_or("grid_points", double(request->mon_grid_points)));
-      request->mon_band = mon->number_or("band", request->mon_band);
-      request->mon_seed = mon->u64_or("seed", request->mon_seed);
-    }
-    if (request->mon_schedule != "step" && request->mon_schedule != "ramp" &&
-        request->mon_schedule != "sinusoid") {
-      *error = "monitor.schedule must be one of step|ramp|sinusoid";
-      return false;
-    }
-    if (request->mon_policy != "hysteresis" &&
-        request->mon_policy != "static") {
-      *error = "monitor.policy must be one of hysteresis|static";
-      return false;
-    }
-    if (!(request->mon_horizon > 0.0) || !(request->mon_multiplier >= 1.0) ||
-        !(request->mon_period > 0.0) || !(request->mon_segment > 0.0) ||
-        !(request->mon_update_every > 0.0)) {
-      *error = "monitor needs horizon/period/segment/update_every > 0 and "
-               "multiplier >= 1";
-      return false;
-    }
-    if (!(request->mon_interval_hi > request->mon_interval_lo) ||
-        !(request->mon_interval_lo > 0.0) || request->mon_grid_points < 3) {
-      *error = "monitor needs 0 < interval_lo < interval_hi and "
-               "grid_points >= 3";
-      return false;
-    }
-    if (request->mon_horizon / request->mon_update_every > 100000.0) {
-      *error = "monitor.horizon/update_every exceeds the per-request limit "
-               "(100000 updates)";
-      return false;
-    }
+  json.end_array();
+}
+
+}  // namespace
+
+std::string cli_request_json(std::uint64_t id, const std::string& method,
+                             const util::CliArgs& args) {
+  obs::JsonWriter json;
+  json.begin_object();
+  json.kv("id", id);
+  json.kv("method", method);
+  if (args.has("deadline-ms"))
+    json.kv("deadline_ms", args.get_double("deadline-ms", 0.0));
+  if (method == "analyze" || method == "sweep" || method == "simulate" ||
+      method == "monitor") {
+    json.key("params").begin_object();
+    if (args.has("paper")) json.kv("paper", args.get("paper", ""));
+    for (const char* key : {"n", "f", "r"})
+      if (args.has(key)) json.kv(key, args.get_int(key, 0));
+    for (const core::ParameterField& field : core::parameter_fields())
+      if (field.system != nullptr && args.has(field.name))
+        json.kv(field.name, args.get_double(field.name, 0.0));
+    if (args.has("groups")) write_groups(json, args.get("groups", ""));
+    json.end_object();
+    write_section(json, "options", args, kOptionFlags);
   }
-  return true;
+  if (method == "sweep") write_section(json, "sweep", args, kSweepFlags);
+  if (method == "simulate")
+    write_section(json, "simulate", args, kSimulateFlags);
+  if (method == "monitor") write_section(json, "monitor", args, kMonitorFlags);
+  json.end_object();
+  return json.str();
 }
 
 std::uint64_t coalesce_key(const Request& request) {

@@ -5,9 +5,12 @@
 #include <string_view>
 
 #include "src/core/analyzer.hpp"
+#include "src/core/engine.hpp"
 #include "src/core/params.hpp"
 #include "src/fault/error.hpp"
+#include "src/monitor/session.hpp"
 #include "src/service/wire.hpp"
+#include "src/util/cli.hpp"
 
 namespace nvp::service {
 
@@ -20,9 +23,10 @@ namespace nvp::service {
 ///   { "id": <u64>, "method": "ping"|"analyze"|"sweep"|"simulate"|
 ///                            "monitor"|"stats"|"shutdown",
 ///     "deadline_ms": <ms, optional>,
-///     "params":  { "paper": "4v"|"6v", ...numeric overrides... },
-///     "options": { "convention": ..., "attachment": ..., "solver": ...,
-///                  "fallback": "stage,stage,..." },
+///     "params":  { "paper": "4v"|"6v", ...numeric overrides...,
+///                  "groups": [ { "count": ..., ...group overrides... } ] },
+///     "options": { "convention": ..., "attachment": ...,
+///                  "solver_config": "key=value,..." },
 ///     "sweep":    { "param": ..., "from": ..., "to": ..., "points": ... },
 ///     "simulate": { "horizon": ..., "reps": ..., "seed": ... },
 ///     "monitor":  { "schedule": ..., "horizon": ..., "multiplier": ...,
@@ -30,6 +34,10 @@ namespace nvp::service {
 ///                   "update_every": ..., "interval_lo": ...,
 ///                   "interval_hi": ..., "grid_points": ..., "band": ...,
 ///                   "seed": ... } }
+///
+/// A key left out takes the default of the field it fills (the paper
+/// preset, core::Engine::SimulateOptions, monitor::SessionConfig). The
+/// removed `options.solver` and `options.fallback` are refused.
 ///
 /// Response object:
 ///   { "id": <u64>, "ok": true,  "result": { ... } }
@@ -76,53 +84,44 @@ enum class Method {
 };
 const char* to_string(Method method);
 
-/// One parsed protocol request. Defaults mirror the CLI's.
+/// One parsed protocol request: the one schema behind nvpd and nvpcli.
 struct Request {
   std::uint64_t id = 0;
   Method method = Method::kPing;
   double deadline_ms = 0.0;  ///< 0 = no deadline
 
   core::SystemParameters params;
-  /// Solver/reward options the solve must run with. parse_request overlays
-  /// only the keys present in the request's `options` object onto whatever
-  /// the caller seeded here — the server seeds its own analyzer
-  /// configuration, so absent keys inherit the daemon's defaults.
+  /// Solver/reward options the solve runs with: the request's `options`
+  /// keys overlay what the caller seeded (nvpd seeds its own defaults).
   core::ReliabilityAnalyzer::Options options;
 
   // sweep
-  std::string sweep_param = "interval";
+  std::string sweep_param;
   double sweep_from = 0.0;
   double sweep_to = 0.0;
   std::size_t sweep_points = 0;
 
-  // simulate
-  double sim_horizon = 1.0e6;
-  std::size_t sim_replications = 8;
-  std::uint64_t sim_seed = 1;
-
-  // monitor — kept as plain fields (not a monitor::SessionConfig) so the
-  // protocol layer stays decoupled from the monitor subsystem; the server
-  // assembles the session config at execution time.
-  std::string mon_schedule = "step";
-  double mon_horizon = 200000.0;
-  double mon_multiplier = 8.0;
-  double mon_period = 60000.0;
-  double mon_segment = 2000.0;
-  std::string mon_policy = "hysteresis";
-  double mon_update_every = 2500.0;
-  double mon_interval_lo = 60.0;
-  double mon_interval_hi = 3000.0;
-  std::size_t mon_grid_points = 10;
-  double mon_band = 0.15;
-  std::uint64_t mon_seed = 1;
+  core::Engine::SimulateOptions simulate;
+  /// The whole session of a monitor request; its `params` are `params`.
+  monitor::SessionConfig monitor;
 };
 
-/// Parses a decoded JSON payload into a Request. On failure returns false
-/// and fills `*error` with a one-line message (the caller wraps it in an
-/// invalid-request response; the connection stays usable — the frame itself
-/// was well-formed).
+/// Parses a decoded JSON payload into a Request. Every field but the
+/// caller-seeded `options` is decoded afresh, so a reused Request carries
+/// nothing over. On failure returns false and fills `*error` with a
+/// one-line message (the caller wraps it in an invalid-request response;
+/// the connection stays usable — the frame itself was well-formed).
 bool parse_request(const wire::Value& payload, Request* request,
                    std::string* error);
+
+/// nvpcli's flag-to-key map: the request JSON for `method` that carries
+/// exactly the flags present in `args`, each under its wire key (`--groups`
+/// spec fields become group objects). A flag left out stays out of the
+/// JSON, so the decoder's default — or, for `options`, the daemon's own
+/// setting — applies. Throws std::invalid_argument naming the flag on a
+/// value that is not a finite number or whole count.
+std::string cli_request_json(std::uint64_t id, const std::string& method,
+                             const util::CliArgs& args);
 
 /// Canonical identity of a request for in-flight coalescing: requests with
 /// equal keys are guaranteed to produce identical result payloads, so they

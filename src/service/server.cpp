@@ -610,7 +610,14 @@ void Server::worker_loop() {
     std::string result_json;
     {
       const obs::ScopedSpan span("service.execute");
-      result_json = run_engine(task->request, &ok, &error);
+      // A throw here would end the process (worker threads have no outer
+      // handler); it becomes this request's error envelope instead.
+      try {
+        result_json = run_engine(task->request, &ok, &error);
+      } catch (const std::exception& e) {
+        ok = false;
+        error = fault::ErrorInfo::from(e);
+      }
     }
 
     // Completion: retire the coalescing key and freeze the waiter list.
@@ -663,17 +670,9 @@ std::string Server::run_engine(const Request& request, bool* ok,
       return analyze_result_json(result.analysis);
     }
     case Method::kSweep: {
-      const core::ParameterSetter setter =
-          core::setter_for(request.sweep_param);
-      // parse_request validated the name; a null setter here is a bug.
-      if (!setter) {
-        *ok = false;
-        *error = make_error(fault::Category::kInternal,
-                            "unmapped sweep parameter", "service.sweep");
-        return {};
-      }
+      // parse_request accepts only names setter_for maps.
       const std::vector<core::SweepPoint> points = engine.sweep(
-          request.params, setter,
+          request.params, core::setter_for(request.sweep_param),
           core::linspace(request.sweep_from, request.sweep_to,
                          request.sweep_points));
       obs::JsonWriter json;
@@ -701,10 +700,7 @@ std::string Server::run_engine(const Request& request, bool* ok,
       return json.str();
     }
     case Method::kSimulate: {
-      core::Engine::SimulateOptions sim;
-      sim.horizon = request.sim_horizon;
-      sim.replications = request.sim_replications;
-      sim.seed = request.sim_seed;
+      const core::Engine::SimulateOptions& sim = request.simulate;
       const core::RunResult result = engine.simulate(request.params, sim);
       if (!result.ok) {
         *ok = false;
@@ -724,23 +720,7 @@ std::string Server::run_engine(const Request& request, bool* ok,
       return json.str();
     }
     case Method::kMonitor: {
-      monitor::SessionConfig config;
-      config.params = request.params;
-      config.schedule.kind =
-          monitor::DriftSchedule::parse_kind(request.mon_schedule);
-      config.schedule.multiplier = request.mon_multiplier;
-      config.schedule.period = request.mon_period;
-      config.schedule.segment = request.mon_segment;
-      config.duration = request.mon_horizon;
-      config.seed = request.mon_seed;
-      config.policy = request.mon_policy;
-      config.controller.update_every = request.mon_update_every;
-      config.controller.interval_lo = request.mon_interval_lo;
-      config.controller.interval_hi = request.mon_interval_hi;
-      config.controller.grid_points = request.mon_grid_points;
-      config.hysteresis.band = request.mon_band;
-      config.hysteresis.min_interval = request.mon_interval_lo;
-      config.hysteresis.max_interval = request.mon_interval_hi;
+      const monitor::SessionConfig& config = request.monitor;
       const monitor::SessionResult session =
           monitor::run_monitor_session(engine, config);
       obs::JsonWriter json;
@@ -766,10 +746,7 @@ std::string Server::run_engine(const Request& request, bool* ok,
         json.kv("pprime_mean", r.p_prime.mean);
         json.kv("target", r.target_interval);
         json.kv("applied", r.applied_interval);
-        // Evidence-gated records (mttc_hat == 0, no solve yet) and degraded
-        // records carry no fresh solve value, matching the CLI's empty cell.
-        if (!r.degraded && r.mttc_hat > 0.0)
-          json.kv("expected_reliability", r.expected_reliability);
+        if (r.solved()) json.kv("expected_reliability", r.expected_reliability);
         json.kv("retuned", r.retuned);
         if (r.degraded) json.kv("error", r.error);
         json.end_object();

@@ -1,6 +1,7 @@
 #include "src/service/wire.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/obs/json.hpp"
@@ -283,6 +284,12 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     out.type = Value::Type::kNumber;
     out.number = std::strtod(token.c_str(), nullptr);
+    // A literal like 1e999 reads as inf, which no protocol field can use
+    // and which JsonWriter could not write back.
+    if (!std::isfinite(out.number)) {
+      pos_ = start;
+      return fail("number out of range");
+    }
     return true;
   }
 

@@ -35,15 +35,9 @@ struct Value {
   /// Object member by key; nullptr when absent or not an object.
   const Value* get(std::string_view key) const;
 
-  /// Typed accessors with fallbacks (used for optional request fields).
-  double as_number(double fallback = 0.0) const {
-    return is_number() ? number : fallback;
-  }
+  /// Typed accessor with a fallback.
   bool as_bool(bool fallback = false) const {
     return is_bool() ? boolean : fallback;
-  }
-  const std::string& as_string(const std::string& fallback) const {
-    return is_string() ? string : fallback;
   }
 
   /// Member lookup + typed access in one step.

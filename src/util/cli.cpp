@@ -1,5 +1,9 @@
 #include "src/util/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -36,23 +40,21 @@ std::string CliArgs::get(const std::string& key,
 double CliArgs::get_double(const std::string& key, double fallback) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size())
-    throw std::invalid_argument("--" + key + " expects a number, got '" +
+  const std::optional<double> v = parse_finite(it->second);
+  if (!v)
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
                                 it->second + "'");
-  return v;
+  return *v;
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  std::size_t pos = 0;
-  const int v = std::stoi(it->second, &pos);
-  if (pos != it->second.size())
+  const std::optional<int> v = parse_int(it->second);
+  if (!v)
     throw std::invalid_argument("--" + key + " expects an integer, got '" +
                                 it->second + "'");
-  return v;
+  return *v;
 }
 
 std::vector<std::string> CliArgs::keys() const {
@@ -60,6 +62,27 @@ std::vector<std::string> CliArgs::keys() const {
   out.reserve(kv_.size());
   for (const auto& [k, _] : kv_) out.push_back(k);
   return out;
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(v))
+    return std::nullopt;
+  return v;
+}
+
+std::optional<int> parse_int(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end != text.c_str() + text.size() || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    return std::nullopt;
+  return static_cast<int>(v);
 }
 
 namespace {

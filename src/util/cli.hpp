@@ -21,8 +21,8 @@ class CliArgs {
   /// String value, or `fallback` if absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Numeric value, or `fallback` if absent. Throws std::invalid_argument on
-  /// non-numeric input.
+  /// Numeric value, or `fallback` if absent. Throws std::invalid_argument
+  /// naming the flag on input parse_finite / parse_int refuse.
   double get_double(const std::string& key, double fallback) const;
   int get_int(const std::string& key, int fallback) const;
 
@@ -36,6 +36,13 @@ class CliArgs {
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
 };
+
+/// `text` as a finite double, or nullopt when it is empty, has trailing
+/// characters, spells inf or nan, or overflows.
+std::optional<double> parse_finite(const std::string& text);
+
+/// `text` as an int, or nullopt when it is not a whole number in int range.
+std::optional<int> parse_int(const std::string& text);
 
 /// Output rendering shared by every CLI subcommand and bench harness.
 enum class OutputFormat { kTable, kCsv, kJson };

@@ -193,6 +193,38 @@ monitor::SessionConfig short_session(std::uint64_t seed) {
   return config;
 }
 
+TEST(MonitorSession, RecordsBeforeEnoughEvidenceCarryNoSolve) {
+  // The CLI defaults over a short horizon: at the first update (t = 2500)
+  // the estimator has seen fewer than min_events compromises, so the
+  // controller reports its estimates without solving. Every output shows
+  // E[R_sys] exactly for the records solved() accepts.
+  const core::Engine engine;
+  monitor::SessionConfig config;
+  config.params = core::SystemParameters::paper_six_version();
+  config.duration = 12000.0;
+  const monitor::SessionResult result = run_monitor_session(engine, config);
+  ASSERT_GE(result.records.size(), 2u);
+  const monitor::ControlRecord& first = result.records.front();
+  EXPECT_LT(first.lambda.events, config.controller.min_events);
+  EXPECT_FALSE(first.degraded);
+  EXPECT_FALSE(first.solved());
+  EXPECT_EQ(first.expected_reliability, 0.0);
+  std::size_t solved = 0;
+  for (const monitor::ControlRecord& r : result.records)
+    if (r.solved()) {
+      ++solved;
+      EXPECT_GT(r.expected_reliability, 0.0);
+    }
+  EXPECT_EQ(solved, result.resolves);
+  EXPECT_GT(solved, 0u);
+
+  // A failed re-solve has estimates but no solve value either.
+  monitor::ControlRecord degraded = result.records.back();
+  ASSERT_TRUE(degraded.solved());
+  degraded.degraded = true;
+  EXPECT_FALSE(degraded.solved());
+}
+
 TEST(MonitorSession, DriftWindowsRealizeTheSchedule) {
   monitor::DriftSchedule schedule;
   schedule.kind = monitor::DriftSchedule::Kind::kStep;

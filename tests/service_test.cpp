@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -15,11 +16,14 @@
 
 #include "src/core/engine.hpp"
 #include "src/core/staged.hpp"
+#include "src/monitor/session.hpp"
 #include "src/obs/json.hpp"
 #include "src/service/client.hpp"
 #include "src/service/protocol.hpp"
 #include "src/service/server.hpp"
 #include "src/service/wire.hpp"
+#include "src/util/cli.hpp"
+#include "src/util/string_util.hpp"
 
 namespace nvp {
 namespace {
@@ -66,6 +70,22 @@ TEST(WireTest, RejectsMalformedInputWithPosition) {
   EXPECT_FALSE(parse("[1, 2", &error).has_value());
   EXPECT_FALSE(parse("01", &error).has_value());
   EXPECT_FALSE(parse("nul", &error).has_value());
+}
+
+TEST(WireTest, RefusesNumbersThatOverflowToInfinity) {
+  // inf passes every `> 0` check downstream, and JsonWriter writes it back
+  // as null, so the parser refuses it where the text is still at hand.
+  std::string error;
+  EXPECT_FALSE(parse(R"({"interval": 1e999})", &error).has_value());
+  EXPECT_NE(error.find("number out of range at offset 13"), std::string::npos)
+      << error;
+  EXPECT_FALSE(parse("-1e999", &error).has_value());
+  const auto largest = parse("1.7976931348623157e308");
+  ASSERT_TRUE(largest.has_value());
+  EXPECT_EQ(largest->number, 1.7976931348623157e308);
+  const auto tiny = parse("1e-999");  // underflow is a finite zero
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_EQ(tiny->number, 0.0);
 }
 
 TEST(WireTest, BoundsNestingDepth) {
@@ -159,7 +179,7 @@ TEST(RequestTest, ParsesAnalyzeWithOverrides) {
   const auto request = must_parse(
       R"({"id": 7, "method": "analyze", "deadline_ms": 250,
           "params": {"paper": "4v", "interval": 450.0, "alpha": 0.1},
-          "options": {"solver": "sparse"}})");
+          "options": {"solver_config": "backend=sparse"}})");
   EXPECT_EQ(request.id, 7u);
   EXPECT_EQ(request.method, service::Method::kAnalyze);
   EXPECT_DOUBLE_EQ(request.deadline_ms, 250.0);
@@ -199,7 +219,7 @@ TEST(RequestTest, OptionsOverlaySeededDefaults) {
   // no-op key.
   payload = parse(R"({"id": 3, "method": "analyze",
                       "params": {"paper": "4v"},
-                      "options": {"solver": "auto"}})");
+                      "options": {"solver_config": "backend=auto"}})");
   ASSERT_TRUE(payload.has_value());
   service::Request reset;
   reset.options.solver.backend = markov::SolverBackend::kSparse;
@@ -267,11 +287,12 @@ TEST(RequestTest, EveryParameterRowParsesIntoItsField) {
 }
 
 TEST(RequestTest, RejectsBadRequests) {
-  service::Request request;
   std::string error;
+  // A fresh Request per case, so each case is refused by its own field.
   const auto check_fails = [&](const std::string& text) {
     const auto payload = parse(text);
     ASSERT_TRUE(payload.has_value()) << text;
+    service::Request request;
     EXPECT_FALSE(service::parse_request(*payload, &request, &error)) << text;
   };
   check_fails(R"({"id": 1, "method": "nonsense"})");
@@ -320,6 +341,290 @@ TEST(RequestTest, RejectsMisspelledOptionNames) {
   EXPECT_EQ(error, "options.attachment must be operational|appendix");
 }
 
+TEST(RequestTest, RefusesTheRemovedSolverAndFallbackKeys) {
+  for (const char* options :
+       {R"({"solver": "sparse"})", R"({"fallback": "power"})",
+        R"({"solver": "dense", "solver_config": "backend=dense"})"}) {
+    SCOPED_TRACE(options);
+    const auto payload = parse(
+        std::string(R"({"id": 1, "method": "analyze", "options": )") +
+        options + "}");
+    ASSERT_TRUE(payload.has_value());
+    service::Request request;
+    std::string error;
+    EXPECT_FALSE(service::parse_request(*payload, &request, &error));
+    EXPECT_NE(error.find("was removed, use options.solver_config"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(RequestTest, ReusedRequestCarriesNothingOver) {
+  // The server decodes into a fresh Request, but a caller that reuses one
+  // must see each payload on its own: a refused field, an override or a
+  // section of another method never leaks into the next decode.
+  service::Request request;
+  std::string error;
+  const auto decode = [&](const std::string& text) {
+    const auto payload = parse(text);
+    EXPECT_TRUE(payload.has_value()) << text;
+    return service::parse_request(*payload, &request, &error);
+  };
+  EXPECT_FALSE(decode(
+      R"({"id": 1, "method": "monitor", "monitor": {"schedule": "bogus"}})"));
+  EXPECT_TRUE(decode(R"({"id": 2, "method": "monitor"})")) << error;
+  EXPECT_EQ(request.monitor.schedule.kind,
+            monitor::DriftSchedule::Kind::kStep);
+
+  ASSERT_TRUE(decode(
+      R"({"id": 3, "method": "monitor", "params": {"paper": "6v", "mttc": 900},
+          "monitor": {"horizon": 50000, "interval_hi": 2000, "seed": 5}})"))
+      << error;
+  ASSERT_TRUE(decode(R"({"id": 4, "method": "monitor"})")) << error;
+  const monitor::SessionConfig defaults;
+  EXPECT_EQ(request.id, 4u);
+  EXPECT_EQ(request.monitor.duration, defaults.duration);
+  EXPECT_EQ(request.monitor.controller.interval_hi,
+            defaults.controller.interval_hi);
+  EXPECT_EQ(request.monitor.hysteresis.max_interval,
+            defaults.controller.interval_hi);
+  EXPECT_EQ(request.monitor.seed, defaults.seed);
+  EXPECT_EQ(request.monitor.params.mean_time_to_compromise,
+            core::SystemParameters::paper_six_version()
+                .mean_time_to_compromise);
+
+  ASSERT_TRUE(decode(
+      R"({"id": 5, "method": "sweep", "deadline_ms": 40,
+          "sweep": {"param": "mttc", "from": 500, "to": 900, "points": 5}})"))
+      << error;
+  ASSERT_TRUE(decode(R"({"id": 6, "method": "analyze"})")) << error;
+  EXPECT_EQ(request.deadline_ms, 0.0);
+  EXPECT_EQ(request.sweep_points, 0u);
+  EXPECT_TRUE(request.sweep_param.empty());
+}
+
+/// Decodes nvpcli flags the way nvpcli does: the flag-to-key map, the wire
+/// parser, then parse_request. A flag the map refuses fails with its
+/// message in `*error`.
+bool decode_flags(const std::string& method,
+                  const std::vector<std::string>& flags,
+                  service::Request* request, std::string* error) {
+  std::vector<const char*> argv = {"nvpcli"};  // CliArgs skips argv[0]
+  for (const std::string& flag : flags) argv.push_back(flag.c_str());
+  const util::CliArgs args(static_cast<int>(argv.size()), argv.data());
+  try {
+    const auto payload =
+        parse(service::cli_request_json(1, method, args), error);
+    return payload.has_value() &&
+           service::parse_request(*payload, request, error);
+  } catch (const std::invalid_argument& e) {
+    *error = e.what();
+    return false;
+  }
+}
+
+TEST(RequestTest, FlagToKeyMapReachesEveryField) {
+  service::Request request;
+  std::string error;
+  const auto paper = core::SystemParameters::paper_six_version();
+  const auto scaled = [](double base) {
+    return base == 0.0 ? 0.01 : base * 0.9;
+  };
+  const auto text = [](double v) { return util::format("%.17g", v); };
+
+  // Every parameter-table row: system-wide as --<name>, per group as its
+  // position in the --groups spec (count first, then the group rows).
+  std::size_t position = 0;
+  for (const core::ParameterField& field : core::parameter_fields()) {
+    SCOPED_TRACE(field.name);
+    if (field.system != nullptr) {
+      const double v = scaled(paper.*field.system);
+      ASSERT_TRUE(decode_flags("analyze",
+                               {"--" + std::string(field.name), text(v)},
+                               &request, &error))
+          << error;
+      EXPECT_EQ(request.params.*field.system, v);
+    }
+    if (field.group != nullptr) {
+      ++position;
+      const double inherited = paper.inherited_group(2).*field.group;
+      const double v = scaled(inherited);
+      const std::string spec =
+          "5;2" + std::string(position, ':') + text(v);
+      ASSERT_TRUE(
+          decode_flags("analyze", {"--groups", spec}, &request, &error))
+          << error;
+      ASSERT_EQ(request.params.groups.size(), 2u);
+      EXPECT_EQ(request.params.n_versions, 7);  // derived from the counts
+      EXPECT_EQ(request.params.groups[0].count, 5);
+      EXPECT_EQ(request.params.groups[1].count, 2);
+      EXPECT_EQ(request.params.groups[1].*field.group, v);
+      EXPECT_EQ(request.params.groups[0].*field.group, inherited);
+    }
+  }
+  ASSERT_TRUE(decode_flags("analyze",
+                           {"--paper", "4v", "--n", "7", "--f", "2", "--r",
+                            "0", "--deadline-ms", "250"},
+                           &request, &error))
+      << error;
+  EXPECT_EQ(request.params.n_versions, 7);
+  EXPECT_EQ(request.params.max_faulty, 2);
+  EXPECT_EQ(request.params.max_rejuvenating, 0);
+  EXPECT_EQ(request.deadline_ms, 250.0);
+
+  ASSERT_TRUE(decode_flags("analyze",
+                           {"--convention", "strict", "--attachment",
+                            "appendix", "--solver-config", "backend=sparse"},
+                           &request, &error))
+      << error;
+  EXPECT_EQ(request.options.convention, core::RewardConvention::kStrict);
+  EXPECT_EQ(request.options.attachment, core::RewardAttachment::kAppendixMatrices);
+  EXPECT_EQ(request.options.solver.backend, markov::SolverBackend::kSparse);
+
+  ASSERT_TRUE(decode_flags("sweep",
+                           {"--param", "mttc", "--from", "500", "--to",
+                            "900", "--points", "5"},
+                           &request, &error))
+      << error;
+  EXPECT_EQ(request.sweep_param, "mttc");
+  EXPECT_EQ(request.sweep_from, 500.0);
+  EXPECT_EQ(request.sweep_to, 900.0);
+  EXPECT_EQ(request.sweep_points, 5u);
+
+  ASSERT_TRUE(decode_flags("simulate",
+                           {"--horizon", "5e4", "--reps", "3", "--seed", "9"},
+                           &request, &error))
+      << error;
+  EXPECT_EQ(request.simulate.horizon, 5e4);
+  EXPECT_EQ(request.simulate.replications, 3u);
+  EXPECT_EQ(request.simulate.seed, 9u);
+
+  ASSERT_TRUE(decode_flags(
+      "monitor",
+      {"--schedule", "sinusoid", "--horizon", "50000", "--multiplier", "10",
+       "--period", "30000", "--segment", "1000", "--policy", "static",
+       "--update-every", "1250", "--interval-lo", "100", "--interval-hi",
+       "2000", "--grid-points", "7", "--band", "0.2", "--seed", "42"},
+      &request, &error))
+      << error;
+  const monitor::SessionConfig& session = request.monitor;
+  EXPECT_EQ(session.schedule.kind, monitor::DriftSchedule::Kind::kSinusoid);
+  EXPECT_EQ(session.duration, 50000.0);
+  EXPECT_EQ(session.schedule.multiplier, 10.0);
+  EXPECT_EQ(session.schedule.period, 30000.0);
+  EXPECT_EQ(session.schedule.segment, 1000.0);
+  EXPECT_EQ(session.policy, "static");
+  EXPECT_EQ(session.controller.update_every, 1250.0);
+  EXPECT_EQ(session.controller.interval_lo, 100.0);
+  EXPECT_EQ(session.controller.interval_hi, 2000.0);
+  EXPECT_EQ(session.controller.grid_points, 7u);
+  EXPECT_EQ(session.hysteresis.band, 0.2);
+  EXPECT_EQ(session.hysteresis.min_interval, 100.0);
+  EXPECT_EQ(session.hysteresis.max_interval, 2000.0);
+  EXPECT_EQ(session.seed, 42u);
+
+  // Flags left out decode to the library types' own defaults.
+  ASSERT_TRUE(decode_flags("simulate", {}, &request, &error)) << error;
+  const core::Engine::SimulateOptions sim_defaults;
+  EXPECT_EQ(request.simulate.horizon, sim_defaults.horizon);
+  EXPECT_EQ(request.simulate.replications, sim_defaults.replications);
+  EXPECT_EQ(request.simulate.seed, sim_defaults.seed);
+  EXPECT_EQ(request.simulate.warmup_time, sim_defaults.warmup_time);
+  ASSERT_TRUE(decode_flags("monitor", {}, &request, &error)) << error;
+  const monitor::SessionConfig defaults;
+  EXPECT_EQ(request.monitor.schedule.kind, defaults.schedule.kind);
+  EXPECT_EQ(request.monitor.schedule.multiplier, defaults.schedule.multiplier);
+  EXPECT_EQ(request.monitor.schedule.period, defaults.schedule.period);
+  EXPECT_EQ(request.monitor.schedule.segment, defaults.schedule.segment);
+  EXPECT_EQ(request.monitor.duration, defaults.duration);
+  EXPECT_EQ(request.monitor.seed, defaults.seed);
+  EXPECT_EQ(request.monitor.policy, defaults.policy);
+  EXPECT_EQ(request.monitor.controller.update_every,
+            defaults.controller.update_every);
+  EXPECT_EQ(request.monitor.controller.interval_lo,
+            defaults.controller.interval_lo);
+  EXPECT_EQ(request.monitor.controller.interval_hi,
+            defaults.controller.interval_hi);
+  EXPECT_EQ(request.monitor.controller.grid_points,
+            defaults.controller.grid_points);
+  EXPECT_EQ(request.monitor.hysteresis.band, defaults.hysteresis.band);
+  EXPECT_EQ(request.monitor.hysteresis.min_interval,
+            defaults.controller.interval_lo);
+  EXPECT_EQ(request.monitor.hysteresis.max_interval,
+            defaults.controller.interval_hi);
+}
+
+TEST(RequestTest, FlagToKeyMapForwardsOnlyTypedFlags) {
+  // An option the user did not type stays out of the request, so a
+  // daemon's own `serve --convention` applies to --remote calls.
+  const char* argv[] = {"nvpcli", "--paper", "6v", "--interval", "450"};
+  const util::CliArgs args(5, argv);
+  EXPECT_EQ(service::cli_request_json(1, "analyze", args),
+            R"({"id":1,"method":"analyze","params":{"paper":"6v",)"
+            R"("interval":450},"options":{}})");
+  service::Request request;
+  request.options.convention = core::RewardConvention::kStrict;
+  std::string error;
+  const auto payload = parse(service::cli_request_json(1, "analyze", args));
+  ASSERT_TRUE(payload.has_value());
+  ASSERT_TRUE(service::parse_request(*payload, &request, &error)) << error;
+  EXPECT_EQ(request.options.convention, core::RewardConvention::kStrict);
+}
+
+TEST(RequestTest, RefusesTheInputsNvpcliOnceRan) {
+  // Each of these once ran (or aborted) in nvpcli while nvpd refused it;
+  // both now go through one decoder. The message names the field.
+  const std::pair<std::pair<const char*, std::vector<std::string>>,
+                  const char*>
+      cases[] = {
+          {{"analyze", {"--paper", "9v"}}, "params.paper"},
+          {{"simulate", {"--paper", "4v", "--reps", "0"}}, "reps >= 1"},
+          {{"simulate", {"--horizon", "-1", "--reps", "2"}}, "horizon > 0"},
+          {{"monitor", {"--interval-lo", "3000", "--interval-hi", "60"}},
+           "interval_lo < interval_hi"},
+          {{"monitor", {"--segment", "0"}}, "segment"},
+          {{"monitor", {"--interval-lo", "0"}}, "0 < interval_lo"},
+          {{"sweep", {"--param", "bogus", "--from", "1", "--to", "2"}},
+           "sweep.param must be one of mttc|"},
+          {{"monitor", {"--band", "-1"}}, "band >= 0"},
+          {{"analyze", {"--interval", "inf"}},
+           "--interval expects a finite number, got 'inf'"},
+          {{"analyze", {"--alpha", "nan"}},
+           "--alpha expects a finite number, got 'nan'"},
+          {{"analyze", {"--interval", "1e999"}}, "--interval expects"},
+          {{"analyze", {"--mttc", "abc"}}, "--mttc expects"},
+          {{"simulate", {"--reps", "2.5"}}, "--reps expects an integer"},
+          {{"analyze", {"--groups", "4;2:abc"}},
+           "--groups group 2 mttc expects a finite number, got 'abc'"},
+          {{"analyze", {"--groups", "4;x2"}},
+           "--groups group 2 count expects an integer, got 'x2'"},
+          {{"analyze", {"--groups", "4;2:1:2:3:4:5:6:7:8"}},
+           "--groups group 2 has 9 fields, at most 8"},
+      };
+  for (const auto& [input, message] : cases) {
+    const auto& [method, flags] = input;
+    SCOPED_TRACE(method + (" " + util::join(flags, " ")));
+    service::Request request;
+    std::string error;
+    EXPECT_FALSE(decode_flags(method, flags, &request, &error));
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+}
+
+TEST(RequestTest, RefusesMonitorSessionsTheDaemonCouldNotRun) {
+  // Both reached a precondition inside the session and ended the daemon.
+  for (const char* text :
+       {R"({"method": "monitor", "monitor": {"band": -0.5}})",
+        R"({"method": "monitor", "params": {"rejuvenation": false}})"}) {
+    SCOPED_TRACE(text);
+    const auto payload = parse(text);
+    ASSERT_TRUE(payload.has_value());
+    service::Request request;
+    std::string error;
+    EXPECT_FALSE(service::parse_request(*payload, &request, &error));
+  }
+}
+
 TEST(RequestTest, ParsesMonitorWithDefaultsAndOverrides) {
   const auto request = must_parse(
       R"({"id": 9, "method": "monitor", "params": {"paper": "6v"},
@@ -327,16 +632,21 @@ TEST(RequestTest, ParsesMonitorWithDefaultsAndOverrides) {
                       "multiplier": 10, "policy": "static",
                       "update_every": 1250, "seed": 42}})");
   EXPECT_EQ(request.method, service::Method::kMonitor);
-  EXPECT_EQ(request.mon_schedule, "ramp");
-  EXPECT_DOUBLE_EQ(request.mon_horizon, 50000.0);
-  EXPECT_DOUBLE_EQ(request.mon_multiplier, 10.0);
-  EXPECT_EQ(request.mon_policy, "static");
-  EXPECT_DOUBLE_EQ(request.mon_update_every, 1250.0);
-  EXPECT_EQ(request.mon_seed, 42u);
-  // Absent keys keep their CLI-matching defaults.
-  EXPECT_DOUBLE_EQ(request.mon_period, 60000.0);
-  EXPECT_DOUBLE_EQ(request.mon_interval_lo, 60.0);
-  EXPECT_DOUBLE_EQ(request.mon_interval_hi, 3000.0);
+  const monitor::SessionConfig& session = request.monitor;
+  EXPECT_EQ(session.schedule.kind, monitor::DriftSchedule::Kind::kRamp);
+  EXPECT_DOUBLE_EQ(session.duration, 50000.0);
+  EXPECT_DOUBLE_EQ(session.schedule.multiplier, 10.0);
+  EXPECT_EQ(session.policy, "static");
+  EXPECT_DOUBLE_EQ(session.controller.update_every, 1250.0);
+  EXPECT_EQ(session.seed, 42u);
+  EXPECT_EQ(session.params.n_versions, request.params.n_versions);
+  // Absent keys keep the SessionConfig defaults.
+  EXPECT_DOUBLE_EQ(session.schedule.period, 60000.0);
+  EXPECT_DOUBLE_EQ(session.controller.interval_lo, 60.0);
+  EXPECT_DOUBLE_EQ(session.controller.interval_hi, 3000.0);
+  // The policy clamp is the optimizer's search range.
+  EXPECT_DOUBLE_EQ(session.hysteresis.min_interval, 60.0);
+  EXPECT_DOUBLE_EQ(session.hysteresis.max_interval, 3000.0);
   // Monitor sessions are seed-dependent stochastic work: never coalesced.
   EXPECT_EQ(service::coalesce_key(request), 0u);
 }
@@ -508,7 +818,7 @@ TEST_F(ServiceTest, PerRequestOptionsDriveTheSolve) {
   const auto forced = client.call(
       1,
       R"({"id":1,"method":"analyze","params":{"paper":"4v"},
-          "options":{"solver":"sparse"}})",
+          "options":{"solver_config":"backend=sparse"}})",
       &error);
   ASSERT_TRUE(forced.has_value()) << error;
   ASSERT_TRUE(forced->ok);
@@ -574,6 +884,35 @@ TEST_F(ServiceTest, MalformedPayloadsYieldStructuredErrorsNotCrashes) {
 
   const auto after = service::service_stats();
   EXPECT_GE(after.protocol_errors, before_.protocol_errors + 2);
+}
+
+TEST_F(ServiceTest, UnrunnableInputsGetErrorEnvelopes) {
+  // An interval of 1e999 reached the solver as inf and never returned; a
+  // negative band ended the process. Both are now answered, and the daemon
+  // keeps serving.
+  start();
+  service::Client client = connect();
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+               sizeof(timeout));
+  std::string error;
+  ASSERT_TRUE(client.send(
+      R"({"id":1,"method":"analyze","params":{"paper":"6v","interval":1e999}})"));
+  auto response = client.receive(&error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_FALSE(response->ok);
+  EXPECT_NE(response->error->string_or("message", "").find("out of range"),
+            std::string::npos);
+
+  response = client.call(
+      2, R"({"id":2,"method":"monitor","monitor":{"band":-1}})", &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_FALSE(response->ok);
+
+  const auto pong = client.call(3, R"({"id":3,"method":"ping"})", &error);
+  ASSERT_TRUE(pong.has_value()) << error;
+  EXPECT_TRUE(pong->ok);
 }
 
 TEST_F(ServiceTest, OversizedFrameRejectedAndConnectionClosed) {

@@ -426,6 +426,50 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_THROW(args.get_double("x", 0.0), std::invalid_argument);
 }
 
+TEST(Cli, RefusesNonFiniteNumbers) {
+  // inf and nan would pass every `> 0` check and reach the solver.
+  for (const char* text : {"inf", "-inf", "infinity", "nan", "NAN", "1e999",
+                           "-1e999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_FALSE(parse_finite(text).has_value());
+    const std::string flag = std::string("--x=") + text;
+    const char* argv[] = {"prog", flag.c_str()};
+    const CliArgs args(2, argv);
+    EXPECT_THROW(args.get_double("x", 0.0), std::invalid_argument);
+  }
+  EXPECT_EQ(parse_finite("1e308"), 1e308);
+  EXPECT_EQ(parse_finite("-2.5"), -2.5);
+  EXPECT_FALSE(parse_finite("").has_value());
+}
+
+TEST(Cli, NamesTheFlagOfEveryBadNumber) {
+  const char* argv[] = {"prog",          "--mttc=abc", "--interval=1e999",
+                        "--points=x2",   "--reps=2.5", "--jobs=99999999999",
+                        "--n="};
+  const CliArgs args(7, argv);
+  const auto message = [&](auto read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message([&] { args.get_double("mttc", 0.0); }),
+            "--mttc expects a finite number, got 'abc'");
+  EXPECT_EQ(message([&] { args.get_double("interval", 0.0); }),
+            "--interval expects a finite number, got '1e999'");
+  EXPECT_EQ(message([&] { args.get_int("points", 0); }),
+            "--points expects an integer, got 'x2'");
+  EXPECT_EQ(message([&] { args.get_int("reps", 0); }),
+            "--reps expects an integer, got '2.5'");
+  EXPECT_EQ(message([&] { args.get_int("jobs", 0); }),
+            "--jobs expects an integer, got '99999999999'");
+  EXPECT_EQ(message([&] { args.get_int("n", 0); }),
+            "--n expects an integer, got ''");
+  EXPECT_EQ(parse_int("-7"), -7);
+}
+
 TEST(Cli, RemovedSpellingsFailNamingTheirReplacement) {
   const std::pair<const char*, const char*> removed[] = {
       {"--threads=2", "--jobs"},

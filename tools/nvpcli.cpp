@@ -12,28 +12,33 @@
 //   nvpcli optimize    --paper 6v --from 100 --to 3000
 //   nvpcli sensitivity --paper 6v [--step 0.1]
 //   nvpcli archspace   --paper 6v [--max-n 10] [--top 10]
+//   nvpcli monitor     --paper 6v [--horizon 200000] [--policy static]
 //   nvpcli export      --paper 4v [--dot]
+//
+// Every command reads its flags through nvpd's one decoder
+// (service::cli_request_json, then service::parse_request). The decoded
+// request runs in-process, or its bytes go to the daemon with --remote; a
+// refused input exits 1 with the decoder's message on both paths.
 //
 // Every subcommand accepts the shared option quartet --jobs/--seed/
 // --format {table,csv,json}/--output <path>, plus the observability flags
 // --metrics-json <path> (write a run manifest; implies --trace), --trace
 // (print the span tree to stderr), and --cache-stats (print the staged
-// pipeline's per-stage cache table — structure / rates / reward_table /
-// rewards — to stderr). NVP_METRICS=0 disables metrics; a path-valued
-// NVP_METRICS acts like --metrics-json. Removed flag spellings (--threads,
-// --rng-seed, --csv, --json, --out, --solver, --fallback) fail with an
-// error naming their replacement. --solver-config takes the keys backend,
-// fallback and attempt-deadline; a removed key (ctmc, clamp, the gmres-*
-// and threshold keys, erlang-stages, ...) fails the same way.
+// pipeline's per-stage cache table to stderr). NVP_METRICS=0 disables
+// metrics; a path-valued NVP_METRICS acts like --metrics-json. Removed flag
+// spellings (--threads, --rng-seed, --csv, --json, --out, --solver,
+// --fallback) and removed --solver-config keys fail with an error naming
+// their replacement.
 //
-// Exit code 0 on success, 1 on usage errors, 2 on model/solver errors.
+// Exit code 0 on success; 1 on usage errors and refused inputs; 2 on
+// model/solver errors and on a bad common or command-local flag value.
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -113,12 +118,13 @@ int usage() {
       "--interval-hi]). Output is one row per controller update; failed "
       "re-solves degrade to envelope rows with the last-good target.\n"
       "\n"
-      "remote mode: analyze/sweep/simulate/monitor accept --remote "
-      "<host:port> to "
-      "run on a nvpd daemon (started with `nvpcli serve`); responses are "
-      "emitted as JSON. --deadline-ms <ms> bounds a request (local analyze "
-      "or any remote request); an overrun degrades into a structured "
-      "deadline-exceeded error.\n"
+      "remote mode: --remote <host:port> runs analyze|sweep|simulate|monitor "
+      "of a --paper model on an nvpd daemon (`nvpcli serve`) and prints the "
+      "result JSON; other commands and --model refuse it. Both paths decode "
+      "the flags as one nvpd request, so a refused input exits 1 with the "
+      "same message. --deadline-ms <ms> bounds a request (local analyze or "
+      "any remote request); an overrun degrades into a deadline-exceeded "
+      "error.\n"
       "\n"
       "paper parameter overrides: --n --f --r --alpha --p --p-prime --mttc "
       "--mttf --mttr --interval --duration --detection-rate (every one but "
@@ -131,8 +137,8 @@ int usage() {
       "inherit the scalar flags; N is derived from the counts. Example: "
       "--groups \"4;2:6092\" slows compromise of two of six modules, "
       "--groups \"1;5:6092:::::2:0.1\" adds double-weight votes and "
-      "imperfect repair (q=0.1). Remote mode forwards groups as JSON; "
-      "`archspace --hetero` explores two-group splits automatically.\n"
+      "imperfect repair (q=0.1); `archspace --hetero` explores two-group "
+      "splits automatically.\n"
       "analyze options: --convention verbatim|generalized|strict "
       "--attachment operational|appendix\n"
       "solver selection (any analytic command): --solver-config "
@@ -291,114 +297,19 @@ void dump_metrics() {
 }
 
 // ---------------------------------------------------------------------------
-// Shared argument plumbing.
-
-void warn_once(const char* key, const char* message) {
-  static std::set<std::string> warned;
-  if (!warned.insert(key).second) return;
-  std::fprintf(stderr, "warning: %s\n", message);
-}
-
-/// Parses a `--groups` spec onto `params`. The spec is a ';'-separated
-/// list of groups, each `count[:mttc[:mttf[:mttr[:p[:p-prime[:weight
-/// [:repair-degradation]]]]]]]`; empty or omitted fields inherit the
-/// campaign-level scalars (weight defaults to 1, degradation to 0), so
-/// `--groups "4;2:6000:::::2"` hardens two of six modules without
-/// restating the baseline rates.
-void apply_groups_spec(const std::string& spec,
-                       core::SystemParameters& params) {
-  params.groups.clear();
-  int total = 0;
-  for (const std::string& group_spec : util::split(spec, ';')) {
-    if (group_spec.empty()) continue;
-    std::vector<std::string> fields = util::split(group_spec, ':');
-    const auto field = [&](std::size_t i, double fallback) {
-      if (i >= fields.size() || fields[i].empty()) return fallback;
-      return std::strtod(fields[i].c_str(), nullptr);
-    };
-    core::ModuleGroup group =
-        params.inherited_group(static_cast<int>(field(0, 0.0)));
-    // The fields after the count are the table's group rows, in order.
-    std::size_t position = 1;
-    for (const core::ParameterField& row : core::parameter_fields())
-      if (row.group != nullptr) {
-        group.*row.group = field(position, group.*row.group);
-        ++position;
-      }
-    params.groups.push_back(group);
-    total += group.count;
-  }
-  // Group counts determine N; --n stays available only as a cross-check
-  // (validate() rejects a mismatch).
-  params.n_versions = total;
-}
-
-core::SystemParameters paper_params(const util::CliArgs& args) {
-  const std::string which = args.get("paper", "6v");
-  core::SystemParameters params =
-      which == "4v" ? core::SystemParameters::paper_four_version()
-                    : core::SystemParameters::paper_six_version();
-  params.n_versions = args.get_int("n", params.n_versions);
-  params.max_faulty = args.get_int("f", params.max_faulty);
-  params.max_rejuvenating = args.get_int("r", params.max_rejuvenating);
-  for (const core::ParameterField& field : core::parameter_fields())
-    if (field.system != nullptr)
-      params.*field.system =
-          args.get_double(field.name, params.*field.system);
-  if (args.has("groups")) {
-    for (const core::ParameterField& field : core::parameter_fields())
-      if (field.system != nullptr && field.group != nullptr &&
-          args.has(field.name))
-        warn_once("groups-scalars",
-                  "scalar rate/accuracy flags combined with --groups act "
-                  "as per-group defaults; prefer the --groups spec fields");
-    const int explicit_n = args.get_int("n", 0);
-    apply_groups_spec(args.get("groups", ""), params);
-    // An explicit --n stays as a cross-check (validate() rejects a
-    // mismatch with the group counts); otherwise N is derived.
-    if (args.has("n")) params.n_versions = explicit_n;
-  }
-  params.validate();
-  return params;
-}
-
-core::ReliabilityAnalyzer::Options analyzer_options(
-    const util::CliArgs& args) {
-  core::ReliabilityAnalyzer::Options options;
-  if (args.has("convention")) {
-    const auto convention = core::parse_convention(args.get("convention", ""));
-    if (!convention)
-      throw std::invalid_argument("--convention must be " +
-                                  core::convention_names());
-    options.convention = *convention;
-  }
-  if (args.has("attachment")) {
-    const auto attachment = core::parse_attachment(args.get("attachment", ""));
-    if (!attachment)
-      throw std::invalid_argument("--attachment must be " +
-                                  core::attachment_names());
-    options.attachment = *attachment;
-  }
-  if (args.has("solver-config"))
-    options.solver.apply(args.get("solver-config", ""));
-  return options;
-}
-
-// ---------------------------------------------------------------------------
 // Subcommands. Each renders into `out`; main() routes it to stdout/--output.
 
-int analyze_paper(const core::Engine& engine, const util::CliArgs& args,
+int analyze_paper(const core::Engine& engine, const service::Request& request,
                   const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
-  const double deadline_ms = args.get_double("deadline-ms", 0.0);
+  const core::SystemParameters& params = request.params;
   const auto result =
-      deadline_ms > 0.0
+      request.deadline_ms > 0.0
           ? engine.analyze_within(
                 params, std::chrono::steady_clock::now() +
                             std::chrono::duration_cast<
                                 std::chrono::steady_clock::duration>(
                                 std::chrono::duration<double, std::milli>(
-                                    deadline_ms)))
+                                    request.deadline_ms)))
           : engine.analyze(params);
   if (!result.ok) {
     std::fprintf(stderr, "error: analysis failed: %s\n",
@@ -468,7 +379,8 @@ int analyze_paper(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-int analyze_model(const util::CliArgs& args, std::string& out) {
+int analyze_model(const util::CliArgs& args,
+                  const markov::SolverConfig& solver, std::string& out) {
   const auto net = petri::load_dspn_file(args.get("model", ""));
   const std::string reward_text = args.get("reward", "");
   if (reward_text.empty()) {
@@ -478,8 +390,7 @@ int analyze_model(const util::CliArgs& args, std::string& out) {
   const auto reward = petri::Expression::parse(reward_text, net);
   const auto graph = petri::TangibleReachabilityGraph::build(net);
   const auto solution =
-      markov::DspnSteadyStateSolver(analyzer_options(args).solver)
-          .solve(graph);
+      markov::DspnSteadyStateSolver(solver).solve(graph);
   double expected = 0.0;
   for (std::size_t s = 0; s < graph.size(); ++s)
     expected += solution.probabilities[s] * reward.eval(graph.marking(s));
@@ -493,9 +404,8 @@ int analyze_model(const util::CliArgs& args, std::string& out) {
 }
 
 int simulate_model(const util::CliArgs& args,
-                   const util::CommonOptions& common, std::string& out) {
-  const double horizon = args.get_double("horizon", 1e6);
-  const auto reps = static_cast<std::size_t>(args.get_int("reps", 8));
+                   const core::Engine::SimulateOptions& options,
+                   std::string& out) {
   const auto net = petri::load_dspn_file(args.get("model", ""));
   const std::string reward_text = args.get("reward", "");
   if (reward_text.empty()) {
@@ -504,25 +414,23 @@ int simulate_model(const util::CliArgs& args,
   }
   const auto expr = petri::Expression::parse(reward_text, net);
   sim::DspnSimulator simulator(net);
-  sim::SimulationOptions options;
-  options.horizon = horizon;
-  options.warmup_time = horizon / 100.0;
-  options.seed = common.seed;
-  const auto estimate = simulator.estimate(expr.as_rate(), options, reps);
+  sim::SimulationOptions run;
+  run.horizon = options.horizon;
+  run.warmup_time = options.horizon / 100.0;
+  run.seed = options.seed;
+  const auto estimate =
+      simulator.estimate(expr.as_rate(), run, options.replications);
   out += util::format(
       "simulated E[%s] = %.6f (95%% CI [%.6f, %.6f], %zu reps)\n",
       reward_text.c_str(), estimate.mean, estimate.ci.lo, estimate.ci.hi,
-      reps);
+      options.replications);
   return 0;
 }
 
-int simulate_paper(const core::Engine& engine, const util::CliArgs& args,
+int simulate_paper(const core::Engine& engine, const service::Request& request,
                    const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
-  core::Engine::SimulateOptions options;
-  options.horizon = args.get_double("horizon", 1e6);
-  options.replications = static_cast<std::size_t>(args.get_int("reps", 8));
-  options.seed = common.seed;
+  const core::SystemParameters& params = request.params;
+  const core::Engine::SimulateOptions& options = request.simulate;
   const auto result = engine.simulate(params, options);
   const auto& estimate = result.estimate;
   switch (common.format) {
@@ -567,18 +475,13 @@ int simulate_paper(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-int sweep(const core::Engine& engine, const util::CliArgs& args,
+int sweep(const core::Engine& engine, const service::Request& request,
           const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
-  const std::string name = args.get("param", "interval");
-  const core::ParameterSetter setter = core::setter_for(name);
-  if (!setter) return usage();
-  const double from = args.get_double("from", 0.0);
-  const double to = args.get_double("to", 0.0);
-  const auto points = static_cast<std::size_t>(args.get_int("points", 15));
-  if (!(to > from) || points < 2) return usage();
+  const std::string& name = request.sweep_param;
   const auto results =
-      engine.sweep(params, setter, core::linspace(from, to, points));
+      engine.sweep(request.params, core::setter_for(name),
+                   core::linspace(request.sweep_from, request.sweep_to,
+                                  request.sweep_points));
   // Degraded points render an empty reliability cell plus an error column
   // (added only when at least one point failed, so clean sweeps keep the
   // two-column shape downstream tooling parses).
@@ -605,9 +508,10 @@ int sweep(const core::Engine& engine, const util::CliArgs& args,
 // rejuvenating vs plain as the interval varies). Configuration A is the
 // usual --paper preset with overrides; --vs picks configuration B:
 // "plain" (A without rejuvenation), "4v", or "6v".
-int crossovers(const core::Engine& engine, const util::CliArgs& args,
-               const util::CommonOptions& common, std::string& out) {
-  const auto config_a = paper_params(args);
+int crossovers(const core::Engine& engine,
+               const core::SystemParameters& config_a,
+               const util::CliArgs& args, const util::CommonOptions& common,
+               std::string& out) {
   const std::string vs = args.get("vs", "plain");
   core::SystemParameters config_b = config_a;
   if (vs == "plain") {
@@ -651,9 +555,9 @@ int crossovers(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-int optimize(const core::Engine& engine, const util::CliArgs& args,
-             const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
+int optimize(const core::Engine& engine, const core::SystemParameters& params,
+             const util::CliArgs& args, const util::CommonOptions& common,
+             std::string& out) {
   const double from = args.get_double("from", 100.0);
   const double to = args.get_double("to", 3000.0);
   const auto optimum =
@@ -687,44 +591,10 @@ int optimize(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-/// Builds a monitor SessionConfig from CLI arguments (shared shape with
-/// the nvpd `monitor` request, which carries the same knobs).
-monitor::SessionConfig monitor_config(const util::CliArgs& args,
-                                      const util::CommonOptions& common) {
-  monitor::SessionConfig config;
-  config.params = paper_params(args);
-  config.schedule.kind =
-      monitor::DriftSchedule::parse_kind(args.get("schedule", "step"));
-  config.schedule.multiplier = args.get_double("multiplier", 8.0);
-  config.schedule.period = args.get_double("period", 60000.0);
-  config.schedule.segment = args.get_double("segment", 2000.0);
-  // Session length is `--horizon` (the simulate convention); `--duration`
-  // stays reserved for the model's rejuvenation duration in paper_params.
-  config.duration = args.get_double("horizon", 200000.0);
-  config.seed = common.seed;
-  config.policy = args.get("policy", "hysteresis");
-  config.controller.update_every = args.get_double("update-every", 2500.0);
-  config.controller.interval_lo = args.get_double("interval-lo", 60.0);
-  config.controller.interval_hi = args.get_double("interval-hi", 3000.0);
-  config.controller.grid_points =
-      static_cast<std::size_t>(args.get_int("grid-points", 10));
-  config.hysteresis.band = args.get_double("band", 0.15);
-  // The policy clamp matches the optimizer's search range.
-  config.hysteresis.min_interval = config.controller.interval_lo;
-  config.hysteresis.max_interval = config.controller.interval_hi;
-  return config;
-}
-
-int monitor_session(const core::Engine& engine, const util::CliArgs& args,
+int monitor_session(const core::Engine& engine,
+                    const monitor::SessionConfig& config,
                     const util::CommonOptions& common, std::string& out) {
-  const monitor::SessionConfig config = monitor_config(args, common);
-  if (!(config.duration > 0.0) || !(config.schedule.multiplier >= 1.0) ||
-      !(config.schedule.period > 0.0) ||
-      !(config.controller.update_every > 0.0) ||
-      args.get_int("grid-points", 10) < 3)
-    return usage();
-  const monitor::SessionResult result =
-      run_monitor_session(engine, config);
+  const monitor::SessionResult result = run_monitor_session(engine, config);
 
   // One row per controller update; degraded re-solves render an empty
   // E[R_sys] cell plus an error column (added only when needed), the same
@@ -748,9 +618,8 @@ int monitor_session(const core::Engine& engine, const util::CliArgs& args,
         r.mttc_hat > 0.0 ? util::format("%.6g", r.mttc_hat) : std::string(),
         util::format("%.1f", r.target_interval),
         util::format("%.1f", r.applied_interval),
-        !r.degraded && r.expected_reliability > 0.0
-            ? util::format("%.7f", r.expected_reliability)
-            : std::string(),
+        r.solved() ? util::format("%.7f", r.expected_reliability)
+                   : std::string(),
         r.retuned ? "1" : "0"};
     if (any_degraded) row.push_back(r.degraded ? r.error : std::string());
     report.rows.push_back(std::move(row));
@@ -806,7 +675,7 @@ int monitor_session(const core::Engine& engine, const util::CliArgs& args,
       json.kv("pprime_mean", r.p_prime.mean);
       json.kv("target", r.target_interval);
       json.kv("applied", r.applied_interval);
-      if (!r.degraded) json.kv("expected_reliability", r.expected_reliability);
+      if (r.solved()) json.kv("expected_reliability", r.expected_reliability);
       json.kv("retuned", r.retuned);
       if (r.degraded) json.kv("error", r.error);
       json.end_object();
@@ -819,9 +688,10 @@ int monitor_session(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-int sensitivity(const core::Engine& engine, const util::CliArgs& args,
-                const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
+int sensitivity(const core::Engine& engine,
+                const core::SystemParameters& params,
+                const util::CliArgs& args, const util::CommonOptions& common,
+                std::string& out) {
   const double step = args.get_double("step", 0.1);
   const auto entries = engine.sensitivity(params, step);
   if (common.format == util::OutputFormat::kTable) {
@@ -841,9 +711,9 @@ int sensitivity(const core::Engine& engine, const util::CliArgs& args,
   return 0;
 }
 
-int archspace(const core::Engine& engine, const util::CliArgs& args,
-              const util::CommonOptions& common, std::string& out) {
-  const auto params = paper_params(args);
+int archspace(const core::Engine& engine, const core::SystemParameters& params,
+              const util::CliArgs& args, const util::CommonOptions& common,
+              std::string& out) {
   core::ArchitectureSpaceExplorer::Options options;
   options.max_versions = args.get_int("max-n", options.max_versions);
   options.max_faulty = args.get_int("max-f", options.max_faulty);
@@ -890,7 +760,8 @@ int archspace(const core::Engine& engine, const util::CliArgs& args,
 volatile std::sig_atomic_t g_signal_stop = 0;
 void handle_stop_signal(int) { g_signal_stop = 1; }
 
-int serve(const util::CliArgs& args) {
+int serve(const util::CliArgs& args,
+          const core::ReliabilityAnalyzer::Options& analyzer) {
   service::Server::Options options;
   options.host = args.get("host", "127.0.0.1");
   options.port = args.get_int("port", 0);
@@ -901,7 +772,7 @@ int serve(const util::CliArgs& args) {
   options.default_deadline_ms = args.get_double("default-deadline-ms", 0.0);
   options.send_timeout_ms =
       args.get_double("send-timeout-ms", options.send_timeout_ms);
-  options.analyzer = analyzer_options(args);
+  options.analyzer = analyzer;
 
   service::Server server(std::move(options));
   server.start();
@@ -928,97 +799,11 @@ int serve(const util::CliArgs& args) {
   return 0;
 }
 
-/// Builds the protocol request mirroring this invocation's CLI arguments
-/// (only explicitly-set parameters are forwarded; the daemon applies the
-/// same defaults the local path would).
-std::string remote_request_json(std::uint64_t id, const std::string& method,
-                                const util::CliArgs& args,
-                                const util::CommonOptions& common) {
-  obs::JsonWriter json;
-  json.begin_object();
-  json.kv("id", id);
-  json.kv("method", method);
-  if (args.has("deadline-ms"))
-    json.kv("deadline_ms", args.get_double("deadline-ms", 0.0));
-  if (method == "analyze" || method == "sweep" || method == "simulate" ||
-      method == "monitor") {
-    json.key("params").begin_object();
-    json.kv("paper", args.get("paper", "6v"));
-    for (const char* key : {"n", "f", "r"})
-      if (args.has(key))
-        json.kv(key, static_cast<std::int64_t>(args.get_int(key, 0)));
-    for (const core::ParameterField& field : core::parameter_fields())
-      if (field.system != nullptr && args.has(field.name))
-        json.kv(field.name, args.get_double(field.name, 0.0));
-    if (args.has("groups")) {
-      // Expand the --groups spec locally (inheriting this invocation's
-      // scalars) so the daemon sees fully-specified group objects.
-      const core::SystemParameters params = paper_params(args);
-      if (!args.has("n"))
-        json.kv("n", static_cast<std::int64_t>(params.n_versions));
-      json.key("groups").begin_array();
-      for (const core::ModuleGroup& g : params.groups) {
-        json.begin_object();
-        json.kv("count", static_cast<std::int64_t>(g.count));
-        for (const core::ParameterField& field : core::parameter_fields())
-          if (field.group != nullptr) json.kv(field.name, g.*field.group);
-        json.end_object();
-      }
-      json.end_array();
-    }
-    json.end_object();
-    if (args.has("convention") || args.has("attachment") ||
-        args.has("solver-config")) {
-      json.key("options").begin_object();
-      for (const char* key : {"convention", "attachment"})
-        if (args.has(key)) json.kv(key, args.get(key, ""));
-      if (args.has("solver-config"))
-        json.kv("solver_config", args.get("solver-config", ""));
-      json.end_object();
-    }
-  }
-  if (method == "sweep") {
-    json.key("sweep").begin_object();
-    json.kv("param", args.get("param", "interval"));
-    json.kv("from", args.get_double("from", 0.0));
-    json.kv("to", args.get_double("to", 0.0));
-    json.kv("points",
-            static_cast<std::int64_t>(args.get_int("points", 15)));
-    json.end_object();
-  }
-  if (method == "simulate") {
-    json.key("simulate").begin_object();
-    json.kv("horizon", args.get_double("horizon", 1e6));
-    json.kv("reps", static_cast<std::int64_t>(args.get_int("reps", 8)));
-    json.kv("seed", static_cast<std::uint64_t>(common.seed));
-    json.end_object();
-  }
-  if (method == "monitor") {
-    json.key("monitor").begin_object();
-    json.kv("schedule", args.get("schedule", "step"));
-    json.kv("horizon", args.get_double("horizon", 200000.0));
-    json.kv("multiplier", args.get_double("multiplier", 8.0));
-    json.kv("period", args.get_double("period", 60000.0));
-    json.kv("segment", args.get_double("segment", 2000.0));
-    json.kv("policy", args.get("policy", "hysteresis"));
-    json.kv("update_every", args.get_double("update-every", 2500.0));
-    json.kv("interval_lo", args.get_double("interval-lo", 60.0));
-    json.kv("interval_hi", args.get_double("interval-hi", 3000.0));
-    json.kv("grid_points",
-            static_cast<std::int64_t>(args.get_int("grid-points", 10)));
-    json.kv("band", args.get_double("band", 0.15));
-    json.kv("seed", static_cast<std::uint64_t>(common.seed));
-    json.end_object();
-  }
-  json.end_object();
-  return json.str();
-}
-
-/// Runs one subcommand against a daemon. Output is always JSON (the
-/// response's result object); structured errors go to stderr with exit
+/// Sends one decoded request's bytes to a daemon. Output is always JSON
+/// (the response's result object); structured errors go to stderr with exit
 /// code 2, matching the local error path.
-int run_remote(const std::string& method, const util::CliArgs& args,
-               const util::CommonOptions& common, std::string& out) {
+int run_remote(const std::string& method, const std::string& payload,
+               const util::CliArgs& args, std::string& out) {
   std::string host;
   int port = 0;
   if (!service::parse_endpoint(args.get("remote", ""), &host, &port)) {
@@ -1031,8 +816,7 @@ int run_remote(const std::string& method, const util::CliArgs& args,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  const auto response =
-      client.call(1, remote_request_json(1, method, args, common), &error);
+  const auto response = client.call(1, payload, &error);
   if (!response) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
@@ -1047,11 +831,11 @@ int run_remote(const std::string& method, const util::CliArgs& args,
   return 0;
 }
 
-int export_model(const util::CliArgs& args, std::string& out) {
+int export_model(const util::CliArgs& args,
+                 const core::SystemParameters& params, std::string& out) {
   petri::PetriNet net =
-      args.has("model")
-          ? petri::load_dspn_file(args.get("model", ""))
-          : core::PerceptionModelFactory::build(paper_params(args)).net;
+      args.has("model") ? petri::load_dspn_file(args.get("model", ""))
+                        : core::PerceptionModelFactory::build(params).net;
   out = args.has("dot") ? petri::to_dot(net) : petri::to_dspn_text(net);
   return 0;
 }
@@ -1138,50 +922,77 @@ int main(int argc, char** argv) {
     if (common.jobs > 0)
       runtime::set_default_jobs(static_cast<std::size_t>(common.jobs));
 
-    core::Engine::Options engine_options;
-    engine_options.strict = args.has("strict");
-    // --store wins over NVP_STORE; either opens the process-wide store the
-    // staged pipeline's disk tier (and nvpd's workers) read through.
-    engine_options.store_dir = args.get("store", "");
-    engine_options.store_cap_mb =
-        static_cast<std::uint64_t>(args.get_double("store-cap-mb", 0.0));
-    if (engine_options.store_dir.empty()) store::open_global_from_env();
-    const core::Engine engine(analyzer_options(args), engine_options);
+    // The flags become the request nvpd would be sent (a command nvpd does
+    // not serve decodes as analyze, for its params and options).
+    const bool wire_method = command == "analyze" || command == "sweep" ||
+                             command == "simulate" || command == "monitor";
+    const bool remote_only = command == "stats" || command == "shutdown";
+    if (args.has("remote") && (!(wire_method || remote_only) ||
+                               args.has("model"))) {
+      std::fprintf(stderr,
+                   "error: --remote runs only analyze|sweep|simulate|monitor "
+                   "of a --paper model\n");
+      return 1;
+    }
+    service::Request request;
+    std::string payload;
+    std::string error;
+    std::optional<service::wire::Value> decoded;
+    try {
+      payload = service::cli_request_json(
+          1, wire_method || remote_only ? command : "analyze", args);
+      decoded = service::wire::parse(payload, &error);
+    } catch (const std::invalid_argument& e) {
+      error = e.what();
+    }
+    if (!decoded || !service::parse_request(*decoded, &request, &error)) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 1;
+    }
+
     std::string out;
     int status = 1;
-    const bool remote = args.has("remote");
-    if (command == "serve")
-      return serve(args);
-    else if (command == "stats" || command == "shutdown")
-      status = run_remote(command, args, common, out);
-    else if (command == "analyze")
-      status = remote ? run_remote(command, args, common, out)
-              : args.has("model") ? analyze_model(args, out)
-                                  : analyze_paper(engine, args, common, out);
-    else if (command == "simulate")
-      status = remote ? run_remote(command, args, common, out)
-              : args.has("model") ? simulate_model(args, common, out)
-                                  : simulate_paper(engine, args, common, out);
-    else if (command == "sweep")
-      status = remote ? run_remote(command, args, common, out)
-                      : sweep(engine, args, common, out);
-    else if (command == "monitor")
-      status = remote ? run_remote(command, args, common, out)
-                      : monitor_session(engine, args, common, out);
-    else if (command == "crossovers")
-      status = crossovers(engine, args, common, out);
-    else if (command == "optimize")
-      status = optimize(engine, args, common, out);
-    else if (command == "sensitivity")
-      status = sensitivity(engine, args, common, out);
-    else if (command == "archspace")
-      status = archspace(engine, args, common, out);
-    else if (command == "export")
-      status = export_model(args, out);
-    else if (command == "store")
-      status = store_command(args, common, out);
-    else
-      return usage();
+    if (args.has("remote") || remote_only) {
+      status = run_remote(command, payload, args, out);
+    } else {
+      core::Engine::Options engine_options;
+      engine_options.strict = args.has("strict");
+      // --store wins over NVP_STORE; either opens the process-wide store
+      // the staged pipeline's disk tier (and nvpd's workers) read through.
+      engine_options.store_dir = args.get("store", "");
+      engine_options.store_cap_mb =
+          static_cast<std::uint64_t>(args.get_double("store-cap-mb", 0.0));
+      if (engine_options.store_dir.empty()) store::open_global_from_env();
+      const core::Engine engine(request.options, engine_options);
+      const core::SystemParameters& params = request.params;
+      const bool model = args.has("model");
+      if (command == "serve")
+        return serve(args, request.options);
+      else if (command == "analyze")
+        status = model ? analyze_model(args, request.options.solver, out)
+                       : analyze_paper(engine, request, common, out);
+      else if (command == "simulate")
+        status = model ? simulate_model(args, request.simulate, out)
+                       : simulate_paper(engine, request, common, out);
+      else if (command == "sweep")
+        status = sweep(engine, request, common, out);
+      else if (command == "monitor")
+        status = monitor_session(engine, request.monitor, common, out);
+      else if (command == "crossovers")
+        status = crossovers(engine, params, args, common, out);
+      else if (command == "optimize")
+        status = optimize(engine, params, args, common, out);
+      else if (command == "sensitivity")
+        status = sensitivity(engine, params, args, common, out);
+      else if (command == "archspace")
+        status = archspace(engine, params, args, common, out);
+      else if (command == "export")
+        status = export_model(args, params, out);
+      else if (command == "store")
+        status = store_command(args, common, out);
+      else
+        return usage();
+    }
     if (status != 0) return status;
 
     if (!emit(out, common.output)) return 2;
