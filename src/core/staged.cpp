@@ -205,7 +205,7 @@ std::uint64_t rates_stage_key(
     const markov::DspnSteadyStateSolver::Options& solver) {
   const SystemParameters params = raw.canonicalized();
   runtime::Fnv1a h;
-  h.str("core::staged/rates/v5");
+  h.str("core::staged/rates/v6");
   h.u64(structure_stage_key(params));
   hash_stage_fields(h, params, ParameterStage::kRates);
   // The voter extension's timings have no flag or nvpd key, so no table row.

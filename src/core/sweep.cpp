@@ -164,6 +164,14 @@ ParameterSetter setter_for(std::string_view name) {
   };
 }
 
+std::string sweepable_names() {
+  std::string names;
+  for (const ParameterField& field : parameter_fields())
+    if (field.system != nullptr)
+      names += std::string(names.empty() ? "" : "|") + field.name;
+  return names;
+}
+
 ParameterSetter set_mean_time_to_compromise() { return setter_for("mttc"); }
 ParameterSetter set_alpha() { return setter_for("alpha"); }
 ParameterSetter set_p() { return setter_for("p"); }

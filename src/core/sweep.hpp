@@ -87,6 +87,9 @@ std::vector<Crossover> find_crossovers(const ReliabilityAnalyzer& analyzer,
 /// per-group only.
 ParameterSetter setter_for(std::string_view name);
 
+/// The names setter_for accepts, '|'-separated, for error messages.
+std::string sweepable_names();
+
 /// Named setters for the Table II parameters, for the benches and CLI.
 ParameterSetter set_mean_time_to_compromise();
 ParameterSetter set_alpha();

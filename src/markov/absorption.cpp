@@ -94,19 +94,19 @@ Vector absorption_probability_by(const DenseMatrix& generator,
   NVP_EXPECTS(t >= 0.0);
 
   // Make target states absorbing and propagate each unit vector; cheaper:
-  // one matrix-exponential pair and read columns. For moderate n the full
+  // one matrix exponential and read columns. For moderate n the full
   // matrix is fine.
   DenseMatrix q = generator;
   for (std::size_t i = 0; i < n; ++i)
     if (target[i])
       for (std::size_t j = 0; j < n; ++j) q(i, j) = 0.0;
 
-  const auto pair = matrix_exponential_pair(q, t);
+  const DenseMatrix omega = matrix_exponential(std::move(q), t);
   Vector out(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double mass = 0.0;
     for (std::size_t j = 0; j < n; ++j)
-      if (target[j]) mass += pair.omega(i, j);
+      if (target[j]) mass += omega(i, j);
     out[i] = mass;
   }
   return out;

@@ -6,6 +6,7 @@
 
 #include "src/fault/error.hpp"
 #include "src/fault/injector.hpp"
+#include "src/linalg/lu.hpp"
 #include "src/linalg/sparse_matrix.hpp"
 #include "src/markov/dtmc.hpp"
 #include "src/markov/matrix_free.hpp"
@@ -14,6 +15,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/contracts.hpp"
+#include "src/util/string_util.hpp"
 
 namespace nvp::markov {
 
@@ -36,55 +38,123 @@ Vector finish_stationary(Vector pi) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense backend: the original path — full n x n embedded chain P and
-// conversion factors C, matrix-exponential doubling for the subordinated
-// transients, LU (with power fallback) for the stationary vectors.
+// Dense backend: each group's exp(Q_d tau) by uniformization with doubling,
+// LU (with power fallback) for the stationary vectors; never C itself.
+
+/// The embedded chain's rows must sum to 1 within max(1e-8, 1e-15 lambda
+/// tau): the rounding drift of exp(Q tau)'s row sums about doubles with each
+/// squaring (2^doublings is within 2x of lambda tau). On the 6v model at
+/// 25-31 doublings (tau = 3e7 .. 3.2e9 s) it measured 1.9-2.5e-16 per series
+/// term (1.3e-8 at 1e8 s); a malformed chain is off by far more.
+void check_row_sums(const DenseMatrix& p, double series_terms) {
+  const double row_err = max_row_sum_error(p);
+  if (row_err > std::max(1e-8, 1e-15 * series_terms))
+    throw SolverError(util::format(
+        "DSPN solver: embedded chain rows are off by %g", row_err));
+}
+
+/// exp(Q_d tau) of one group. Q_d holds the exponential dynamics inside the
+/// enabling set; rows of states outside the set are zero (absorbing).
+DenseMatrix group_exponential(const petri::TangibleReachabilityGraph& g,
+                              const AssemblyPlan::Group& group, double tau) {
+  const std::size_t n = g.size();
+  DenseMatrix q(n, n, 0.0);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!group.in_set[s]) continue;
+    for (const petri::RateEdge& e : g.exponential_edges(s)) {
+      q(s, e.target) += e.rate;
+      q(s, s) -= e.rate;
+    }
+  }
+  const obs::ScopedSpan uniform_span("markov.uniformization");
+  return matrix_exponential(std::move(q), tau);
+}
+
+/// True if some column of omega has no zero: a state every state reaches
+/// (omega sums nonnegative terms), so Q has one closed class.
+bool has_common_target(const DenseMatrix& omega) {
+  for (std::size_t r = 0, s = 0; r < omega.cols(); ++r, s = 0) {
+    while (s < omega.rows() && omega(s, r) > 0.0) ++s;
+    if (s == omega.rows()) return true;
+  }
+  return false;
+}
+
+Vector dense_stationary(const DenseMatrix& p) {
+  const obs::ScopedSpan stationary_span("markov.dtmc_stationary");
+  return dtmc_stationary(p);
+}
+
+/// One clock enabled in every state: Omega = exp(Q tau) for the whole
+/// exponential generator Q, F the firing distribution, P = Omega F. By
+/// C Q = Omega - I, x = nu C follows from Omega alone: mu = nu Omega is
+/// stationary for P' = F Omega, nu = mu F, and x Q = mu - nu, whose last
+/// equation gives way to sum x = tau sum nu (C's rows sum to tau); with one
+/// closed class that system is nonsingular. Holds two n x n matrices.
+Vector one_clock_dense(const petri::TangibleReachabilityGraph& g,
+                       const AssemblyPlan& plan, DenseMatrix omega, double tau,
+                       double series_terms) {
+  const std::size_t n = g.size();
+  DenseMatrix p_prime(n, n, 0.0);
+  for (std::size_t u = 0; u < n; ++u) {
+    double* row = p_prime.row_data(u);
+    for (const petri::ProbEdge& e : g.deterministics(u)[0].edges) {
+      const double* from = omega.row_data(e.target);
+      for (std::size_t j = 0; j < n; ++j) row[j] += e.prob * from[j];
+    }
+  }
+  omega = DenseMatrix();
+  check_row_sums(p_prime, series_terms);
+  const Vector mu = dense_stationary(p_prime);
+  p_prime = DenseMatrix();
+  Vector nu(n, 0.0);
+  for (std::size_t u = 0; u < n; ++u)
+    for (const petri::ProbEdge& e : g.deterministics(u)[0].edges)
+      nu[e.target] += mu[u] * e.prob;
+  // Q^T x = (mu - nu)^T, the last row replaced by the sum.
+  DenseMatrix a(n, n, 0.0);
+  for (std::size_t s = 0; s < n; ++s)
+    for (const petri::RateEdge& e : g.exponential_edges(s)) {
+      a(e.target, s) += e.rate;
+      a(s, s) -= e.rate;
+    }
+  Vector b(n);
+  for (std::size_t j = 0; j < n; ++j) b[j] = mu[j] - nu[j];
+  std::fill(a.row_data(n - 1), a.row_data(n - 1) + n, 1.0);
+  b[n - 1] = tau * linalg::sum(nu);
+  try {
+    return finish_stationary(linalg::LuDecomposition(std::move(a)).solve(b));
+  } catch (const linalg::SingularMatrixError&) {
+    // A zero pivot: the operator's vector series below.
+  }
+  return finish_stationary(
+      EmbeddedChainOperator(g, plan, "dense").conversion_apply(nu));
+}
 
 Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
-                        const AssemblyPlan& plan) {
+                        const AssemblyPlan& plan, double series_terms) {
   const std::size_t n = g.size();
   NVP_ASSERT(!plan.groups.empty());
-
-  // Embedded Markov chain P over tangible states and conversion factors C:
-  // C(s, j) = expected time spent in j during one regeneration period that
-  // starts in s. Each group's transient pair is turned into its rows of P
-  // and C in place; the first group's pair then becomes P and C, and later
-  // groups add their rows into them. With one group the solve never holds
-  // more than three n x n matrices.
-  DenseMatrix p;
-  DenseMatrix c;
-  Vector omega_row(n);
   const obs::ScopedSpan embed_span("markov.embedded_chain");
+
+  // Embedded Markov chain P: each group's exponential turns into its rows of
+  // P in place; the first group's becomes P, later groups add theirs.
+  DenseMatrix p;
+  Vector omega_row(n);
   for (const AssemblyPlan::Group& group : plan.groups) {
     const std::vector<char>& in_set = group.in_set;
     const double tau = g.deterministics(group.members[0])[0].delay;
     for (std::size_t s : group.members)
       NVP_ASSERT(g.deterministics(s)[0].delay == tau);
+    DenseMatrix omega = group_exponential(g, group, tau);
+    if (group.members.size() == n && has_common_target(omega))
+      return one_clock_dense(g, plan, std::move(omega), tau, series_terms);
 
-    // Subordinated generator: full exponential dynamics inside the set;
-    // rows of states outside the set are zero (absorbing).
-    DenseMatrix q(n, n, 0.0);
+    // Row s of omega becomes row s of P; rows outside the group are cleared.
     for (std::size_t s = 0; s < n; ++s) {
-      if (!in_set[s]) continue;
-      for (const petri::RateEdge& e : g.exponential_edges(s)) {
-        q(s, e.target) += e.rate;
-        q(s, s) -= e.rate;
-      }
-    }
-
-    ExponentialPair pair = [&] {
-      const obs::ScopedSpan uniform_span("markov.uniformization");
-      return matrix_exponential_pair(std::move(q), tau);
-    }();
-
-    // Row s of omega becomes row s of P, row s of the integral row s of C;
-    // rows outside the group are cleared.
-    for (std::size_t s = 0; s < n; ++s) {
-      double* p_row = pair.omega.row_data(s);
-      double* c_row = pair.integral.row_data(s);
+      double* p_row = omega.row_data(s);
       if (!in_set[s]) {
         std::fill(p_row, p_row + n, 0.0);
-        std::fill(c_row, c_row + n, 0.0);
         continue;
       }
       std::copy(p_row, p_row + n, omega_row.begin());
@@ -93,8 +163,7 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
         const double reach = omega_row[u];
         if (reach <= 0.0) continue;
         if (in_set[u]) {
-          // Still enabled at tau: the deterministic transition fires from
-          // state u and switches the marking.
+          // Still enabled at tau: the deterministic transition fires in u.
           for (const petri::ProbEdge& e : g.deterministics(u)[0].edges)
             p_row[e.target] += reach * e.prob;
         } else {
@@ -102,18 +171,11 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
           p_row[u] += reach;
         }
       }
-      // Sojourn credit only while the deterministic transition is enabled;
-      // time after absorption belongs to the next period.
-      for (std::size_t u = 0; u < n; ++u)
-        if (!in_set[u]) c_row[u] = 0.0;
     }
-    if (p.rows() == 0) {
-      p = std::move(pair.omega);
-      c = std::move(pair.integral);
-    } else {
-      p += pair.omega;
-      c += pair.integral;
-    }
+    if (p.rows() == 0)
+      p = std::move(omega);
+    else
+      p += omega;
   }
 
   // Exponential-only states: one firing ends the period.
@@ -123,21 +185,12 @@ Vector solve_mrgp_dense(const petri::TangibleReachabilityGraph& g,
     NVP_ASSERT(exit > 0.0);
     for (const petri::RateEdge& e : g.exponential_edges(s))
       p(s, e.target) += e.rate / exit;
-    c(s, s) = 1.0 / exit;
   }
-
-  const double row_err = max_row_sum_error(p);
-  if (row_err > 1e-8)
-    throw SolverError("DSPN solver: embedded chain rows are off by " +
-                      std::to_string(row_err));
-
-  const Vector nu = [&] {
-    const obs::ScopedSpan stationary_span("markov.dtmc_stationary");
-    return dtmc_stationary(p);
-  }();
-
-  // pi(j) proportional to sum_s nu(s) C(s, j).
-  return finish_stationary(c.left_multiply(nu));
+  check_row_sums(p, series_terms);
+  const Vector nu = dense_stationary(p);
+  // pi(j) proportional to sum_s nu(s) C(s, j), by the operator's series.
+  return finish_stationary(
+      EmbeddedChainOperator(g, plan, "dense").conversion_apply(nu));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,30 +255,30 @@ const char* backend_span(SolverBackend backend) {
   }
 }
 
-// kAuto's MRGP cost rule. A matrix-free solve costs one propagation of
-// sum_g lambda_g tau_g series terms per Krylov iteration, so it grows
-// linearly with the horizon; a dense solve costs about 2 log2(lambda tau)
-// n^3 matrix products per group plus an n^3 LU, so it grows with the state
-// count and only logarithmically with the horizon. Dense wins once the
-// series terms reach this many per state. Calibrated through staged_rates
-// with caches bypassed, best of 5, on the perception families N = 6..14
-// (f = r = 1, lambda = 0.668/s) at tau = 100..3000 s; per family, the
-// largest lambda tau at which mfree won and the smallest at which dense won:
+// kAuto's MRGP cost rule. A matrix-free solve propagates sum_g lambda_g
+// tau_g series terms per Krylov iteration; a dense solve costs about
+// log2(lambda tau) n^3 products per group plus two n^3 LUs, so dense wins
+// once the series terms reach this many per state. Per family (staged_rates,
+// caches bypassed, Release, best of 10 up to 330 states, else of 3; lambda =
+// 0.668/s, tau = 50..6000 s, f = r = 1 but * f = r = 2), the largest lambda
+// tau mfree won and the smallest dense won:
 //
 //   states   mfree won up to   dense won from   terms per state
-//       70        200               300            2.9 - 4.3
-//      117        300               401            2.6 - 3.4
-//      176        534               668            3.0 - 3.8
-//      247        668              1001            2.7 - 4.1
-//      330       1335              2003            4.0 - 6.1
+//       70        100               134            1.43 - 1.91
+//      117        267               334            2.28 - 2.85
+//      176        401               534            2.28 - 3.03
+//      247        401               534            1.62 - 2.16
+//      330        668              1002            2.02 - 3.03
+//      364*       668              1002            1.83 - 2.75
+//      676*      4006                 -            5.93 -
 //
-// No one constant separates every family: at 117 states and lambda tau =
-// 401 dense won by 5% (8.1 vs 8.5 ms), at 330 states and 1335 mfree won by
-// 28% (172 vs 220 ms). Any constant in [2.9, 3.8) keeps kAuto within 1.28x
-// of the faster backend on every cell of the grid; 3.6 sits in that range.
-// bench_solver_grid re-measures such a grid (BENCH_solver.json), and a rule
-// on each of its MRGP cells holds kAuto within 1.5x of the faster backend.
-constexpr double kDenseSeriesTermsPerState = 3.6;
+// No constant separates every family. 3.0 is the smallest that holds kAuto
+// within 1.5x of the faster backend on every bench_solver_grid cell (each
+// has a rule in BENCH_solver.json; 676 states at tau = 3000 s has 2.96
+// terms per state, and mfree wins it 1.5x). Up to 364 states kAuto stays
+// within 1.59x (247 states, lambda tau = 668); at 676 states it was 2.1x
+// slower at tau = 4000 s.
+constexpr double kDenseSeriesTermsPerState = 3.0;
 
 // kAuto's pure-CTMC rule: CSR + Krylov from this many tangible states, dense
 // LU below it, where LU is faster (no Krylov setup) and the small paper
@@ -435,8 +488,9 @@ DspnSteadyStateResult DspnSteadyStateSolver::solve(
       result.probabilities = solve_mrgp_matrix_free(
           g, plan, options_.fallback, result.matrix_nonzeros);
     } else {
-      result.matrix_nonzeros = 2 * n * n;  // the dense P and C
-      result.probabilities = solve_mrgp_dense(g, plan);
+      result.matrix_nonzeros = n * n;  // the dense P, or Omega
+      result.probabilities =
+          solve_mrgp_dense(g, plan, result.dispatch.series_terms);
     }
   };
 

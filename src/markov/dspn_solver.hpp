@@ -101,10 +101,10 @@ struct DspnSteadyStateResult {
   SolverBackend backend_used = SolverBackend::kDense;
   /// What dispatch chose, and why.
   Dispatch dispatch;
-  /// Stored nonzeros of the solver's main matrices — embedded chain +
-  /// conversion factors for the MRGP path, the generator for the pure-CTMC
-  /// path. The dense backend reports its full n^2 allocations, so
-  /// sparse-vs-dense memory is directly comparable.
+  /// Stored nonzeros of the solver's main matrix — the embedded chain (or
+  /// exp(Q tau)) for the MRGP path, the generator for the pure-CTMC path.
+  /// The dense backend reports its full n^2, so sparse-vs-dense memory is
+  /// directly comparable.
   std::size_t matrix_nonzeros = 0;
 };
 
@@ -124,11 +124,9 @@ struct DspnSteadyStateResult {
 ///    set until tau, d fires and the marking switches according to the
 ///    (vanishing-eliminated) firing distribution.
 ///
-/// The transient quantities exp(Q_d tau) and \int_0^tau exp(Q_d t) dt are
-/// computed by uniformization with doubling (see transient.hpp) once per
-/// deterministic transition and shared by all starting states, and the
-/// stationary distribution follows from the embedded chain's stationary
-/// vector weighted by expected sojourn (conversion) factors.
+/// The stationary distribution is the embedded chain's stationary vector
+/// nu weighted by the expected sojourn (conversion) factors
+/// C = \int_0^tau exp(Q_d t) dt; no backend forms C (see dspn_solver.cpp).
 ///
 /// Nets with no deterministic transition are solved directly as CTMCs, so
 /// this is the single entry point used by the reliability analyzer for both

@@ -15,7 +15,8 @@ using linalg::Triplet;
 using linalg::Vector;
 
 EmbeddedChainOperator::EmbeddedChainOperator(
-    const petri::TangibleReachabilityGraph& g, const AssemblyPlan& plan)
+    const petri::TangibleReachabilityGraph& g, const AssemblyPlan& plan,
+    const char* backend)
     : n_(g.size()) {
   NVP_EXPECTS(plan.states == n_);
 
@@ -46,7 +47,7 @@ EmbeddedChainOperator::EmbeddedChainOperator(
         group.subordinated.pour(sparse_subordinated_values(g, group.in_set));
     SparseUniformization uniformization = [&] {
       const obs::ScopedSpan uniform_span("markov.sparse_uniformization");
-      return SparseUniformization(q, tau, "mfree");
+      return SparseUniformization(q, tau, backend);
     }();
 
     std::vector<Triplet> ft;
@@ -106,13 +107,6 @@ std::size_t EmbeddedChainOperator::stored_nonzeros() const {
   for (const GroupData& data : groups_)
     nnz += data.subordinated.nonzeros() + data.firing.nonzeros();
   return nnz;
-}
-
-std::size_t EmbeddedChainOperator::max_truncation() const {
-  std::size_t truncation = 0;
-  for (const GroupData& data : groups_)
-    truncation = std::max(truncation, data.uniformization.truncation());
-  return truncation;
 }
 
 void BalanceOperator::apply_into(const linalg::Vector& x,

@@ -29,11 +29,14 @@ namespace nvp::markov {
 /// scale to state counts where the explicit chain would not even fit.
 ///
 /// Holds references to the graph and plan: both must outlive the operator
-/// (the solver builds it per solve).
+/// (the solver builds it per solve). `backend` labels a failure of the
+/// operator's propagators with the solver backend that built it: "mfree",
+/// or "dense" where the dense backend asks only for conversion_apply.
 class EmbeddedChainOperator {
  public:
   EmbeddedChainOperator(const petri::TangibleReachabilityGraph& g,
-                        const AssemblyPlan& plan);
+                        const AssemblyPlan& plan,
+                        const char* backend = "mfree");
 
   std::size_t states() const { return n_; }
 
@@ -48,10 +51,6 @@ class EmbeddedChainOperator {
   /// subordinated generators, firing distributions) — the memory the
   /// explicit embedded chain never pays.
   std::size_t stored_nonzeros() const;
-
-  /// Largest Poisson truncation across groups (diagnostics: the per-matvec
-  /// propagation cost is truncation * nnz).
-  std::size_t max_truncation() const;
 
  private:
   struct GroupData {

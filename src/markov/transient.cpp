@@ -34,11 +34,6 @@ void uniformize_in_place(DenseMatrix& q, double lambda) {
   }
 }
 
-DenseMatrix uniformized_dtmc(DenseMatrix q, double lambda) {
-  uniformize_in_place(q, lambda);
-  return q;
-}
-
 /// The nonzeros of a dense matrix, row by row in ascending column order.
 linalg::SparseMatrixCsr nonzeros_of(const DenseMatrix& m) {
   std::vector<linalg::Triplet> triplets;
@@ -48,23 +43,22 @@ linalg::SparseMatrixCsr nonzeros_of(const DenseMatrix& m) {
   return linalg::SparseMatrixCsr(m.rows(), m.cols(), std::move(triplets));
 }
 
-/// Base-step pair via uniformization series; requires lambda * t small
-/// (<= ~1) so a short series reaches machine precision. `power` ends up
-/// holding the last series term, a buffer the caller may reuse.
+/// Base-step exponential via the uniformization series; requires lambda * t
+/// small (<= ~1) so a short series reaches machine precision. `power` ends
+/// up holding the last series term, a buffer the caller may reuse.
 ///
 /// P_u has a handful of nonzeros per row, so each term multiplies by those
 /// alone, row by row: power(i, j) gains power(i, k) * P_u(k, j) for k
 /// ascending, the order of the dense i-k-j product. The products skipped
 /// are +-0 and would not change the sum, so the terms are bit-identical to
 /// full n^3 products.
-ExponentialPair base_pair(const linalg::SparseMatrixCsr& p_u, double lambda,
-                          double t, DenseMatrix& power) {
+DenseMatrix base_exponential(const linalg::SparseMatrixCsr& p_u,
+                             double lambda, double t, DenseMatrix& power) {
   const std::size_t n = p_u.rows();
   const auto terms = linalg::poisson_terms(lambda * t, 1e-16);
-  ExponentialPair pair{DenseMatrix(n, n, 0.0), DenseMatrix(n, n, 0.0)};
+  DenseMatrix omega(n, n, 0.0);
   power = DenseMatrix::identity(n);
   Vector next(n);
-  double cdf = 0.0;
   for (std::size_t k = 0; k <= terms.truncation; ++k) {
     if (k > 0) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -80,24 +74,49 @@ ExponentialPair base_pair(const linalg::SparseMatrixCsr& p_u, double lambda,
       }
     }
     const double pmf = terms.pmf[k];
-    cdf += pmf;
-    const double ccdf = std::max(0.0, 1.0 - cdf);  // P(N >= k + 1)
     for (std::size_t i = 0; i < n; ++i) {
       const double* prow = power.row_data(i);
-      double* orow = pair.omega.row_data(i);
-      double* irow = pair.integral.row_data(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        orow[j] += pmf * prow[j];
-        irow[j] += (ccdf / lambda) * prow[j];
-      }
+      double* orow = omega.row_data(i);
+      for (std::size_t j = 0; j < n; ++j) orow[j] += pmf * prow[j];
     }
   }
-  return pair;
+  return omega;
+}
+
+/// pi0 exp(Q t) and pi0 \int_0^t exp(Q s) ds by one dense vector series.
+TransientRowPair dense_row_pair(const DenseMatrix& generator, const Vector& pi0,
+                                double t) {
+  NVP_EXPECTS(generator.rows() == generator.cols());
+  NVP_EXPECTS(pi0.size() == generator.rows());
+  NVP_EXPECTS(t >= 0.0);
+  TransientRowPair out{pi0, Vector(pi0.size(), 0.0)};
+  const double lambda = uniformization_rate(generator);
+  if (t == 0.0) return out;
+  if (lambda == 0.0) {
+    for (std::size_t i = 0; i < pi0.size(); ++i) out.sojourn[i] = pi0[i] * t;
+    return out;
+  }
+  DenseMatrix p_u = generator;
+  uniformize_in_place(p_u, lambda);
+  const auto terms = linalg::poisson_terms(lambda * t, 1e-14);
+  out.omega.assign(pi0.size(), 0.0);
+  Vector v = pi0;
+  double cdf = 0.0;
+  for (std::size_t k = 0; k <= terms.truncation; ++k) {
+    if (k > 0) v = p_u.left_multiply(v);
+    cdf += terms.pmf[k];
+    const double ccdf = std::max(0.0, 1.0 - cdf);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out.omega[i] += terms.pmf[k] * v[i];
+      out.sojourn[i] += (ccdf / lambda) * v[i];
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
-ExponentialPair matrix_exponential_pair(DenseMatrix generator, double tau) {
+DenseMatrix matrix_exponential(DenseMatrix generator, double tau) {
   NVP_EXPECTS(generator.rows() == generator.cols());
   NVP_EXPECTS(tau >= 0.0);
   const std::size_t n = generator.rows();
@@ -108,19 +127,11 @@ ExponentialPair matrix_exponential_pair(DenseMatrix generator, double tau) {
     context.states = n;
     context.detail = "injected";
     throw fault::Error(fault::Category::kNoConvergence,
-                       "matrix_exponential_pair: injected series failure",
+                       "matrix_exponential: injected series failure",
                        std::move(context));
   }
-  if (tau == 0.0)
-    return {DenseMatrix::identity(n), DenseMatrix(n, n, 0.0)};
-
   const double lambda = uniformization_rate(generator);
-  if (lambda == 0.0) {
-    // No activity: exp(0) = I, integral = tau * I.
-    DenseMatrix integral(n, n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) integral(i, i) = tau;
-    return {DenseMatrix::identity(n), std::move(integral)};
-  }
+  if (tau == 0.0 || lambda == 0.0) return DenseMatrix::identity(n);
 
   // Halve tau until lambda * t0 <= 1, run the series there, double back up.
   int doublings = 0;
@@ -129,43 +140,29 @@ ExponentialPair matrix_exponential_pair(DenseMatrix generator, double tau) {
     t0 /= 2.0;
     ++doublings;
   }
-  // Only P_u's nonzeros survive the generator, so at most three n x n
-  // matrices are live from here on: omega, the integral and one scratch.
+  // Only P_u's nonzeros survive the generator, so at most two n x n
+  // matrices are live from here on: omega and one scratch.
   uniformize_in_place(generator, lambda);
   const linalg::SparseMatrixCsr p_u = nonzeros_of(generator);
   generator = DenseMatrix();
   DenseMatrix scratch;
-  ExponentialPair pair = base_pair(p_u, lambda, t0, scratch);
+  DenseMatrix omega = base_exponential(p_u, lambda, t0, scratch);
   for (int d = 0; d < doublings; ++d) {
-    // integral(2t) = integral(t) + omega(t) * integral(t)
-    pair.omega.multiply_into(pair.integral, scratch);
-    pair.integral += scratch;
-    pair.omega.multiply_into(pair.omega, scratch);
-    std::swap(pair.omega, scratch);
+    omega.multiply_into(omega, scratch);
+    std::swap(omega, scratch);
   }
-  NVP_ENSURES(pair.omega.all_finite());
-  NVP_ENSURES(pair.integral.all_finite());
-  return pair;
+  NVP_ENSURES(omega.all_finite());
+  return omega;
 }
 
 Vector ctmc_transient(const DenseMatrix& generator, const Vector& pi0,
                       double t) {
-  NVP_EXPECTS(generator.rows() == generator.cols());
-  NVP_EXPECTS(pi0.size() == generator.rows());
-  NVP_EXPECTS(t >= 0.0);
-  if (t == 0.0) return pi0;
-  const double lambda = uniformization_rate(generator);
-  if (lambda == 0.0) return pi0;
-  const DenseMatrix p_u = uniformized_dtmc(generator, lambda);
-  const auto terms = linalg::poisson_terms(lambda * t, 1e-14);
-  Vector acc(pi0.size(), 0.0);
-  Vector v = pi0;
-  for (std::size_t k = 0; k <= terms.truncation; ++k) {
-    if (k > 0) v = p_u.left_multiply(v);
-    for (std::size_t i = 0; i < acc.size(); ++i)
-      acc[i] += terms.pmf[k] * v[i];
-  }
-  return acc;
+  return dense_row_pair(generator, pi0, t).omega;
+}
+
+Vector ctmc_accumulated_sojourn(const DenseMatrix& generator,
+                                const Vector& pi0, double t) {
+  return dense_row_pair(generator, pi0, t).sojourn;
 }
 
 SparseUniformization::SparseUniformization(
@@ -318,33 +315,6 @@ Vector ctmc_accumulated_sojourn(const linalg::SparseMatrixCsr& generator,
   return SparseUniformization(generator, t, "sparse", 1e-14)
       .row_pair(pi0)
       .sojourn;
-}
-
-Vector ctmc_accumulated_sojourn(const DenseMatrix& generator,
-                                const Vector& pi0, double t) {
-  NVP_EXPECTS(generator.rows() == generator.cols());
-  NVP_EXPECTS(pi0.size() == generator.rows());
-  NVP_EXPECTS(t >= 0.0);
-  if (t == 0.0) return Vector(pi0.size(), 0.0);
-  const double lambda = uniformization_rate(generator);
-  if (lambda == 0.0) {
-    Vector out = pi0;
-    for (double& x : out) x *= t;
-    return out;
-  }
-  const DenseMatrix p_u = uniformized_dtmc(generator, lambda);
-  const auto terms = linalg::poisson_terms(lambda * t, 1e-14);
-  Vector acc(pi0.size(), 0.0);
-  Vector v = pi0;
-  double cdf = 0.0;
-  for (std::size_t k = 0; k <= terms.truncation; ++k) {
-    if (k > 0) v = p_u.left_multiply(v);
-    cdf += terms.pmf[k];
-    const double ccdf = std::max(0.0, 1.0 - cdf);
-    for (std::size_t i = 0; i < acc.size(); ++i)
-      acc[i] += (ccdf / lambda) * v[i];
-  }
-  return acc;
 }
 
 }  // namespace nvp::markov

@@ -6,25 +6,13 @@
 
 namespace nvp::markov {
 
-/// Matrix exponential pair for a CTMC generator Q and horizon tau:
-///   omega    = exp(Q * tau)                (transition probabilities)
-///   integral = \int_0^tau exp(Q t) dt      (expected sojourn times)
-/// Computed by uniformization on a small base step followed by doubling
-/// (omega(2t) = omega(t)^2, integral(2t) = integral(t) + omega(t)
-/// integral(t)), which keeps the cost at O(n^3 log(Lambda tau)) even for
-/// stiff horizons.
-struct ExponentialPair {
-  linalg::DenseMatrix omega;
-  linalg::DenseMatrix integral;
-};
-
-/// Computes the pair for a (possibly defective) generator: rows may sum to
-/// less than zero is not allowed, but absorbing rows (all zero) are fine.
-/// Takes the generator by value and uniformizes it in place, so a caller
-/// that moves it in holds at most three n x n matrices during the call:
-/// omega, the integral and one scratch buffer.
-ExponentialPair matrix_exponential_pair(linalg::DenseMatrix generator,
-                                        double tau);
+/// exp(Q * tau) for a CTMC generator Q (absorbing all-zero rows are fine):
+/// uniformization on a small base step, then one squaring per doubling, so
+/// the cost stays O(n^3 log(Lambda tau)) for stiff horizons. Uniformizes the
+/// generator in place: a caller that moves it in holds at most two n x n
+/// matrices during the call, the result and one scratch buffer.
+linalg::DenseMatrix matrix_exponential(linalg::DenseMatrix generator,
+                                       double tau);
 
 /// Transient distribution pi(t) = pi0 * exp(Q t) by vector uniformization
 /// (cheaper than the full matrix when only one initial vector is needed).
@@ -48,13 +36,13 @@ struct TransientRowPair {
 /// generator once (P = I + Q / lambda, truncated Poisson weights at
 /// `epsilon` tail mass) and then answers per-initial-vector transient
 /// queries in O(truncation * nnz) each — the sparse counterpart of
-/// matrix_exponential_pair, which materializes the full n x n exponential.
+/// matrix_exponential, which materializes the full n x n exponential.
 /// The matrix-free MRGP operator propagates one vector per deterministic
 /// group through it; queries are independent, so callers may fan them out
 /// in parallel (the object is immutable after construction). `backend`
 /// labels a construction failure with the solver backend that asked for
-/// the propagator ("sparse" for the CSR transient queries, "mfree" for the
-/// operator).
+/// the propagator ("sparse" for the CSR transient queries, "mfree" or
+/// "dense" for the embedded-chain operator).
 class SparseUniformization {
  public:
   SparseUniformization(const linalg::SparseMatrixCsr& generator, double tau,
@@ -73,9 +61,6 @@ class SparseUniformization {
   /// `pi0` may be any vector (Krylov iterates go negative); the series is
   /// linear in it.
   linalg::Vector omega_row(const linalg::Vector& pi0) const;
-
-  double uniformization_rate() const { return lambda_; }
-  std::size_t truncation() const { return terms_.truncation; }
 
  private:
   linalg::SparseMatrixCsr p_u_;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/staged.hpp"
+#include "src/core/sweep.hpp"
 #include "src/markov/ctmc.hpp"
 #include "src/markov/solver_config.hpp"
 #include "src/obs/json.hpp"
@@ -258,14 +259,8 @@ bool parse_options(const wire::Value& node,
 bool parse_sweep(const wire::Value& node, Request* request,
                  std::string* error) {
   request->sweep_param = node.string_or("param", "interval");
-  const core::ParameterField* field =
-      core::find_parameter_field(request->sweep_param);
-  if (field == nullptr || field->system == nullptr) {
-    std::string names;
-    for (const core::ParameterField& f : core::parameter_fields())
-      if (f.system != nullptr)
-        names += std::string(names.empty() ? "" : "|") + f.name;
-    *error = "sweep.param must be one of " + names;
+  if (!core::setter_for(request->sweep_param)) {
+    *error = "sweep.param must be one of " + core::sweepable_names();
     return false;
   }
   request->sweep_from = node.number_or("from", 0.0);

@@ -18,6 +18,7 @@
 
 #include "src/core/architecture_space.hpp"
 #include "src/core/engine.hpp"
+#include "src/core/model_factory.hpp"
 #include "src/core/optimizer.hpp"
 #include "src/core/params.hpp"
 #include "src/core/sweep.hpp"
@@ -611,6 +612,61 @@ TEST_F(FaultInjectionTest, DegradedCandidateKeepsItsStateCount) {
     }
   }
   EXPECT_EQ(checked, 2u);
+}
+
+TEST_F(FaultInjectionTest, DenseConversionSeriesNamesTheDenseBackend) {
+  // A clock that is not enabled everywhere (state B enables none) takes
+  // nu C from the operator's vector series, built on the dense backend's
+  // behalf: decision 0 (exp(Q tau)) passes, decision 1 (the series) fires,
+  // and the error names dense.
+  petri::PetriNet net("sometimes_enabled");
+  const auto a = net.add_place("A", 1);
+  const auto b = net.add_place("B", 0);
+  const auto tick = net.add_deterministic("tick", 2.0);
+  net.add_input_arc(tick, a);
+  net.add_output_arc(tick, b);
+  const auto leave = net.add_exponential("leave", 0.3);
+  net.add_input_arc(leave, a);
+  net.add_output_arc(leave, b);
+  const auto back = net.add_exponential("back", 1.0);
+  net.add_input_arc(back, b);
+  net.add_output_arc(back, a);
+  const auto g = petri::TangibleReachabilityGraph::build(net);
+  const double rate = 0.5;
+  const auto draw = [](std::uint64_t seed, std::uint64_t k) {
+    util::SplitMix64 mix(util::substream_seed(seed, k));
+    return static_cast<double>(mix.next() >> 11) * 0x1.0p-53;
+  };
+  std::uint64_t seed = 1;
+  while (!(draw(seed, 0) >= rate && draw(seed, 1) < rate)) ++seed;
+  fault::Injector::global().set(fault::Site::kUniformization, rate, seed);
+  markov::DspnSteadyStateSolver::Options dense;
+  dense.backend = markov::SolverBackend::kDense;
+  try {
+    markov::DspnSteadyStateSolver(dense).solve(g);
+    FAIL() << "expected the injected series failure";
+  } catch (const fault::Error& e) {
+    EXPECT_EQ(e.context().site, "markov.sparse_uniformization");
+    EXPECT_EQ(e.context().backend, "dense");
+  }
+}
+
+TEST_F(FaultInjectionTest, DenseOneClockSolveSurvivesSingularPivots) {
+  // Every LU pivot fails: the stationary vector of F Omega falls back to
+  // power iteration and the identity system to the operator's series; the
+  // answer stays the clean one.
+  const auto g = petri::TangibleReachabilityGraph::build(
+      core::PerceptionModelFactory::build(
+          core::SystemParameters::paper_six_version())
+          .net);
+  markov::DspnSteadyStateSolver::Options dense;
+  dense.backend = markov::SolverBackend::kDense;
+  const auto clean = markov::DspnSteadyStateSolver(dense).solve(g);
+  fault::Injector::global().set(fault::Site::kLuPivot, 1.0, 3);
+  const auto degraded = markov::DspnSteadyStateSolver(dense).solve(g);
+  ASSERT_EQ(degraded.probabilities.size(), clean.probabilities.size());
+  for (std::size_t i = 0; i < clean.probabilities.size(); ++i)
+    EXPECT_NEAR(degraded.probabilities[i], clean.probabilities[i], 1e-10);
 }
 
 TEST_F(FaultInjectionTest, UniformizationFaultNamesTheOperatorBackend) {

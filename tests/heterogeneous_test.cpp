@@ -58,10 +58,9 @@ core::AnalysisResult analyze(const SystemParameters& params,
 // doubles: the refactored pipeline must reproduce these to the last bit.
 // The 4v rows solve a pure CTMC. The 6v rows solve its MRGP on the backend
 // kAuto picks for it (dense: 70 states, interval 600 s); they were
-// re-captured from the commit before the cost-based dispatch with
-// `nvpcli analyze --paper 6v --convention C --attachment A
-//  --solver-config backend=dense --format json`, the dense kernel being
-// bit-identical across that change.
+// re-captured with `nvpcli analyze --paper 6v --convention C --attachment A
+// --solver-config backend=dense --format json` when the dense solve stopped
+// forming the conversion matrix and took nu C from exp(Q tau) alone.
 TEST(HeterogeneousGolden, HomogeneousPipelineIsBitIdenticalToPreRefactor) {
   struct Golden {
     bool six;
@@ -84,17 +83,17 @@ TEST(HeterogeneousGolden, HomogeneousPipelineIsBitIdenticalToPreRefactor) {
       {false, RewardConvention::kStrict,
        RewardAttachment::kAppendixMatrices, 0.45933476342748425, 15},
       {true, RewardConvention::kPaperVerbatim,
-       RewardAttachment::kOperationalStatesOnly, 0.9374805923145606, 70},
+       RewardAttachment::kOperationalStatesOnly, 0.93748059231441094, 70},
       {true, RewardConvention::kPaperVerbatim,
-       RewardAttachment::kAppendixMatrices, 0.9430090608363586, 70},
+       RewardAttachment::kAppendixMatrices, 0.94300906083620673, 70},
       {true, RewardConvention::kGeneralized,
-       RewardAttachment::kOperationalStatesOnly, 0.93466923828060455, 70},
+       RewardAttachment::kOperationalStatesOnly, 0.93466923828045001, 70},
       {true, RewardConvention::kGeneralized,
-       RewardAttachment::kAppendixMatrices, 0.94019630086074835, 70},
+       RewardAttachment::kAppendixMatrices, 0.94019630086059158, 70},
       {true, RewardConvention::kStrict,
-       RewardAttachment::kOperationalStatesOnly, 0.85932934944861827, 70},
+       RewardAttachment::kOperationalStatesOnly, 0.85932934944827399, 70},
       {true, RewardConvention::kStrict,
-       RewardAttachment::kAppendixMatrices, 0.86367461096861398, 70},
+       RewardAttachment::kAppendixMatrices, 0.86367461096826748, 70},
   };
   for (const Golden& g : golden) {
     const SystemParameters params =

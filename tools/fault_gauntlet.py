@@ -100,7 +100,7 @@ SCHEDULES = [
     # Forced cache misses change only costs, never values.
     ("cache", "cache:1.0:5", {"4v": "identical", "6v": "identical"}, []),
     # The matrix-free stage: kAuto routes the 6v points with short clock
-    # series (intervals below ~380 s, 4 of the 50) through the operator
+    # series (intervals below ~315 s, 3 of the 50) through the operator
     # backend, whose default chain is [mfree, power] — the injected stage
     # failure must degrade to power iteration, still yielding a value for
     # every point, and the site must have fired. The 4v pure-CTMC solve is

@@ -30,8 +30,10 @@
 // --fallback) and removed --solver-config keys fail with an error naming
 // their replacement.
 //
-// Exit code 0 on success; 1 on usage errors and refused inputs; 2 on
-// model/solver errors and on a bad common or command-local flag value.
+// Exit code 0 on success; 1 on usage errors and refused inputs, including a
+// bad command-local flag (optimize --from/--to, sensitivity --step, the
+// crossovers grid, archspace --max-n/-f/-r/--top); 2 on model/solver errors
+// and on a bad common flag value.
 
 #include <chrono>
 #include <csignal>
@@ -146,8 +148,8 @@ int usage() {
       "fallback=<stage+stage+...> over gmres-ilu0|gmres-jacobi|power|dense|"
       "mfree, attempt-deadline=<seconds, 0 = unbounded>; auto = sparse "
       "Krylov from 128 states for CTMC models, dense below; for MRGP models "
-      "dense once the clocks' uniformization series take 3.6 terms per "
-      "state (sum of lambda*tau >= 3.6 n) and n <= 4096, matrix-free "
+      "dense once the clocks' uniformization series take 3.0 terms per "
+      "state (sum of lambda*tau >= 3.0 n) and n <= 4096, matrix-free "
       "otherwise; sparse and mfree both name the model's sparse backend: "
       "CSR for a CTMC, matrix-free for an MRGP)\n"
       "robustness: --strict (fail fast instead of degrading failed points "
@@ -294,6 +296,39 @@ void dump_metrics() {
     std::fprintf(stderr, "%s: count=%llu mean=%g p50<=%g p90<=%g p99<=%g\n",
                  name.c_str(), static_cast<unsigned long long>(h.count),
                  h.mean(), h.p50, h.p90, h.p99);
+}
+
+// The flags a command reads itself, outside the decoder, checked before any
+// work: the message of a bad one (naming the flag), or "" when all are fine.
+std::string check_local_flags(const std::string& command,
+                              const util::CliArgs& args) {
+  try {
+    if (command == "optimize") {
+      const double from = args.get_double("from", 100.0);
+      if (!(from > 0.0)) return "--from must be > 0";
+      if (!(args.get_double("to", 3000.0) > from))
+        return "--to must be greater than --from";
+    } else if (command == "sensitivity") {
+      const double step = args.get_double("step", 0.1);
+      if (!(step > 0.0 && step < 1.0)) return "--step must lie in (0, 1)";
+    } else if (command == "crossovers") {
+      if (!core::setter_for(args.get("param", "mttc")))
+        return "--param must be one of " + core::sweepable_names();
+      if (!(args.get_double("to", 0.0) > args.get_double("from", 0.0)))
+        return "--to must be greater than --from";
+      if (args.get_int("points", 15) < 2) return "--points must be >= 2";
+      if (!(args.get_double("tolerance", 1.0) > 0.0))
+        return "--tolerance must be > 0";
+    } else if (command == "archspace") {
+      if (args.get_int("max-n", 4) < 4) return "--max-n must be >= 4";
+      if (args.get_int("max-f", 1) < 1) return "--max-f must be >= 1";
+      if (args.get_int("max-r", 0) < 0) return "--max-r must be >= 0";
+      if (args.get_int("top", 0) < 0) return "--top must be >= 0";
+    }
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -531,14 +566,13 @@ int crossovers(const core::Engine& engine,
     std::fprintf(stderr, "--vs expects plain|4v|6v, got '%s'\n", vs.c_str());
     return 1;
   }
+  // check_local_flags has vetted these.
   const std::string name = args.get("param", "mttc");
   const core::ParameterSetter setter = core::setter_for(name);
-  if (!setter) return usage();
   const double from = args.get_double("from", 0.0);
   const double to = args.get_double("to", 0.0);
   const auto points = static_cast<std::size_t>(args.get_int("points", 15));
   const double tolerance = args.get_double("tolerance", 1.0);
-  if (!(to > from) || points < 2 || !(tolerance > 0.0)) return usage();
   const auto crossings = engine.crossovers(
       config_a, config_b, setter, core::linspace(from, to, points), tolerance);
   if (crossings.empty() && common.format == util::OutputFormat::kTable) {
@@ -947,6 +981,11 @@ int main(int argc, char** argv) {
     }
     if (!decoded || !service::parse_request(*decoded, &request, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
+      return 1;
+    }
+    if (const std::string bad = check_local_flags(command, args);
+        !bad.empty()) {
+      std::fprintf(stderr, "error: %s\n", bad.c_str());
       return 1;
     }
 
