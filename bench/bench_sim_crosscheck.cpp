@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 #include "src/core/model_factory.hpp"
-#include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/perception/system.hpp"
 #include "src/runtime/thread_pool.hpp"
 #include "src/sim/dspn_simulator.hpp"
@@ -45,19 +45,13 @@ int main() {
         core::ReliabilityAnalyzer(opts).analyze(params);
 
     const auto model = core::PerceptionModelFactory::build(params);
-    const auto rewards = core::make_reliability_model(
-        params, core::RewardConvention::kGeneralized);
     sim::DspnSimulator simulator(model.net);
     sim::SimulationOptions sim_opts;
     sim_opts.warmup_time = 2e4;
     sim_opts.horizon = 1.5e6;
     sim_opts.seed = 12345;
-    const auto est = simulator.estimate(
-        [&](const petri::Marking& m) {
-          return rewards->state_reliability(
-              model.healthy(m), model.compromised(m), model.down(m));
-        },
-        sim_opts, 8);
+    const auto est = simulator.estimate(core::marking_reward(params, opts),
+                                        sim_opts, 8);
 
     perception::NVersionPerceptionSystem::Config cfg;
     cfg.params = params;
@@ -84,14 +78,11 @@ int main() {
   {
     const auto params = bench::six_version();
     const auto model = core::PerceptionModelFactory::build(params);
-    const auto rewards = core::make_reliability_model(
-        params, core::RewardConvention::kGeneralized);
     sim::DspnSimulator simulator(model.net);
-    const markov::MarkingReward reward = [&](const petri::Marking& m) {
-      return rewards->state_reliability(model.healthy(m),
-                                        model.compromised(m),
-                                        model.down(m));
-    };
+    core::ReliabilityAnalyzer::Options opts;
+    opts.convention = core::RewardConvention::kGeneralized;
+    opts.attachment = core::RewardAttachment::kAppendixMatrices;
+    const markov::MarkingReward reward = core::marking_reward(params, opts);
     sim::SimulationOptions sim_opts;
     sim_opts.warmup_time = 1e4;
     sim_opts.horizon = 4e5;

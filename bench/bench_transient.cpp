@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 #include "src/core/model_factory.hpp"
-#include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/core/transient.hpp"
 #include "src/sim/transient_profile.hpp"
 
@@ -22,17 +22,12 @@ int main() {
   const auto four_curve =
       transient.reliability_curve(bench::four_version(), times);
 
-  // Six-version (rejuvenating) transients by simulation.
+  // Six-version (rejuvenating) transients by simulation, with the
+  // analyzer's default reward.
   const auto six_params = bench::six_version();
   const auto model = core::PerceptionModelFactory::build(six_params);
-  const auto rewards = core::make_reliability_model(six_params);
   const sim::DspnSimulator simulator(model.net);
-  const markov::MarkingReward reward = [&](const petri::Marking& m) {
-    const int k = model.down(m);
-    return k > 0 ? 0.0
-                 : rewards->state_reliability(model.healthy(m),
-                                              model.compromised(m), k);
-  };
+  const markov::MarkingReward reward = core::marking_reward(six_params, {});
   const auto six_profile =
       sim::transient_profile(simulator, reward, 14400.0, 24, 48, 77);
 

@@ -90,8 +90,10 @@ class ReliabilityAnalyzer {
   ReliabilityAnalyzer() = default;
   explicit ReliabilityAnalyzer(Options options) : options_(options) {}
 
-  /// Analyzes with the reward model chosen by make_reliability_model();
-  /// rewards_stage_key() is its cache and store identity.
+  /// Analyzes with the convention's class rewards (paper_verbatim_model
+  /// where it applies, GroupReliabilityModel otherwise) behind the one
+  /// gated state reward, state_rewards(); rewards_stage_key() is its cache
+  /// and store identity.
   AnalysisResult analyze(const SystemParameters& params) const;
 
   /// Analyzes with a caller-supplied reward model (must match N).

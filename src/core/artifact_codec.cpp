@@ -1,6 +1,5 @@
 #include "src/core/artifact_codec.hpp"
 
-#include <tuple>
 #include <utility>
 
 #include "src/core/model_factory.hpp"
@@ -17,13 +16,14 @@ using store::Writer;
 // Per-kind payload schema tags. Bump when a codec's field sequence changes;
 // old payloads then decode as "unknown schema" and are recomputed.
 // Structure v2: per-group state classes (module-group models); v3: the
-// assembly plan's lumping hint is gone (the structure key tag was bumped
-// with it, so v2 entries are never looked up). Analysis
+// assembly plan's lumping hint is gone; v4: one class list of per-group
+// counts for every net (the structure key tag was bumped with each, so
+// older entries are never looked up). Analysis
 // v2: the legacy sparse-backend flag byte is gone (backend_used carries
 // it); the rewards key tag was bumped with it, so v1 entries are never
 // looked up. Version-bumped keys likewise retire other stale layouts:
 // their entries stop being addressed and expire.
-constexpr std::uint32_t kStructureSchema = 3;
+constexpr std::uint32_t kStructureSchema = 4;
 constexpr std::uint32_t kRatesSchema = 1;
 constexpr std::uint32_t kRewardTableSchema = 1;
 constexpr std::uint32_t kAnalysisSchema = 2;
@@ -152,24 +152,14 @@ std::vector<std::uint8_t> encode_structure_artifact(
     write_pattern(w, g.subordinated);
   }
 
-  // (i, j, k) classification (plus per-group counts for heterogeneous
-  // structures).
+  // Per-state gate inputs, then the per-group classes.
   w.u64(artifact.state_class.size());
   for (const StructureArtifact::StateClass& sc : artifact.state_class) {
-    w.i32(sc.healthy);
-    w.i32(sc.compromised);
     w.i32(sc.down);
     w.boolean(sc.voter_up);
-    w.vec_i32(sc.groups);
   }
   w.u64(artifact.classes.size());
-  for (const auto& [i, j, k] : artifact.classes) {
-    w.i32(i);
-    w.i32(j);
-    w.i32(k);
-  }
-  w.u64(artifact.group_classes.size());
-  for (const std::vector<int>& cls : artifact.group_classes) w.vec_i32(cls);
+  for (const std::vector<int>& cls : artifact.classes) w.vec_i32(cls);
   w.vec_sizes(artifact.class_of_state);
   return w.take();
 }
@@ -218,26 +208,17 @@ std::shared_ptr<const StructureArtifact> decode_structure_artifact(
   check(class_rows == n, "state classes do not match state count");
   artifact->state_class.resize(n);
   for (StructureArtifact::StateClass& sc : artifact->state_class) {
-    sc.healthy = r.i32();
-    sc.compromised = r.i32();
     sc.down = r.i32();
     sc.voter_up = r.boolean();
-    sc.groups = r.vec_i32();
   }
   const std::uint64_t n_classes = r.u64();
   check(n_classes <= r.remaining(), "class count exceeds payload");
   artifact->classes.resize(static_cast<std::size_t>(n_classes));
-  for (auto& cls : artifact->classes) {
-    const int i = r.i32();
-    const int j = r.i32();
-    const int k = r.i32();
-    cls = std::make_tuple(i, j, k);
+  for (std::vector<int>& cls : artifact->classes) {
+    cls = r.vec_i32();
+    check(!cls.empty() && cls.size() % 3 == 0,
+          "class must carry 3 counts per group");
   }
-  const std::uint64_t n_group_classes = r.u64();
-  check(n_group_classes == 0 || n_group_classes == n_classes,
-        "group classes must be absent or match the class count");
-  artifact->group_classes.resize(static_cast<std::size_t>(n_group_classes));
-  for (std::vector<int>& cls : artifact->group_classes) cls = r.vec_i32();
   artifact->class_of_state = r.vec_sizes();
   check(artifact->class_of_state.size() == n,
         "class map does not match state count");

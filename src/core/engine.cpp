@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "src/core/model_factory.hpp"
-#include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/store/store.hpp"
@@ -119,27 +119,9 @@ sim::ReplicationEstimate Engine::simulate_impl(
                                 ? options.warmup_time
                                 : options.horizon / 100.0;
   sim_options.seed = options.seed;
-  // Heterogeneous models take their rewards from the per-group model over
-  // per-group marking counts; homogeneous ones keep the scalar (i, j, k)
-  // path (bit-identical to before the module-group refactor).
-  if (model.groups.empty()) {
-    const auto rewards =
-        make_reliability_model(params, analyzer_.options().convention);
-    return simulator.estimate(
-        [&](const petri::Marking& m) {
-          return rewards->state_reliability(model.healthy(m),
-                                            model.compromised(m),
-                                            model.down(m));
-        },
-        sim_options, options.replications, options.confidence_level);
-  }
-  const auto rewards =
-      make_group_reliability_model(params, analyzer_.options().convention);
-  return simulator.estimate(
-      [&](const petri::Marking& m) {
-        return rewards->state_reliability_flat(model.group_counts(m));
-      },
-      sim_options, options.replications, options.confidence_level);
+  return simulator.estimate(marking_reward(params, analyzer_.options()),
+                            sim_options, options.replications,
+                            options.confidence_level);
 }
 
 std::vector<SweepPoint> Engine::sweep(

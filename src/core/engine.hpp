@@ -97,8 +97,9 @@ class Engine {
   static fault::ErrorInfo deadline_error(const std::string& site,
                                          double overrun_s);
 
-  /// Monte-Carlo replication estimate of E[R_sys], with envelope. The
-  /// reward model matches the analyzer's convention, so simulate() and
+  /// Monte-Carlo replication estimate of E[R_sys], with envelope. It
+  /// attaches the analyzer's gated state reward (marking_reward: its
+  /// convention and attachment, and the voter gate), so simulate() and
   /// analyze() estimate the same quantity.
   RunResult simulate(const SystemParameters& params,
                      const SimulateOptions& options) const;

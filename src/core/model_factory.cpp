@@ -1,5 +1,8 @@
 #include "src/core/model_factory.hpp"
 
+#include <memory>
+#include <string>
+
 #include "src/util/contracts.hpp"
 #include "src/util/string_util.hpp"
 
@@ -13,54 +16,37 @@ using petri::TransitionId;
 
 namespace {
 
-/// Adds the H -> C -> N -> H life-cycle shared by both models.
-/// Single-server semantics uses the constant rates of Table II;
-/// infinite-server scales each rate by the number of tokens in the
-/// transition's input place.
-void add_lifecycle(PetriNet& net, const SystemParameters& params,
-                   PlaceId pmh, PlaceId pmc, PlaceId pmf) {
-  const double lambda_c = 1.0 / params.mean_time_to_compromise;
-  const double lambda = 1.0 / params.mean_time_to_failure;
-  const double mu = 1.0 / params.mean_time_to_repair;
-
-  const TransitionId tc = net.add_exponential("Tc", lambda_c);
-  net.add_input_arc(tc, pmh);
-  net.add_output_arc(tc, pmc);
-
-  const TransitionId tf = net.add_exponential("Tf", lambda);
-  net.add_input_arc(tf, pmc);
-  net.add_output_arc(tf, pmf);
-
-  const TransitionId tr = net.add_exponential("Tr", mu);
-  net.add_input_arc(tr, pmf);
-  net.add_output_arc(tr, pmh);
-
-  if (params.semantics == FiringSemantics::kInfiniteServer) {
-    net.set_rate_fn(tc, [lambda_c, pmh](const Marking& m) {
-      return lambda_c * static_cast<double>(m[pmh.index]);
-    });
-    net.set_rate_fn(tf, [lambda, pmc](const Marking& m) {
-      return lambda * static_cast<double>(m[pmc.index]);
-    });
-    net.set_rate_fn(tr, [mu, pmf](const Marking& m) {
-      return mu * static_cast<double>(m[pmf.index]);
-    });
-  }
-
-  // Extension: reactive detection-based recovery (Td: C -> H). Follows the
-  // same firing semantics as the other life-cycle transitions.
-  if (params.detection_rate > 0.0) {
-    const double delta = params.detection_rate;
-    const TransitionId td = net.add_exponential("Td", delta);
-    net.add_input_arc(td, pmc);
-    net.add_output_arc(td, pmh);
-    if (params.semantics == FiringSemantics::kInfiniteServer) {
-      net.set_rate_fn(td, [delta, pmc](const Marking& m) {
-        return delta * static_cast<double>(m[pmc.index]);
-      });
-    }
-  }
+/// The name of group g's copy of a per-group place or transition: the
+/// Fig. 2 / Table I name itself in a one-group net, suffixed with the
+/// 1-based group number from two groups on ("Pmh2"; "Trj1_2" where the
+/// name already ends in a digit).
+std::string group_name(const char* base, std::size_t g, bool suffixed) {
+  if (!suffixed) return base;
+  const char last = base[std::char_traits<char>::length(base) - 1];
+  return util::format("%s%s%zu", base, last >= '0' && last <= '9' ? "_" : "",
+                      g + 1);
 }
+
+/// The places Table I's guards and weights sum over the groups — #Pmr,
+/// #Pmf and the operational modules (#Pmh + #Pmc, plus #Pmd) — in one
+/// array: [pmr of every group | pmf of every group | operational].
+struct GroupSums {
+  std::vector<std::size_t> places;
+  std::size_t groups = 0;
+
+  TokenCount sum(const Marking& m, std::size_t from, std::size_t to) const {
+    TokenCount total = 0;
+    for (std::size_t i = from; i < to; ++i) total += m[places[i]];
+    return total;
+  }
+  TokenCount pmr_sum(const Marking& m) const { return sum(m, 0, groups); }
+  TokenCount pmf_sum(const Marking& m) const {
+    return sum(m, groups, 2 * groups);
+  }
+  TokenCount operational_sum(const Marking& m) const {
+    return sum(m, 2 * groups, places.size());
+  }
+};
 
 /// Extension: voter up/down life-cycle (relaxes assumption A.4).
 void add_voter_lifecycle(PetriNet& net, const SystemParameters& params,
@@ -80,274 +66,54 @@ void add_voter_lifecycle(PetriNet& net, const SystemParameters& params,
   net.add_output_arc(tvr, pvu);
 }
 
-}  // namespace
-
-BuiltModel PerceptionModelFactory::build(const SystemParameters& params) {
-  params.validate();
-  const SystemParameters canon = params.canonicalized();
-  if (!canon.groups.empty()) return with_groups(canon);
-  return canon.rejuvenation ? with_rejuvenation(canon)
-                            : without_rejuvenation(canon);
-}
-
-BuiltModel PerceptionModelFactory::without_rejuvenation(
-    const SystemParameters& params) {
-  params.validate();
-  NVP_EXPECTS(!params.rejuvenation);
-  NVP_EXPECTS_MSG(params.groups.empty(),
-                  "module-group configs build through with_groups");
-  BuiltModel model;
-  model.net = PetriNet("perception_no_rejuvenation");
-  model.pmh = model.net.add_place(
-      "Pmh", static_cast<TokenCount>(params.n_versions));
-  model.pmc = model.net.add_place("Pmc", 0);
-  model.pmf = model.net.add_place("Pmf", 0);
-  add_lifecycle(model.net, params, model.pmh, model.pmc, model.pmf);
-  add_voter_lifecycle(model.net, params, model);
-  model.net.validate();
-  return model;
-}
-
-BuiltModel PerceptionModelFactory::with_rejuvenation(
-    const SystemParameters& params) {
-  params.validate();
-  NVP_EXPECTS(params.rejuvenation);
-  NVP_EXPECTS_MSG(params.groups.empty(),
-                  "module-group configs build through with_groups");
-  const TokenCount r = static_cast<TokenCount>(params.max_rejuvenating);
-
-  BuiltModel model;
-  model.net = PetriNet("perception_rejuvenation");
-  PetriNet& net = model.net;
-  model.pmh =
-      net.add_place("Pmh", static_cast<TokenCount>(params.n_versions));
-  model.pmc = net.add_place("Pmc", 0);
-  model.pmf = net.add_place("Pmf", 0);
-  const PlaceId pmr = net.add_place("Pmr", 0);
-  const PlaceId pac = net.add_place("Pac", 0);
-  const PlaceId prc = net.add_place("Prc", 1);
-  const PlaceId ptr = net.add_place("Ptr", 0);
-  model.pmr = pmr;
-  model.pac = pac;
-  model.prc = prc;
-  model.ptr = ptr;
-  const PlaceId pmh = model.pmh, pmc = model.pmc, pmf = model.pmf;
-
-  add_lifecycle(net, params, pmh, pmc, pmf);
-
-  // --- Rejuvenation clock (Fig. 2(b)) -----------------------------------
-  // Trc: deterministic interval 1/gamma; Prc -> Ptr.
-  const TransitionId trc =
-      net.add_deterministic("Trc", params.rejuvenation_interval);
-  net.add_input_arc(trc, prc);
-  net.add_output_arc(trc, ptr);
-
-  // Trt: resets the clock once the batch is activated (guard g3:
-  // #Pmr + #Pac > 0); Ptr -> Prc.
-  const TransitionId trt = net.add_immediate("Trt", 1.0, /*priority=*/1);
-  net.add_input_arc(trt, ptr);
-  net.add_output_arc(trt, prc);
-  net.set_guard(trt, [pmr, pac](const Marking& m) {
-    return m[pmr.index] + m[pac.index] > 0;  // g3
-  });
-
-  // --- Rejuvenation mechanism (Fig. 2(c)) --------------------------------
-  // Tac: activates a batch of r rejuvenation credits when the clock has
-  // expired and the previous batch is fully drained. Guard g1 (see
-  // DESIGN.md §2): #Ptr >= 1 and #Pac + #Pmr == 0. Output arc weight
-  // w3 = r. Runs at higher priority than Trt so activation precedes the
-  // clock reset within the same vanishing chain (same net effect either
-  // way; this makes the intermediate markings deterministic).
-  const TransitionId tac = net.add_immediate("Tac", 1.0, /*priority=*/2);
-  net.add_output_arc(tac, pac, r);  // w3
-  net.set_guard(tac, [ptr, pac, pmr](const Marking& m) {
-    return m[ptr.index] >= 1 && (m[pac.index] + m[pmr.index]) == 0;  // g1
-  });
-
-  // Trj1: pick a compromised module for rejuvenation. Guard g2:
-  // #Pmf + #Pmr < r. Weight w1 = #Pmc / (#Pmc + #Pmh) (tiny when #Pmc = 0;
-  // the input arc from Pmc keeps it disabled then anyway).
-  const TransitionId trj1 = net.add_immediate("Trj1", 1.0, /*priority=*/1);
-  net.add_input_arc(trj1, pmc);
-  net.add_input_arc(trj1, pac);
-  net.add_output_arc(trj1, pmr);
-  net.set_guard(trj1, [pmf, pmr, r](const Marking& m) {
-    return m[pmf.index] + m[pmr.index] < r;  // g2
-  });
-  net.set_rate_fn(trj1, [pmc, pmh](const Marking& m) {
-    const double c = static_cast<double>(m[pmc.index]);
-    const double h = static_cast<double>(m[pmh.index]);
-    return c == 0.0 ? 1e-5 : c / (c + h);  // w1
-  });
-
-  // Trj2: pick a healthy module for rejuvenation. Guard g2; weight
-  // w2 = #Pmh / (#Pmc + #Pmh).
-  const TransitionId trj2 = net.add_immediate("Trj2", 1.0, /*priority=*/1);
-  net.add_input_arc(trj2, pmh);
-  net.add_input_arc(trj2, pac);
-  net.add_output_arc(trj2, pmr);
-  net.set_guard(trj2, [pmf, pmr, r](const Marking& m) {
-    return m[pmf.index] + m[pmr.index] < r;  // g2
-  });
-  net.set_rate_fn(trj2, [pmc, pmh](const Marking& m) {
-    const double c = static_cast<double>(m[pmc.index]);
-    const double h = static_cast<double>(m[pmh.index]);
-    return h == 0.0 ? 1e-5 : h / (c + h);  // w2
-  });
-
-  // Trj: completes the rejuvenation of the whole batch. Exponential with
-  // marking-dependent mean 1/mu_r = #Pmr * rejuvenation_duration. Input
-  // weight w5 = min(#Pmr, r), output weight w6 = #Pmr (Table I), guarded on
-  // #Pmr >= 1 so the marking-dependent expressions are well-defined.
-  const TransitionId trj = net.add_exponential("Trj", 1.0);
-  const double duration = params.rejuvenation_duration;
-  net.set_rate_fn(trj, [pmr, duration](const Marking& m) {
-    return 1.0 / (static_cast<double>(m[pmr.index]) * duration);
-  });
-  net.set_guard(trj, [pmr](const Marking& m) { return m[pmr.index] >= 1; });
-  net.add_input_arc(trj, pmr, [pmr, r](const Marking& m) {
-    return std::min(m[pmr.index], r);  // w5
-  });
-  net.add_output_arc(trj, pmh, [pmr](const Marking& m) {
-    return m[pmr.index];  // w6
-  });
-
-  add_voter_lifecycle(net, params, model);
-  net.validate();
-  return model;
-}
-
-BuiltModel PerceptionModelFactory::with_rejuvenation_erlang(
-    const SystemParameters& params, int stages) {
-  params.validate();
-  NVP_EXPECTS(params.rejuvenation);
-  NVP_EXPECTS_MSG(params.canonicalized().groups.empty(),
-                  "Erlangization is not supported for module-group models");
-  NVP_EXPECTS_MSG(stages >= 1, "Erlangization needs at least one stage");
-  const TokenCount r = static_cast<TokenCount>(params.max_rejuvenating);
-  const auto k = static_cast<TokenCount>(stages);
-
-  BuiltModel model;
-  model.net = PetriNet("perception_rejuvenation_erlang");
-  PetriNet& net = model.net;
-  model.pmh =
-      net.add_place("Pmh", static_cast<TokenCount>(params.n_versions));
-  model.pmc = net.add_place("Pmc", 0);
-  model.pmf = net.add_place("Pmf", 0);
-  const PlaceId pmr = net.add_place("Pmr", 0);
-  const PlaceId pac = net.add_place("Pac", 0);
-  const PlaceId pstage = net.add_place("Pstage", 0);
-  model.pmr = pmr;
-  model.pac = pac;
-  const PlaceId pmh = model.pmh, pmc = model.pmc, pmf = model.pmf;
-
-  add_lifecycle(net, params, pmh, pmc, pmf);
-
-  // Erlang clock: `stages` exponential stage completions per period. The
-  // stage transition keeps running regardless of the rejuvenation state,
-  // mirroring the deterministic clock's always-enabled timer.
-  const TransitionId tstage = net.add_exponential(
-      "Tstage", static_cast<double>(stages) / params.rejuvenation_interval);
-  net.add_output_arc(tstage, pstage);
-  net.add_inhibitor_arc(tstage, pstage, k);
-
-  // Expiry handling (replaces Tac/Trt): when all stages have accumulated,
-  // either activate a new batch (guard g1) or just reset the clock
-  // (guard g3) — both consume the k stage tokens.
-  const TransitionId tac = net.add_immediate("Tac", 1.0, /*priority=*/2);
-  net.add_input_arc(tac, pstage, k);
-  net.add_output_arc(tac, pac, r);
-  net.set_guard(tac, [pac, pmr](const Marking& m) {
-    return (m[pac.index] + m[pmr.index]) == 0;  // g1
-  });
-  const TransitionId trt = net.add_immediate("Trt", 1.0, /*priority=*/1);
-  net.add_input_arc(trt, pstage, k);
-  net.set_guard(trt, [pac, pmr](const Marking& m) {
-    return (m[pac.index] + m[pmr.index]) > 0;  // g3
-  });
-
-  // Rejuvenation mechanism: identical to the deterministic-clock model.
-  const TransitionId trj1 = net.add_immediate("Trj1", 1.0, /*priority=*/1);
-  net.add_input_arc(trj1, pmc);
-  net.add_input_arc(trj1, pac);
-  net.add_output_arc(trj1, pmr);
-  net.set_guard(trj1, [pmf, pmr, r](const Marking& m) {
-    return m[pmf.index] + m[pmr.index] < r;  // g2
-  });
-  net.set_rate_fn(trj1, [pmc, pmh](const Marking& m) {
-    const double c = static_cast<double>(m[pmc.index]);
-    const double h = static_cast<double>(m[pmh.index]);
-    return c == 0.0 ? 1e-5 : c / (c + h);  // w1
-  });
-  const TransitionId trj2 = net.add_immediate("Trj2", 1.0, /*priority=*/1);
-  net.add_input_arc(trj2, pmh);
-  net.add_input_arc(trj2, pac);
-  net.add_output_arc(trj2, pmr);
-  net.set_guard(trj2, [pmf, pmr, r](const Marking& m) {
-    return m[pmf.index] + m[pmr.index] < r;  // g2
-  });
-  net.set_rate_fn(trj2, [pmc, pmh](const Marking& m) {
-    const double c = static_cast<double>(m[pmc.index]);
-    const double h = static_cast<double>(m[pmh.index]);
-    return h == 0.0 ? 1e-5 : h / (c + h);  // w2
-  });
-  const TransitionId trj = net.add_exponential("Trj", 1.0);
-  const double duration = params.rejuvenation_duration;
-  net.set_rate_fn(trj, [pmr, duration](const Marking& m) {
-    return 1.0 / (static_cast<double>(m[pmr.index]) * duration);
-  });
-  net.set_guard(trj, [pmr](const Marking& m) { return m[pmr.index] >= 1; });
-  net.add_input_arc(trj, pmr, [pmr, r](const Marking& m) {
-    return std::min(m[pmr.index], r);  // w5
-  });
-  net.add_output_arc(trj, pmh, [pmr](const Marking& m) {
-    return m[pmr.index];  // w6
-  });
-
-  add_voter_lifecycle(net, params, model);
-  net.validate();
-  return model;
-}
-
-BuiltModel PerceptionModelFactory::with_groups(
-    const SystemParameters& params) {
-  params.validate();
+/// The one net builder: the module-group life-cycles, then (with
+/// rejuvenation) the global credit pool, the clock — the deterministic Trc
+/// of Fig. 2(b) when `erlang_stages` is 0, its Erlang(k) approximation
+/// otherwise — and the rejuvenation mechanism, then the voter extension.
+/// `params` must be validated and canonicalized.
+BuiltModel build_net(const SystemParameters& params, int erlang_stages) {
   const std::vector<ModuleGroup> groups = params.effective_groups();
+  const bool suffixed = groups.size() > 1;
   const bool infinite =
       params.semantics == FiringSemantics::kInfiniteServer;
 
   BuiltModel model;
-  model.net = PetriNet("perception_groups");
+  model.net = PetriNet(suffixed                 ? "perception_groups"
+                       : !params.rejuvenation   ? "perception_no_rejuvenation"
+                       : erlang_stages > 0      ? "perception_rejuvenation_erlang"
+                                                : "perception_rejuvenation");
   PetriNet& net = model.net;
 
   // --- Per-group life-cycle places ---------------------------------------
+  model.groups.reserve(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const ModuleGroup& spec = groups[g];
     BuiltModel::GroupPlaces gp;
-    gp.pmh = net.add_place(util::format("Pmh%zu", g + 1),
+    gp.pmh = net.add_place(group_name("Pmh", g, suffixed),
                            static_cast<TokenCount>(spec.count));
-    gp.pmc = net.add_place(util::format("Pmc%zu", g + 1), 0);
-    gp.pmf = net.add_place(util::format("Pmf%zu", g + 1), 0);
+    gp.pmc = net.add_place(group_name("Pmc", g, suffixed), 0);
+    gp.pmf = net.add_place(group_name("Pmf", g, suffixed), 0);
     if (spec.repair_degradation > 0.0)
-      gp.pmd = net.add_place(util::format("Pmd%zu", g + 1), 0);
+      gp.pmd = net.add_place(group_name("Pmd", g, suffixed), 0);
     if (params.rejuvenation)
-      gp.pmr = net.add_place(util::format("Pmr%zu", g + 1), 0);
+      gp.pmr = net.add_place(group_name("Pmr", g, suffixed), 0);
     model.groups.push_back(gp);
   }
-  // Alias the scalar handles at group 1 so stray scalar reads stay inside
-  // the marking; the aggregate accessors branch on `groups` instead.
   model.pmh = model.groups.front().pmh;
   model.pmc = model.groups.front().pmc;
   model.pmf = model.groups.front().pmf;
-  if (params.rejuvenation) model.pmr = model.groups.front().pmr;
+  model.pmr = model.groups.front().pmr;
 
   // --- Per-group life-cycle transitions ----------------------------------
+  // Single-server semantics uses the constant rates of Table II;
+  // infinite-server scales each rate by the tokens in the input place.
   // Imperfect repair (q > 0) replaces the single repair Tr_g by competing
   // exponentials: Tr_g at (1-q) mu_g returns the module good-as-new, Trd_g
   // at q mu_g leaves it degraded (Pmd_g); the race realizes the branch
   // probability q. Degraded modules vote like healthy ones but compromise
-  // at the inflated rate lambda_c,g / (1-q). Detection-based recovery is a
-  // repair action too, so it branches the same way.
+  // at the inflated rate lambda_c,g / (1-q). Detection-based recovery
+  // (extension: Td, C -> H) is a repair action too, so it branches the
+  // same way.
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const ModuleGroup& spec = groups[g];
     const BuiltModel::GroupPlaces& gp = model.groups[g];
@@ -357,9 +123,10 @@ BuiltModel PerceptionModelFactory::with_groups(
     const double q = spec.repair_degradation;
     const PlaceId pmh = gp.pmh, pmc = gp.pmc, pmf = gp.pmf;
 
-    const auto add_exp = [&](const std::string& name, double rate,
-                             PlaceId from, PlaceId to) {
-      const TransitionId t = net.add_exponential(name, rate);
+    const auto add_exp = [&](const char* name, double rate, PlaceId from,
+                             PlaceId to) {
+      const TransitionId t =
+          net.add_exponential(group_name(name, g, suffixed), rate);
       net.add_input_arc(t, from);
       net.add_output_arc(t, to);
       if (infinite) {
@@ -367,138 +134,185 @@ BuiltModel PerceptionModelFactory::with_groups(
           return rate * static_cast<double>(m[from.index]);
         });
       }
-      return t;
     };
 
-    add_exp(util::format("Tc%zu", g + 1), lambda_c, pmh, pmc);
-    add_exp(util::format("Tf%zu", g + 1), lambda, pmc, pmf);
+    add_exp("Tc", lambda_c, pmh, pmc);
+    add_exp("Tf", lambda, pmc, pmf);
     if (q == 0.0) {
-      add_exp(util::format("Tr%zu", g + 1), mu, pmf, pmh);
+      add_exp("Tr", mu, pmf, pmh);
     } else {
-      add_exp(util::format("Tr%zu", g + 1), (1.0 - q) * mu, pmf, pmh);
-      add_exp(util::format("Trd%zu", g + 1), q * mu, pmf, *gp.pmd);
-      add_exp(util::format("Tcd%zu", g + 1), lambda_c / (1.0 - q), *gp.pmd,
-              pmc);
+      add_exp("Tr", (1.0 - q) * mu, pmf, pmh);
+      add_exp("Trd", q * mu, pmf, *gp.pmd);
+      add_exp("Tcd", lambda_c / (1.0 - q), *gp.pmd, pmc);
     }
     if (params.detection_rate > 0.0) {
       const double delta = params.detection_rate;
       if (q == 0.0) {
-        add_exp(util::format("Td%zu", g + 1), delta, pmc, pmh);
+        add_exp("Td", delta, pmc, pmh);
       } else {
-        add_exp(util::format("Td%zu", g + 1), (1.0 - q) * delta, pmc, pmh);
-        add_exp(util::format("Tdd%zu", g + 1), q * delta, pmc, *gp.pmd);
+        add_exp("Td", (1.0 - q) * delta, pmc, pmh);
+        add_exp("Tdd", q * delta, pmc, *gp.pmd);
       }
     }
   }
 
-  add_voter_lifecycle(net, params, model);
+  if (params.rejuvenation) {
+    // --- Global rejuvenation clock and credit pool -----------------------
+    // One clock and one batch of r credits serve all groups; the guards of
+    // Table I read #Pmc/#Pmh/#Pmr/#Pmf as sums over the groups.
+    const TokenCount r = static_cast<TokenCount>(params.max_rejuvenating);
+    const PlaceId pac = net.add_place("Pac", 0);
+    model.pac = pac;
 
-  if (!params.rejuvenation) {
-    net.validate();
-    return model;
-  }
+    // One shared copy of the summed places for every guard and weight.
+    auto sums = std::make_shared<GroupSums>();
+    sums->groups = groups.size();
+    sums->places.reserve(5 * groups.size());
+    for (const BuiltModel::GroupPlaces& gp : model.groups)
+      sums->places.push_back(gp.pmr->index);
+    for (const BuiltModel::GroupPlaces& gp : model.groups)
+      sums->places.push_back(gp.pmf.index);
+    for (const BuiltModel::GroupPlaces& gp : model.groups) {
+      sums->places.push_back(gp.pmh.index);
+      sums->places.push_back(gp.pmc.index);
+      if (gp.pmd) sums->places.push_back(gp.pmd->index);
+    }
+    const std::shared_ptr<const GroupSums> at = std::move(sums);
 
-  // --- Global rejuvenation clock and credit pool -------------------------
-  // One clock and one batch of r credits serve all groups; the guards of
-  // the homogeneous model generalize by replacing #Pmc/#Pmh/#Pmr/#Pmf with
-  // sums over the groups.
-  const TokenCount r = static_cast<TokenCount>(params.max_rejuvenating);
-  const PlaceId pac = net.add_place("Pac", 0);
-  const PlaceId prc = net.add_place("Prc", 1);
-  const PlaceId ptr = net.add_place("Ptr", 0);
-  model.pac = pac;
-  model.prc = prc;
-  model.ptr = ptr;
+    if (erlang_stages == 0) {
+      // Trc: deterministic interval 1/gamma; Prc -> Ptr. Trt resets the
+      // clock once the batch is activated (guard g3: #Pmr + #Pac > 0). Tac
+      // activates a batch of r credits when the clock has expired and the
+      // previous batch is fully drained (guard g1, see DESIGN.md §2; output
+      // weight w3 = r); it runs at higher priority than Trt so activation
+      // precedes the clock reset within the same vanishing chain (same net
+      // effect either way; this makes the intermediate markings
+      // deterministic).
+      const PlaceId prc = net.add_place("Prc", 1);
+      const PlaceId ptr = net.add_place("Ptr", 0);
+      model.prc = prc;
+      model.ptr = ptr;
 
-  std::vector<std::size_t> pmr_idx, pmf_idx, operational_idx;
-  for (const BuiltModel::GroupPlaces& gp : model.groups) {
-    pmr_idx.push_back(gp.pmr->index);
-    pmf_idx.push_back(gp.pmf.index);
-    operational_idx.push_back(gp.pmh.index);
-    operational_idx.push_back(gp.pmc.index);
-    if (gp.pmd) operational_idx.push_back(gp.pmd->index);
-  }
-  const auto sum_at = [](const Marking& m,
-                         const std::vector<std::size_t>& idx) {
-    TokenCount total = 0;
-    for (std::size_t i : idx) total += m[i];
-    return total;
-  };
+      const TransitionId trc =
+          net.add_deterministic("Trc", params.rejuvenation_interval);
+      net.add_input_arc(trc, prc);
+      net.add_output_arc(trc, ptr);
 
-  const TransitionId trc =
-      net.add_deterministic("Trc", params.rejuvenation_interval);
-  net.add_input_arc(trc, prc);
-  net.add_output_arc(trc, ptr);
-
-  const TransitionId trt = net.add_immediate("Trt", 1.0, /*priority=*/1);
-  net.add_input_arc(trt, ptr);
-  net.add_output_arc(trt, prc);
-  net.set_guard(trt, [pac, pmr_idx, sum_at](const Marking& m) {
-    return sum_at(m, pmr_idx) + m[pac.index] > 0;  // g3
-  });
-
-  const TransitionId tac = net.add_immediate("Tac", 1.0, /*priority=*/2);
-  net.add_output_arc(tac, pac, r);  // w3
-  net.set_guard(tac, [ptr, pac, pmr_idx, sum_at](const Marking& m) {
-    return m[ptr.index] >= 1 &&
-           m[pac.index] + sum_at(m, pmr_idx) == 0;  // g1
-  });
-
-  // --- Per-group target selection ----------------------------------------
-  // Trj1_g/Trj2_g/Trj3_g pick a compromised/healthy/degraded module of
-  // group g with probability proportional to its share of all operational
-  // modules, generalizing the homogeneous w1/w2 = #Pmc : #Pmh split.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const BuiltModel::GroupPlaces& gp = model.groups[g];
-    const auto add_group_pick = [&](const std::string& name,
-                                    PlaceId source) {
-      const TransitionId t = net.add_immediate(name, 1.0, /*priority=*/1);
-      net.add_input_arc(t, source);
-      net.add_input_arc(t, pac);
-      net.add_output_arc(t, *gp.pmr);
-      net.set_guard(t, [pmf_idx, pmr_idx, sum_at, r](const Marking& m) {
-        return sum_at(m, pmf_idx) + sum_at(m, pmr_idx) < r;  // g2
+      const TransitionId trt = net.add_immediate("Trt", 1.0, /*priority=*/1);
+      net.add_input_arc(trt, ptr);
+      net.add_output_arc(trt, prc);
+      net.set_guard(trt, [pac, at](const Marking& m) {
+        return at->pmr_sum(m) + m[pac.index] > 0;  // g3
       });
-      net.set_rate_fn(
-          t, [source, operational_idx, sum_at](const Marking& m) {
-            const double share = static_cast<double>(m[source.index]);
-            const double total =
-                static_cast<double>(sum_at(m, operational_idx));
-            return share == 0.0 ? 1e-5 : share / total;
-          });
-    };
-    add_group_pick(util::format("Trj1_%zu", g + 1), gp.pmc);
-    add_group_pick(util::format("Trj2_%zu", g + 1), gp.pmh);
-    if (gp.pmd) add_group_pick(util::format("Trj3_%zu", g + 1), *gp.pmd);
+
+      const TransitionId tac = net.add_immediate("Tac", 1.0, /*priority=*/2);
+      net.add_output_arc(tac, pac, r);  // w3
+      net.set_guard(tac, [ptr, pac, at](const Marking& m) {
+        return m[ptr.index] >= 1 && m[pac.index] + at->pmr_sum(m) == 0;  // g1
+      });
+    } else {
+      // Erlang clock: `stages` exponential stage completions per period.
+      // The stage transition keeps running regardless of the rejuvenation
+      // state, mirroring the deterministic clock's always-enabled timer.
+      // When all stages have accumulated, Tac activates a new batch (guard
+      // g1) or Trt just resets the clock (guard g3); both consume the
+      // stage tokens.
+      const auto k = static_cast<TokenCount>(erlang_stages);
+      const PlaceId pstage = net.add_place("Pstage", 0);
+      const TransitionId tstage = net.add_exponential(
+          "Tstage", static_cast<double>(erlang_stages) /
+                        params.rejuvenation_interval);
+      net.add_output_arc(tstage, pstage);
+      net.add_inhibitor_arc(tstage, pstage, k);
+
+      const TransitionId tac = net.add_immediate("Tac", 1.0, /*priority=*/2);
+      net.add_input_arc(tac, pstage, k);
+      net.add_output_arc(tac, pac, r);  // w3
+      net.set_guard(tac, [pac, at](const Marking& m) {
+        return m[pac.index] + at->pmr_sum(m) == 0;  // g1
+      });
+      const TransitionId trt = net.add_immediate("Trt", 1.0, /*priority=*/1);
+      net.add_input_arc(trt, pstage, k);
+      net.set_guard(trt, [pac, at](const Marking& m) {
+        return m[pac.index] + at->pmr_sum(m) > 0;  // g3
+      });
+    }
+
+    // --- Target selection --------------------------------------------------
+    // Trj1_g/Trj2_g/Trj3_g pick a compromised/healthy/degraded module of
+    // group g with probability proportional to its share of all operational
+    // modules (w1/w2 = #Pmc : #Pmh in one group; tiny when the source is
+    // empty, where its input arc keeps the pick disabled anyway). Guard g2:
+    // #Pmf + #Pmr < r.
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const BuiltModel::GroupPlaces& gp = model.groups[g];
+      const auto add_pick = [&](const char* name, PlaceId source) {
+        const TransitionId t = net.add_immediate(
+            group_name(name, g, suffixed), 1.0, /*priority=*/1);
+        net.add_input_arc(t, source);
+        net.add_input_arc(t, pac);
+        net.add_output_arc(t, *gp.pmr);
+        net.set_guard(t, [at, r](const Marking& m) {
+          return at->pmf_sum(m) + at->pmr_sum(m) < r;  // g2
+        });
+        net.set_rate_fn(t, [source, at](const Marking& m) {
+          const double share = static_cast<double>(m[source.index]);
+          const double total = static_cast<double>(at->operational_sum(m));
+          return share == 0.0 ? 1e-5 : share / total;  // w1, w2
+        });
+      };
+      add_pick("Trj1", gp.pmc);
+      add_pick("Trj2", gp.pmh);
+      if (gp.pmd) add_pick("Trj3", *gp.pmd);
+    }
+
+    // --- Batch completion --------------------------------------------------
+    // Trj completes the rejuvenation of the whole batch: exponential with
+    // marking-dependent mean 1/mu_r = #Pmr * rejuvenation_duration, guarded
+    // on #Pmr >= 1 so the expression is well-defined. It returns every
+    // rejuvenating module to its own group's healthy place (rejuvenation
+    // reinstalls from a clean image, so it is good-as-new even under
+    // imperfect repair) through per-group arcs of weight #Pmr_g (w5, w6 of
+    // Table I; g2 keeps #Pmr <= r) — a weight of 0 moves nothing, which
+    // keeps one transition sufficient.
+    const TransitionId trj = net.add_exponential("Trj", 1.0);
+    const double duration = params.rejuvenation_duration;
+    net.set_rate_fn(trj, [at, duration](const Marking& m) {
+      return 1.0 / (static_cast<double>(at->pmr_sum(m)) * duration);
+    });
+    net.set_guard(trj, [at](const Marking& m) { return at->pmr_sum(m) >= 1; });
+    for (const BuiltModel::GroupPlaces& gp : model.groups) {
+      const PlaceId pmr = *gp.pmr;
+      net.add_input_arc(trj, pmr, [pmr](const Marking& m) {
+        return m[pmr.index];  // w5
+      });
+      net.add_output_arc(trj, gp.pmh, [pmr](const Marking& m) {
+        return m[pmr.index];  // w6
+      });
+    }
   }
 
-  // --- Batch completion --------------------------------------------------
-  // A single Trj returns every rejuvenating module to its own group's
-  // healthy place (rejuvenation reinstalls from a clean image, so it is
-  // good-as-new even under imperfect repair). The per-group arcs use
-  // marking-dependent weights #Pmr_g — a weight of 0 consumes/produces
-  // nothing, which keeps one transition sufficient.
-  const TransitionId trj = net.add_exponential("Trj", 1.0);
-  const double duration = params.rejuvenation_duration;
-  net.set_rate_fn(trj, [pmr_idx, sum_at, duration](const Marking& m) {
-    return 1.0 / (static_cast<double>(sum_at(m, pmr_idx)) * duration);
-  });
-  net.set_guard(trj, [pmr_idx, sum_at](const Marking& m) {
-    return sum_at(m, pmr_idx) >= 1;
-  });
-  for (const BuiltModel::GroupPlaces& gp : model.groups) {
-    const PlaceId pmr = *gp.pmr;
-    const PlaceId pmh = gp.pmh;
-    net.add_input_arc(trj, pmr, [pmr](const Marking& m) {
-      return m[pmr.index];
-    });
-    net.add_output_arc(trj, pmh, [pmr](const Marking& m) {
-      return m[pmr.index];
-    });
-  }
-
+  add_voter_lifecycle(net, params, model);
   net.validate();
   return model;
+}
+
+}  // namespace
+
+BuiltModel PerceptionModelFactory::build(const SystemParameters& params) {
+  params.validate();
+  return build_net(params.canonicalized(), /*erlang_stages=*/0);
+}
+
+BuiltModel PerceptionModelFactory::with_rejuvenation_erlang(
+    const SystemParameters& params, int stages) {
+  params.validate();
+  NVP_EXPECTS(params.rejuvenation);
+  const SystemParameters canon = params.canonicalized();
+  NVP_EXPECTS_MSG(canon.groups.empty(),
+                  "Erlangization is not supported for module-group models");
+  NVP_EXPECTS_MSG(stages >= 1, "Erlangization needs at least one stage");
+  return build_net(canon, stages);
 }
 
 }  // namespace nvp::core

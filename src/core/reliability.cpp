@@ -233,6 +233,13 @@ double GeneralizedReliability::state_reliability(int i, int j, int k) const {
 // Group model: heterogeneous rates/inaccuracies with weighted voting.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Slack of the weighted-quota comparisons (weights are arbitrary doubles).
+constexpr double kQuotaEps = 1e-9;
+
+}  // namespace
+
 GroupReliabilityModel::GroupReliabilityModel(const SystemParameters& params,
                                              bool strict)
     : alpha_(params.alpha), strict_(strict) {
@@ -290,11 +297,10 @@ double GroupReliabilityModel::compromised_error_pmf(std::size_t g, int j,
          std::pow(1.0 - group.p_prime, j - c);
 }
 
-double GroupReliabilityModel::state_reliability(
+bool GroupReliabilityModel::decidable(
     const std::vector<GroupState>& state) const {
   NVP_EXPECTS_MSG(state.size() == groups_.size(),
                   "one GroupState per module group required");
-  constexpr double kEps = 1e-9;
   double responding_mass = 0.0;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     const GroupState& s = state[g];
@@ -303,8 +309,13 @@ double GroupReliabilityModel::state_reliability(
                     "group state must sum to the group's module count");
     responding_mass += groups_[g].weight * (s.healthy + s.compromised);
   }
+  return responding_mass >= quota_ - kQuotaEps;
+}
+
+double GroupReliabilityModel::state_reliability(
+    const std::vector<GroupState>& state) const {
   // The voter can never decide: too much weight is silent.
-  if (responding_mass < quota_ - kEps) return 0.0;
+  if (!decidable(state)) return 0.0;
 
   // Exact enumeration of the joint per-group error counts. Groups err
   // independently, so the joint pmf is the product of the per-group pmfs;
@@ -318,7 +329,7 @@ double GroupReliabilityModel::state_reliability(
       [&](std::size_t g, double prob, double mass) {
         if (prob == 0.0) return;
         if (g == groups_.size()) {
-          if (mass >= quota_ - kEps) decided += prob;
+          if (mass >= quota_ - kQuotaEps) decided += prob;
           return;
         }
         const GroupState& s = state[g];
@@ -340,7 +351,7 @@ double GroupReliabilityModel::state_reliability(
   return strict_ ? decided : 1.0 - decided;
 }
 
-double GroupReliabilityModel::state_reliability_flat(
+std::vector<GroupState> GroupReliabilityModel::unflatten(
     const std::vector<int>& flat) const {
   NVP_EXPECTS_MSG(flat.size() == 3 * groups_.size(),
                   "flattened group state must carry 3 ints per group");
@@ -350,7 +361,17 @@ double GroupReliabilityModel::state_reliability_flat(
     state[g].compromised = flat[3 * g + 1];
     state[g].down = flat[3 * g + 2];
   }
-  return state_reliability(state);
+  return state;
+}
+
+double GroupReliabilityModel::state_reliability_flat(
+    const std::vector<int>& flat) const {
+  return state_reliability(unflatten(flat));
+}
+
+bool GroupReliabilityModel::decidable_flat(
+    const std::vector<int>& flat) const {
+  return decidable(unflatten(flat));
 }
 
 std::unique_ptr<GroupReliabilityModel> make_group_reliability_model(
@@ -359,21 +380,27 @@ std::unique_ptr<GroupReliabilityModel> make_group_reliability_model(
       params, convention == RewardConvention::kStrict);
 }
 
+std::unique_ptr<ReliabilityModel> paper_verbatim_model(
+    const SystemParameters& params, RewardConvention convention) {
+  if (convention != RewardConvention::kPaperVerbatim || !params.groups.empty())
+    return nullptr;
+  if (!params.rejuvenation && params.n_versions == 4 &&
+      params.max_faulty == 1)
+    return std::make_unique<PaperFourVersionReliability>(
+        params.p, params.p_prime, params.alpha);
+  if (params.rejuvenation && params.n_versions == 6 &&
+      params.max_faulty == 1 && params.max_rejuvenating == 1)
+    return std::make_unique<PaperSixVersionReliability>(
+        params.p, params.p_prime, params.alpha);
+  // No verbatim functions were published for other configurations.
+  return nullptr;
+}
+
 std::unique_ptr<ReliabilityModel> make_reliability_model(
     const SystemParameters& params, RewardConvention convention) {
   params.validate();
-  if (convention == RewardConvention::kPaperVerbatim) {
-    if (!params.rejuvenation && params.n_versions == 4 &&
-        params.max_faulty == 1)
-      return std::make_unique<PaperFourVersionReliability>(
-          params.p, params.p_prime, params.alpha);
-    if (params.rejuvenation && params.n_versions == 6 &&
-        params.max_faulty == 1 && params.max_rejuvenating == 1)
-      return std::make_unique<PaperSixVersionReliability>(
-          params.p, params.p_prime, params.alpha);
-    // No verbatim functions published for other configurations; fall back
-    // to the generalized derivation.
-  }
+  if (auto verbatim = paper_verbatim_model(params, convention))
+    return verbatim;
   const VotingScheme voting =
       params.rejuvenation
           ? VotingScheme::bft_rejuvenating(params.n_versions,

@@ -96,9 +96,16 @@ class GeneralizedReliability : public ReliabilityModel {
   bool strict_;
 };
 
-/// Builds the reward model matching the parameters and convention:
-/// paper-verbatim functions for the two configurations the paper analyzes,
-/// the generalized model otherwise (or when explicitly requested).
+/// The paper's verbatim Appendix A/B functions when `convention` is
+/// kPaperVerbatim and `params` is the scalar configuration they were
+/// published for (the four-version system without rejuvenation, the
+/// six-version system with it); null otherwise.
+std::unique_ptr<ReliabilityModel> paper_verbatim_model(
+    const SystemParameters& params, RewardConvention convention);
+
+/// Builds the scalar reward model matching the parameters and convention:
+/// paper_verbatim_model where it applies, the generalized model otherwise
+/// (or when explicitly requested).
 std::unique_ptr<ReliabilityModel> make_reliability_model(
     const SystemParameters& params,
     RewardConvention convention = RewardConvention::kPaperVerbatim);
@@ -124,10 +131,9 @@ struct GroupState {
 ///    SystemParameters::weighted_quota): reward 0 when the responding
 ///    weight cannot reach Q, else 1 - P(wrong weight >= Q) (paper
 ///    convention) or P(correct weight >= Q) (strict).
-/// For a single unit-weight group this reduces exactly to
-/// GeneralizedReliability (asserted by tests); the factory still routes
-/// folded homogeneous configs through the legacy classes so their results
-/// are bit-identical by construction.
+/// For a single group this reproduces GeneralizedReliability bit for bit
+/// (asserted by tests), so it is the class reward of every configuration
+/// the paper's verbatim functions do not cover.
 class GroupReliabilityModel {
  public:
   GroupReliabilityModel(const SystemParameters& params, bool strict);
@@ -144,6 +150,11 @@ class GroupReliabilityModel {
   /// (healthy, compromised, down) triples group by group.
   double state_reliability_flat(const std::vector<int>& flat) const;
 
+  /// True when the responding (healthy or compromised) weight of the state
+  /// `flat` reaches the quota, so the voter can reach a verdict; the reward
+  /// is 0 otherwise. With unit weights: k <= n - voting_threshold().
+  bool decidable_flat(const std::vector<int>& flat) const;
+
   /// P(exactly h of i healthy modules of group g err); exposed for tests
   /// and the Monte-Carlo samplers.
   double healthy_error_pmf(std::size_t g, int i, int h) const;
@@ -151,6 +162,9 @@ class GroupReliabilityModel {
   double compromised_error_pmf(std::size_t g, int j, int c) const;
 
  private:
+  bool decidable(const std::vector<GroupState>& state) const;
+  std::vector<GroupState> unflatten(const std::vector<int>& flat) const;
+
   struct Group {
     int count = 0;
     double p = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <tuple>
 
 #include "src/core/artifact_codec.hpp"
 #include "src/core/model_factory.hpp"
@@ -78,15 +79,25 @@ RewardsCache& rewards_cache() {
   return instance;
 }
 
-/// Aggregates the distribution by class and attaches rewards, preserving
-/// the fused analyzer's arithmetic: per-state contributions accumulate in
-/// state order into the class slots, classes are emitted in ascending
-/// (i, j, k) order, and the final sort sees the same input sequence.
-/// `reward_of(s)` returns the (already gated) reward of tangible state s.
-template <typename RewardOf>
+/// The (i, j, k) of a class: its per-group triples summed.
+std::tuple<int, int, int> class_totals(const std::vector<int>& cls) {
+  int i = 0, j = 0, k = 0;
+  for (std::size_t g = 0; g < cls.size(); g += 3) {
+    i += cls[g];
+    j += cls[g + 1];
+    k += cls[g + 2];
+  }
+  return {i, j, k};
+}
+
+/// Aggregates the distribution by class and attaches the per-state
+/// rewards (state_rewards), preserving the fused analyzer's arithmetic:
+/// per-state contributions accumulate in state order into the class slots,
+/// classes are emitted in ascending order with their (i, j, k) summed over
+/// the groups, and the final sort sees the same input sequence.
 AnalysisResult assemble_result(const StructureArtifact& structure,
                                const RatesArtifact& rates,
-                               RewardOf&& reward_of) {
+                               const std::vector<double>& reward) {
   const obs::ScopedSpan span("core.attach_rewards");
   AnalysisResult result;
   result.tangible_states = structure.graph.size();
@@ -100,13 +111,13 @@ AnalysisResult assemble_result(const StructureArtifact& structure,
   for (std::size_t s = 0; s < structure.graph.size(); ++s) {
     const std::size_t ci = structure.class_of_state[s];
     prob_mass[ci] += rates.probabilities[s];
-    reward_mass[ci] += rates.probabilities[s] * reward_of(s);
+    reward_mass[ci] += rates.probabilities[s] * reward[s];
   }
 
   double expected = 0.0;
   result.state_distribution.reserve(n_classes);
   for (std::size_t ci = 0; ci < n_classes; ++ci) {
-    const auto [i, j, k] = structure.classes[ci];
+    const auto [i, j, k] = class_totals(structure.classes[ci]);
     StateProbability sp;
     sp.healthy = i;
     sp.compromised = j;
@@ -124,14 +135,6 @@ AnalysisResult assemble_result(const StructureArtifact& structure,
             });
   result.expected_reliability = expected;
   return result;
-}
-
-/// The gate the fused analyzer applied before attaching a state's reward.
-bool reward_gate(const StructureArtifact::StateClass& sc,
-                 RewardAttachment attachment) {
-  const bool degraded_zeroed =
-      attachment == RewardAttachment::kOperationalStatesOnly && sc.down > 0;
-  return !degraded_zeroed && sc.voter_up;
 }
 
 /// Hashes the parameter-table rows of `stage`: the system-wide values, then
@@ -179,9 +182,10 @@ std::uint64_t structure_stage_key(const SystemParameters& raw) {
   // and therefore the reachability graph's shape. Timing values are
   // deliberately absent. Bump the tag when the factory's structural
   // mapping changes (v2: module-group models) or the structure codec's
-  // layout does (v3: the assembly plan lost its lumping hint), so entries
-  // of an older layout are never looked up.
-  h.str("core::staged/structure/v3");
+  // layout does (v3: the assembly plan lost its lumping hint; v4: one class
+  // list of per-group counts for every net), so entries of an older layout
+  // are never looked up.
+  h.str("core::staged/structure/v4");
   h.i32(params.n_versions)
       .i32(params.max_faulty)
       .i32(params.max_rejuvenating)
@@ -257,67 +261,26 @@ std::shared_ptr<const StructureArtifact> staged_structure(
     artifact->graph = petri::TangibleReachabilityGraph::build(model.net);
     artifact->plan = markov::build_assembly_plan(artifact->graph);
 
+    // Classes are distinct per-group count vectors in ascending
+    // lexicographic order; each tangible state's down count and voter
+    // state ride along for the reward gates.
     const std::size_t n = artifact->graph.size();
+    std::map<std::vector<int>, std::size_t> class_index;
+    std::vector<std::map<std::vector<int>, std::size_t>::iterator> slot;
+    slot.reserve(n);
     artifact->state_class.reserve(n);
-    if (model.groups.empty()) {
-      std::map<std::tuple<int, int, int>, std::size_t> class_index;
-      for (std::size_t s = 0; s < n; ++s) {
-        const petri::Marking& m = artifact->graph.marking(s);
-        StructureArtifact::StateClass sc;
-        sc.healthy = model.healthy(m);
-        sc.compromised = model.compromised(m);
-        sc.down = model.down(m);
-        sc.voter_up = model.voter_up(m);
-        class_index.emplace(
-            std::make_tuple(sc.healthy, sc.compromised, sc.down), 0u);
-        artifact->state_class.push_back(sc);
-      }
-      artifact->classes.reserve(class_index.size());
-      for (auto& [cls, index] : class_index) {
-        index = artifact->classes.size();
-        artifact->classes.push_back(cls);
-      }
-      artifact->class_of_state.resize(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        const StructureArtifact::StateClass& sc = artifact->state_class[s];
-        artifact->class_of_state[s] = class_index.at(
-            std::make_tuple(sc.healthy, sc.compromised, sc.down));
-      }
-    } else {
-      // Heterogeneous model: classes are distinct per-group count vectors
-      // in ascending lexicographic order. The aggregate (i, j, k) of each
-      // class rides along for display and gating; aggregates may repeat
-      // across classes.
-      std::map<std::vector<int>, std::size_t> class_index;
-      for (std::size_t s = 0; s < n; ++s) {
-        const petri::Marking& m = artifact->graph.marking(s);
-        StructureArtifact::StateClass sc;
-        sc.groups = model.group_counts(m);
-        sc.healthy = model.healthy(m);
-        sc.compromised = model.compromised(m);
-        sc.down = model.down(m);
-        sc.voter_up = model.voter_up(m);
-        class_index.emplace(sc.groups, 0u);
-        artifact->state_class.push_back(sc);
-      }
-      artifact->classes.reserve(class_index.size());
-      artifact->group_classes.reserve(class_index.size());
-      for (auto& [cls, index] : class_index) {
-        index = artifact->classes.size();
-        int i = 0, j = 0, k = 0;
-        for (std::size_t g = 0; g < cls.size(); g += 3) {
-          i += cls[g];
-          j += cls[g + 1];
-          k += cls[g + 2];
-        }
-        artifact->classes.emplace_back(i, j, k);
-        artifact->group_classes.push_back(cls);
-      }
-      artifact->class_of_state.resize(n);
-      for (std::size_t s = 0; s < n; ++s)
-        artifact->class_of_state[s] =
-            class_index.at(artifact->state_class[s].groups);
+    for (std::size_t s = 0; s < n; ++s) {
+      const petri::Marking& m = artifact->graph.marking(s);
+      artifact->state_class.push_back({model.down(m), model.voter_up(m)});
+      slot.push_back(class_index.emplace(model.group_counts(m), 0u).first);
     }
+    artifact->classes.reserve(class_index.size());
+    for (auto& [cls, index] : class_index) {
+      index = artifact->classes.size();
+      artifact->classes.push_back(cls);
+    }
+    artifact->class_of_state.reserve(n);
+    for (const auto& it : slot) artifact->class_of_state.push_back(it->second);
     return artifact;
   };
   if (!use_cache) return build();
@@ -377,15 +340,16 @@ std::shared_ptr<const std::vector<double>> staged_reward_table(
   const SystemParameters params = raw.canonicalized();
   auto build = [&]() -> std::shared_ptr<const std::vector<double>> {
     const obs::ScopedSpan span("core.stage.reward_table");
+    // The paper's verbatim functions where they were published (one-group
+    // 4v and 6v under kPaperVerbatim), the group model everywhere else.
     auto table = std::make_shared<std::vector<double>>();
     table->reserve(structure.classes.size());
-    if (structure.group_classes.empty()) {
-      const auto rewards = make_reliability_model(params, convention);
-      for (const auto& [i, j, k] : structure.classes)
-        table->push_back(rewards->state_reliability(i, j, k));
+    if (const auto verbatim = paper_verbatim_model(params, convention)) {
+      for (const std::vector<int>& cls : structure.classes)
+        table->push_back(verbatim->state_reliability(cls[0], cls[1], cls[2]));
     } else {
       const auto rewards = make_group_reliability_model(params, convention);
-      for (const std::vector<int>& cls : structure.group_classes)
+      for (const std::vector<int>& cls : structure.classes)
         table->push_back(rewards->state_reliability_flat(cls));
     }
     return table;
@@ -404,6 +368,36 @@ std::shared_ptr<const std::vector<double>> staged_reward_table(
   });
 }
 
+std::vector<double> state_rewards(const StructureArtifact& structure,
+                                  const std::vector<double>& table,
+                                  RewardAttachment attachment) {
+  std::vector<double> reward(structure.state_class.size());
+  for (std::size_t s = 0; s < reward.size(); ++s) {
+    const StructureArtifact::StateClass& sc = structure.state_class[s];
+    const bool attached =
+        attachment != RewardAttachment::kOperationalStatesOnly ||
+        sc.down == 0;
+    reward[s] = attached && sc.voter_up ? table[structure.class_of_state[s]]
+                                        : 0.0;
+  }
+  return reward;
+}
+
+markov::MarkingReward marking_reward(
+    const SystemParameters& raw,
+    const ReliabilityAnalyzer::Options& options) {
+  raw.validate();
+  const SystemParameters params = raw.canonicalized();
+  auto structure = staged_structure(params, options.use_cache);
+  const auto table = staged_reward_table(params, options.convention,
+                                         *structure, options.use_cache);
+  return [structure, reward = state_rewards(*structure, *table,
+                                            options.attachment)](
+             const petri::Marking& m) {
+    return reward[structure->graph.find(m).value()];
+  };
+}
+
 AnalysisResult staged_analyze(const SystemParameters& raw,
                               const ReliabilityAnalyzer::Options& options) {
   raw.validate();
@@ -419,13 +413,8 @@ AnalysisResult staged_analyze(const SystemParameters& raw,
                                              *structure, options.use_cache);
       const obs::ScopedSpan rewards_span("core.stage.rewards");
       return assemble_result(
-          *structure, *rates, [&](std::size_t s) {
-            const StructureArtifact::StateClass& sc =
-                structure->state_class[s];
-            return reward_gate(sc, options.attachment)
-                       ? (*table)[structure->class_of_state[s]]
-                       : 0.0;
-          });
+          *structure, *rates,
+          state_rewards(*structure, *table, options.attachment));
     });
   };
   if (!options.use_cache) return compute();
@@ -454,14 +443,15 @@ AnalysisResult staged_analyze(const SystemParameters& raw,
     const auto rates =
         staged_rates(params, *structure, options.solver, options.use_cache);
     const obs::ScopedSpan rewards_span("core.stage.rewards");
+    std::vector<double> table;
+    table.reserve(structure->classes.size());
+    for (const std::vector<int>& cls : structure->classes) {
+      const auto [i, j, k] = class_totals(cls);
+      table.push_back(rewards.state_reliability(i, j, k));
+    }
     return assemble_result(
-        *structure, *rates, [&](std::size_t s) {
-          const StructureArtifact::StateClass& sc = structure->state_class[s];
-          return reward_gate(sc, options.attachment)
-                     ? rewards.state_reliability(sc.healthy, sc.compromised,
-                                                 sc.down)
-                     : 0.0;
-        });
+        *structure, *rates,
+        state_rewards(*structure, table, options.attachment));
   });
 }
 

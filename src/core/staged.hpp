@@ -2,13 +2,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "src/core/analyzer.hpp"
 #include "src/core/params.hpp"
 #include "src/core/reliability.hpp"
 #include "src/markov/dspn_solver.hpp"
+#include "src/markov/rewards.hpp"
 #include "src/petri/reachability.hpp"
 #include "src/runtime/lru_cache.hpp"
 
@@ -17,16 +17,16 @@ namespace nvp::core {
 /// The analysis pipeline split into three independently cached stages:
 ///
 ///   structure — net construction, reachability exploration, assembly plan,
-///               (i, j, k) state classification. Depends only on the
+///               per-group module-state classification. Depends only on the
 ///               *structural* parameter subset (N, f, r, rejuvenation flag,
 ///               firing semantics, voter extension, detection on/off).
 ///   rates     — a fresh net's rates poured into the cached structure
 ///               (TangibleReachabilityGraph::repoured) and solved to the
 ///               stationary distribution. Depends on the structure key plus
 ///               every timing parameter and the solver options.
-///   rewards   — R_{i,j,k} evaluated over the cached distribution. Depends
-///               on the rates key plus the reward parameters, convention
-///               and attachment. A separate per-class reward *table* cache
+///   rewards   — the gated class rewards (state_rewards) attached to the
+///               cached distribution. Depends on the rates key plus the
+///               reward parameters, convention and attachment. A separate per-class reward *table* cache
 ///               is keyed by structure + reward parameters only, so
 ///               rate-only sweeps skip the reward-model evaluation too.
 ///
@@ -51,28 +51,20 @@ struct StructureArtifact {
   /// Deterministic-group partition and CSR slot patterns.
   markov::AssemblyPlan plan;
 
-  /// Module-state class of one tangible state. For a heterogeneous
-  /// (module-group) model, `groups` holds the flattened per-group
-  /// (healthy, compromised, down) triples and the three scalars are their
-  /// sums; for homogeneous models `groups` stays empty.
+  /// What the reward gates read of one tangible state: its down-or-
+  /// rejuvenating module count, summed over the groups, and whether its
+  /// voter is up.
   struct StateClass {
-    int healthy = 0;
-    int compromised = 0;
     int down = 0;
     bool voter_up = true;
-    std::vector<int> groups;
   };
   std::vector<StateClass> state_class;  ///< one per tangible state
-  /// Distinct (i, j, k) classes in ascending tuple order — the iteration
+  /// Distinct module-state classes, each the flattened per-group (healthy,
+  /// compromised, down) triples of GroupReliabilityModel, in ascending
+  /// lexicographic order. For one group that is the ascending (i, j, k)
   /// order of the fused analyzer's std::map aggregation, so the emitted
-  /// distribution is bit-identical. For heterogeneous models the classes
-  /// are distinct per-group count vectors (ascending lexicographic order;
-  /// see `group_classes`) and this vector carries their aggregate sums,
-  /// which may then repeat.
-  std::vector<std::tuple<int, int, int>> classes;
-  /// Flattened per-group count vector of each class; empty for homogeneous
-  /// structures. Parallel to `classes`.
-  std::vector<std::vector<int>> group_classes;
+  /// distribution is bit-identical.
+  std::vector<std::vector<int>> classes;
   std::vector<std::size_t> class_of_state;  ///< index into `classes`
 };
 
@@ -107,6 +99,25 @@ std::shared_ptr<const RatesArtifact> staged_rates(
 std::shared_ptr<const std::vector<double>> staged_reward_table(
     const SystemParameters& params, RewardConvention convention,
     const StructureArtifact& structure, bool use_cache);
+
+/// The one state reward, per tangible state of `structure`: the attachment
+/// gate (kOperationalStatesOnly zeroes a state with a down module), then
+/// the voter gate (0 while the voter is down), then the state's class entry
+/// of `table` (staged_reward_table, or a caller model's table).
+/// staged_analyze, Engine::simulate (through marking_reward) and
+/// TransientReliabilityAnalyzer all attach it, so they estimate one
+/// quantity.
+std::vector<double> state_rewards(const StructureArtifact& structure,
+                                  const std::vector<double>& table,
+                                  RewardAttachment attachment);
+
+/// state_rewards under `options`' convention and attachment as a function
+/// of a tangible marking of PerceptionModelFactory::build(params)'s net —
+/// the reward a simulation of that net attaches. The class rewards are
+/// evaluated once, here; each call is one marking lookup.
+markov::MarkingReward marking_reward(
+    const SystemParameters& params,
+    const ReliabilityAnalyzer::Options& options);
 
 /// Full staged analysis with the convention-derived reward model; what
 /// ReliabilityAnalyzer::analyze(params) runs. Only an analysis that neither

@@ -19,11 +19,14 @@ struct TransientPoint {
 /// healthy?":
 ///
 ///  * E[R(t)] curves by uniformization for models without a deterministic
-///    clock (the four-version system);
-///  * mean time until the system first leaves the fully-decidable region
-///    (fewer than `voting_threshold()` operational modules — the moment
-///    perception availability is first lost) and the probability of
-///    reaching it within a mission deadline.
+///    clock (the four-version system), attaching the same gated state
+///    reward as the steady-state analyzer (state_rewards), so a curve
+///    converges to ReliabilityAnalyzer::analyze's answer;
+///  * mean time until the system first leaves the decidable region (the
+///    responding module weight misses the voter's quota — fewer than
+///    `voting_threshold()` operational modules with unit weights — the
+///    moment perception availability is first lost) and the probability
+///    of reaching it within a mission deadline.
 ///
 /// Models with the rejuvenation clock are Markov-regenerative rather than
 /// Markovian, so their transients are estimated by simulation
@@ -45,8 +48,8 @@ class TransientReliabilityAnalyzer {
       const SystemParameters& params,
       const std::vector<double>& times) const;
 
-  /// Mean time until fewer than `params.voting_threshold()` modules are
-  /// operational for the first time (loss of decidability), from the
+  /// Mean time until the responding weight first misses the voter's quota
+  /// (loss of decidability, GroupReliabilityModel::decidable), from the
   /// all-healthy start. Requires a non-rejuvenating configuration.
   double mean_time_to_unavailability(const SystemParameters& params) const;
 

@@ -130,6 +130,85 @@ bool write_frame(int fd, std::string_view payload) {
 
 namespace {
 
+enum class FlagKind { kNumber, kCount, kText };
+using enum FlagKind;
+
+/// An nvpcli flag of a request section. Its wire key is its name, except
+/// that a section key spells each '-' as '_' (`params` keys keep the
+/// parameter table's names).
+struct Flag {
+  const char* name;
+  FlagKind kind;
+};
+
+/// The `params` keys besides the parameter table's rows and `groups`.
+constexpr Flag kParamsFlags[] = {
+    {"paper", kText}, {"n", kCount}, {"f", kCount}, {"r", kCount}};
+constexpr Flag kOptionFlags[] = {
+    {"convention", kText}, {"attachment", kText}, {"solver-config", kText}};
+constexpr Flag kSweepFlags[] = {
+    {"param", kText}, {"from", kNumber}, {"to", kNumber}, {"points", kCount}};
+constexpr Flag kSimulateFlags[] = {
+    {"horizon", kNumber}, {"reps", kCount}, {"seed", kCount}};
+constexpr Flag kMonitorFlags[] = {
+    {"schedule", kText},       {"horizon", kNumber},
+    {"multiplier", kNumber},   {"period", kNumber},
+    {"segment", kNumber},      {"policy", kText},
+    {"update-every", kNumber}, {"interval-lo", kNumber},
+    {"interval-hi", kNumber},  {"grid-points", kCount},
+    {"band", kNumber},         {"seed", kCount}};
+
+/// True for the methods whose requests carry `params` and `options`.
+bool is_work_method(std::string_view method) {
+  return method == "analyze" || method == "sweep" || method == "simulate" ||
+         method == "monitor";
+}
+
+/// The flags of the section named after `method`; empty for a method
+/// without one.
+std::span<const Flag> section_flags(std::string_view method) {
+  if (method == "sweep") return kSweepFlags;
+  if (method == "simulate") return kSimulateFlags;
+  if (method == "monitor") return kMonitorFlags;
+  return {};
+}
+
+/// True when `key` is the wire key of one of `flags`, each '-' spelled
+/// '_' when `underscored` (section keys).
+bool names_flag(std::span<const Flag> flags, std::string_view key,
+                bool underscored) {
+  return std::any_of(flags.begin(), flags.end(), [&](const Flag& flag) {
+    const std::string_view name = flag.name;
+    if (name.size() != key.size()) return false;
+    for (std::size_t i = 0; i < name.size(); ++i)
+      if (key[i] != (underscored && name[i] == '-' ? '_' : name[i]))
+        return false;
+    return true;
+  });
+}
+
+/// True when `key` names a row of the parameter table with a member on
+/// the system (`group` false) or group (`group` true) side.
+bool names_parameter(std::string_view key, bool group) {
+  const core::ParameterField* field = core::find_parameter_field(key);
+  return field != nullptr &&
+         (group ? field->group != nullptr : field->system != nullptr);
+}
+
+/// Refuses the first member of the object `node` that `known` rejects,
+/// naming it by its path ("unknown key params.intervall"): a misspelled
+/// key must not silently keep its default.
+template <typename Known>
+bool refuse_unknown_keys(const wire::Value& node, const std::string& path,
+                         Known&& known, std::string* error) {
+  for (const auto& [key, value] : node.object)
+    if (!known(key)) {
+      *error = "unknown key " + path + key;
+      return false;
+    }
+  return true;
+}
+
 /// Member `key` of `node` as a count, `fallback` when absent. A negative or
 /// out-of-range value reads as 0, which every caller's lower bound refuses.
 std::size_t count_or(const wire::Value& node, std::string_view key,
@@ -153,6 +232,15 @@ const wire::Value* section(const wire::Value& payload, const char* key,
 
 bool parse_params(const wire::Value& node, core::SystemParameters* params,
                   std::string* error) {
+  if (!refuse_unknown_keys(
+          node, "params.",
+          [](const std::string& key) {
+            return names_flag(kParamsFlags, key, false) ||
+                   names_parameter(key, false) || key == "rejuvenation" ||
+                   key == "groups";
+          },
+          error))
+    return false;
   const std::string paper = node.string_or("paper", "6v");
   if (paper == "4v") {
     *params = core::SystemParameters::paper_four_version();
@@ -184,6 +272,14 @@ bool parse_params(const wire::Value& node, core::SystemParameters* params,
         *error = "params.groups entries must be objects";
         return false;
       }
+      if (!refuse_unknown_keys(
+              entry,
+              util::format("params.groups[%zu].", params->groups.size()),
+              [](const std::string& key) {
+                return key == "count" || names_parameter(key, true);
+              },
+              error))
+        return false;
       // Scalars the request leaves out inherit the campaign-level values,
       // so a request can harden one group without restating the rest.
       core::ModuleGroup group = params->inherited_group(
@@ -225,6 +321,13 @@ bool parse_options(const wire::Value& node,
           "options.%s was removed, use options.solver_config %s", key, spec);
       return false;
     }
+  if (!refuse_unknown_keys(
+          node, "options.",
+          [](const std::string& key) {
+            return names_flag(kOptionFlags, key, true);
+          },
+          error))
+    return false;
   if (node.get("convention") != nullptr) {
     const auto convention =
         core::parse_convention(node.string_or("convention", ""));
@@ -371,15 +474,24 @@ bool parse_request(const wire::Value& payload, Request* request,
     return false;
   }
   request->method = named->first;
+  const bool work = is_work_method(method);
+  const bool has_section = !section_flags(method).empty();
+  if (!refuse_unknown_keys(
+          payload, "",
+          [&](const std::string& key) {
+            return key == "id" || key == "method" || key == "deadline_ms" ||
+                   (work && (key == "params" || key == "options")) ||
+                   (has_section && key == method);
+          },
+          error))
+    return false;
   request->deadline_ms = payload.number_or("deadline_ms", 0.0);
   if (request->deadline_ms < 0.0) {
     *error = "deadline_ms must be non-negative";
     return false;
   }
 
-  if (request->method == Method::kPing || request->method == Method::kStats ||
-      request->method == Method::kShutdown)
-    return true;
+  if (!work) return true;
 
   const wire::Value* params = section(payload, "params", error);
   if (params == nullptr || !parse_params(*params, &request->params, error))
@@ -393,7 +505,14 @@ bool parse_request(const wire::Value& payload, Request* request,
   // Each other work method reads the section named after it.
   const wire::Value* node =
       section(payload, to_string(request->method), error);
-  if (node == nullptr) return false;
+  if (node == nullptr ||
+      !refuse_unknown_keys(
+          *node, method + ".",
+          [&](const std::string& key) {
+            return names_flag(section_flags(method), key, true);
+          },
+          error))
+    return false;
   if (request->method == Method::kSweep)
     return parse_sweep(*node, request, error);
   if (request->method == Method::kSimulate)
@@ -407,30 +526,19 @@ bool parse_request(const wire::Value& payload, Request* request,
 
 namespace {
 
-enum class FlagKind { kNumber, kCount, kText };
-using enum FlagKind;
+/// The value of flag `flag` in `args`, in its kind.
+void write_value(obs::JsonWriter& json, const util::CliArgs& args,
+                 const Flag& flag) {
+  if (flag.kind == kNumber)
+    json.value(args.get_double(flag.name, 0.0));
+  else if (flag.kind == kCount)
+    json.value(args.get_int(flag.name, 0));
+  else
+    json.value(args.get(flag.name, ""));
+}
 
-/// An nvpcli flag of a request section; its wire key is its name with each
-/// '-' spelled '_'.
-struct Flag {
-  const char* name;
-  FlagKind kind;
-};
-
-constexpr Flag kOptionFlags[] = {
-    {"convention", kText}, {"attachment", kText}, {"solver-config", kText}};
-constexpr Flag kSweepFlags[] = {
-    {"param", kText}, {"from", kNumber}, {"to", kNumber}, {"points", kCount}};
-constexpr Flag kSimulateFlags[] = {
-    {"horizon", kNumber}, {"reps", kCount}, {"seed", kCount}};
-constexpr Flag kMonitorFlags[] = {
-    {"schedule", kText},       {"horizon", kNumber},
-    {"multiplier", kNumber},   {"period", kNumber},
-    {"segment", kNumber},      {"policy", kText},
-    {"update-every", kNumber}, {"interval-lo", kNumber},
-    {"interval-hi", kNumber},  {"grid-points", kCount},
-    {"band", kNumber},         {"seed", kCount}};
-
+/// Writes the flags of `flags` present in `args` as the members of
+/// `section`, each under its wire key.
 void write_section(obs::JsonWriter& json, const char* section,
                    const util::CliArgs& args, std::span<const Flag> flags) {
   json.key(section).begin_object();
@@ -439,12 +547,7 @@ void write_section(obs::JsonWriter& json, const char* section,
     std::string key = flag.name;
     std::replace(key.begin(), key.end(), '-', '_');
     json.key(key);
-    if (flag.kind == kNumber)
-      json.value(args.get_double(flag.name, 0.0));
-    else if (flag.kind == kCount)
-      json.value(args.get_int(flag.name, 0));
-    else
-      json.value(args.get(flag.name, ""));
+    write_value(json, args, flag);
   }
   json.end_object();
 }
@@ -497,12 +600,13 @@ std::string cli_request_json(std::uint64_t id, const std::string& method,
   json.kv("method", method);
   if (args.has("deadline-ms"))
     json.kv("deadline_ms", args.get_double("deadline-ms", 0.0));
-  if (method == "analyze" || method == "sweep" || method == "simulate" ||
-      method == "monitor") {
+  if (is_work_method(method)) {
     json.key("params").begin_object();
-    if (args.has("paper")) json.kv("paper", args.get("paper", ""));
-    for (const char* key : {"n", "f", "r"})
-      if (args.has(key)) json.kv(key, args.get_int(key, 0));
+    for (const Flag& flag : kParamsFlags)
+      if (args.has(flag.name)) {
+        json.key(flag.name);
+        write_value(json, args, flag);
+      }
     for (const core::ParameterField& field : core::parameter_fields())
       if (field.system != nullptr && args.has(field.name))
         json.kv(field.name, args.get_double(field.name, 0.0));
@@ -510,12 +614,19 @@ std::string cli_request_json(std::uint64_t id, const std::string& method,
     json.end_object();
     write_section(json, "options", args, kOptionFlags);
   }
-  if (method == "sweep") write_section(json, "sweep", args, kSweepFlags);
-  if (method == "simulate")
-    write_section(json, "simulate", args, kSimulateFlags);
-  if (method == "monitor") write_section(json, "monitor", args, kMonitorFlags);
+  if (!section_flags(method).empty())
+    write_section(json, method.c_str(), args, section_flags(method));
   json.end_object();
   return json.str();
+}
+
+bool cli_reads_flag(const std::string& method, std::string_view flag) {
+  if (flag == "deadline-ms") return true;
+  if (!is_work_method(method)) return false;
+  return names_flag(kParamsFlags, flag, false) ||
+         names_parameter(flag, false) || flag == "groups" ||
+         names_flag(kOptionFlags, flag, false) ||
+         names_flag(section_flags(method), flag, false);
 }
 
 std::uint64_t coalesce_key(const Request& request) {

@@ -36,8 +36,11 @@ namespace nvp::service {
 ///                   "seed": ... } }
 ///
 /// A key left out takes the default of the field it fills (the paper
-/// preset, core::Engine::SimulateOptions, monitor::SessionConfig). The
-/// removed `options.solver` and `options.fallback` are refused.
+/// preset, core::Engine::SimulateOptions, monitor::SessionConfig). A key
+/// the decoder does not read — at top level, in `params`, in a `groups`
+/// entry, in `options` or in the method's section — is refused by name
+/// ("unknown key params.intervall"); the removed `options.solver` and
+/// `options.fallback` are refused with their replacement.
 ///
 /// Response object:
 ///   { "id": <u64>, "ok": true,  "result": { ... } }
@@ -122,6 +125,10 @@ bool parse_request(const wire::Value& payload, Request* request,
 /// value that is not a finite number or whole count.
 std::string cli_request_json(std::uint64_t id, const std::string& method,
                              const util::CliArgs& args);
+
+/// True when cli_request_json maps the flag `--flag` into a `method`
+/// request — the flags the decoder reads for that method.
+bool cli_reads_flag(const std::string& method, std::string_view flag);
 
 /// Canonical identity of a request for in-flight coalescing: requests with
 /// equal keys are guaranteed to produce identical result payloads, so they

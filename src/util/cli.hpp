@@ -73,6 +73,11 @@ struct CommonOptions {
   bool cache_stats = false;   ///< print per-stage cache table on exit
 };
 
+/// The flags parse_common_options reads.
+inline constexpr const char* kCommonFlags[] = {
+    "jobs", "seed", "format", "output", "metrics-json", "trace", "metrics",
+    "cache-stats"};
+
 /// Parses the shared quartet + observability flags from `args`. Throws
 /// std::invalid_argument on malformed values (bad number, unknown format)
 /// and on a removed flag spelling.

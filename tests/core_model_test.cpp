@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/analyzer.hpp"
 #include "src/core/model_factory.hpp"
@@ -38,6 +41,69 @@ TEST(ModelFactory, SixVersionStructure) {
   const auto m0 = model.net.initial_marking();
   EXPECT_EQ(model.healthy(m0), 6);
   EXPECT_EQ(m0[model.prc->index], 1);
+}
+
+/// The place and transition names of a net, in declaration order.
+std::pair<std::vector<std::string>, std::vector<std::string>> names_of(
+    const petri::PetriNet& net) {
+  std::vector<std::string> places, transitions;
+  for (std::size_t p = 0; p < net.place_count(); ++p)
+    places.push_back(net.place_name(p));
+  for (std::size_t t = 0; t < net.transition_count(); ++t)
+    transitions.push_back(net.transition(t).name);
+  return {places, transitions};
+}
+
+using Names = std::vector<std::string>;
+
+TEST(ModelFactory, OneGroupNetsKeepTheFigureTwoNames) {
+  // A scalar configuration is the one-group net: the Fig. 2 / Table I
+  // names in the scalar nets' order, the voter extension last.
+  SystemParameters four = SystemParameters::paper_four_version();
+  four.detection_rate = 1e-3;
+  four.voter_can_fail = true;
+  const auto four_model = PerceptionModelFactory::build(four);
+  EXPECT_EQ(four_model.net.name(), "perception_no_rejuvenation");
+  EXPECT_EQ(names_of(four_model.net),
+            std::make_pair(Names{"Pmh", "Pmc", "Pmf", "Pvu", "Pvd"},
+                           Names{"Tc", "Tf", "Tr", "Td", "Tvf", "Tvr"}));
+
+  SystemParameters six = SystemParameters::paper_six_version();
+  six.voter_can_fail = true;
+  const auto six_model = PerceptionModelFactory::build(six);
+  EXPECT_EQ(six_model.net.name(), "perception_rejuvenation");
+  EXPECT_EQ(names_of(six_model.net),
+            std::make_pair(
+                Names{"Pmh", "Pmc", "Pmf", "Pmr", "Pac", "Prc", "Ptr", "Pvu",
+                      "Pvd"},
+                Names{"Tc", "Tf", "Tr", "Trc", "Trt", "Tac", "Trj1", "Trj2",
+                      "Trj", "Tvf", "Tvr"}));
+
+  const auto erlang = PerceptionModelFactory::with_rejuvenation_erlang(
+      SystemParameters::paper_six_version(), 4);
+  EXPECT_EQ(erlang.net.name(), "perception_rejuvenation_erlang");
+  EXPECT_EQ(names_of(erlang.net),
+            std::make_pair(
+                Names{"Pmh", "Pmc", "Pmf", "Pmr", "Pac", "Pstage"},
+                Names{"Tc", "Tf", "Tr", "Tstage", "Tac", "Trt", "Trj1",
+                      "Trj2", "Trj"}));
+  EXPECT_FALSE(erlang.prc.has_value());
+}
+
+TEST(ModelFactory, GroupNumbersAppearFromTwoGroupsOn) {
+  SystemParameters params = SystemParameters::paper_six_version();
+  params.n_versions = 7;
+  params.groups = {params.inherited_group(3), params.inherited_group(4)};
+  params.groups[1].repair_degradation = 0.25;
+  const auto model = PerceptionModelFactory::build(params);
+  EXPECT_EQ(model.net.name(), "perception_groups");
+  EXPECT_EQ(names_of(model.net),
+            std::make_pair(
+                Names{"Pmh1", "Pmc1", "Pmf1", "Pmr1", "Pmh2", "Pmc2", "Pmf2",
+                      "Pmd2", "Pmr2", "Pac", "Prc", "Ptr"},
+                Names{"Tc1", "Tf1", "Tr1", "Tc2", "Tf2", "Tr2", "Trd2",
+                      "Tcd2", "Trc", "Trt", "Tac", "Trj1_1", "Trj2_1",
+                      "Trj1_2", "Trj2_2", "Trj3_2", "Trj"}));
 }
 
 TEST(ModelFactory, FourVersionStateSpaceSize) {

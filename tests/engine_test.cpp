@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/core/engine.hpp"
 #include "src/core/model_factory.hpp"
-#include "src/core/reliability.hpp"
+#include "src/core/staged.hpp"
 #include "src/sim/dspn_simulator.hpp"
 
 namespace {
@@ -59,37 +61,44 @@ TEST(Engine, SimulateMatchesDirectPathBitIdentical) {
   const auto result = engine.simulate(params, options);
   EXPECT_TRUE(result.ok);
 
-  // Direct path: same model, same reward, same replication schedule.
+  // Direct path: same model, same gated reward, same replication
+  // schedule.
   const auto model = core::PerceptionModelFactory::build(params);
-  const auto rewards = core::make_reliability_model(params);
   const sim::DspnSimulator simulator(model.net);
   sim::SimulationOptions direct_options;
   direct_options.horizon = options.horizon;
   direct_options.warmup_time = options.horizon / 100.0;
   direct_options.seed = options.seed;
   const auto direct = simulator.estimate(
-      [&](const petri::Marking& m) {
-        return rewards->state_reliability(model.healthy(m),
-                                          model.compromised(m),
-                                          model.down(m));
-      },
-      direct_options, options.replications);
+      core::marking_reward(params, engine.options()), direct_options,
+      options.replications);
   EXPECT_EQ(result.estimate.mean, direct.mean);
   EXPECT_EQ(result.estimate.ci.lo, direct.ci.lo);
   EXPECT_EQ(result.estimate.ci.hi, direct.ci.hi);
 }
 
 TEST(Engine, SimulateTracksAnalyticEstimate) {
-  // The facade's reward model matches the analyzer's convention, so the
-  // simulation estimates the same quantity analyze() solves for.
-  const core::Engine engine;
-  const auto params = four_version();
-  core::Engine::SimulateOptions options;
-  options.horizon = 5e4;
-  options.replications = 8;
-  const auto simulated = engine.simulate(params, options);
-  const auto analytic = engine.analyze_raw(params);
-  EXPECT_NEAR(simulated.estimate.mean, analytic.expected_reliability, 0.05);
+  // simulate() attaches the analyzer's gated reward, so under either
+  // attachment its confidence interval covers analyze()'s E[R].
+  for (const auto attachment :
+       {core::RewardAttachment::kOperationalStatesOnly,
+        core::RewardAttachment::kAppendixMatrices}) {
+    core::ReliabilityAnalyzer::Options analyzer_options;
+    analyzer_options.attachment = attachment;
+    const core::Engine engine(analyzer_options);
+    core::Engine::SimulateOptions options;
+    options.horizon = 2e6;
+    options.replications = 8;
+    const auto simulated = engine.simulate(six_version(), options);
+    ASSERT_TRUE(simulated.ok);
+    const double analytic =
+        engine.analyze_raw(six_version()).expected_reliability;
+    EXPECT_LE(std::abs(simulated.estimate.mean - analytic),
+              1.5 * simulated.estimate.ci.half_width())
+        << "attachment " << static_cast<int>(attachment) << ": simulated "
+        << simulated.estimate.mean << " [" << simulated.estimate.ci.lo
+        << ", " << simulated.estimate.ci.hi << "] vs analytic " << analytic;
+  }
 }
 
 TEST(Engine, SweepMatchesFreeFunction) {

@@ -115,13 +115,52 @@ TEST(TransientReliability, StartsAtAllHealthyReward) {
   EXPECT_NEAR(curve[0].expected_reliability, 0.95, 1e-9);
 }
 
+/// The paper's four-version system split 2 + 2 into unit-weight groups:
+/// a hardened pair (p 0.02, MTTC 3000 s) beside the preset's modules.
+SystemParameters two_group_four_version() {
+  SystemParameters params = SystemParameters::paper_four_version();
+  core::ModuleGroup hardened = params.inherited_group(2);
+  hardened.p = 0.02;
+  hardened.mean_time_to_compromise = 3000.0;
+  params.groups = {hardened, params.inherited_group(2)};
+  return params;
+}
+
 TEST(TransientReliability, ConvergesToSteadyState) {
-  const core::TransientReliabilityAnalyzer analyzer;
-  const core::ReliabilityAnalyzer steady;
-  const auto params = SystemParameters::paper_four_version();
-  const auto curve = analyzer.reliability_curve(params, {5.0e5});
-  EXPECT_NEAR(curve[0].expected_reliability,
-              steady.analyze(params).expected_reliability, 1e-6);
+  // The transient analyzer attaches the steady-state analyzer's gated
+  // reward, so the curve converges to its answer: on the scalar 4v, on a
+  // two-group 4v (where the group reward applies) and with the voter
+  // extension (where the voter gate applies).
+  SystemParameters voter = SystemParameters::paper_four_version();
+  voter.voter_can_fail = true;
+  const struct {
+    const char* name;
+    SystemParameters params;
+    core::RewardConvention convention;
+  } cases[] = {
+      {"4v", SystemParameters::paper_four_version(),
+       core::RewardConvention::kPaperVerbatim},
+      {"2+2 verbatim", two_group_four_version(),
+       core::RewardConvention::kPaperVerbatim},
+      {"2+2 generalized", two_group_four_version(),
+       core::RewardConvention::kGeneralized},
+      {"voter verbatim", voter, core::RewardConvention::kPaperVerbatim},
+      {"voter generalized", voter, core::RewardConvention::kGeneralized},
+  };
+  for (const auto& c : cases) {
+    core::TransientReliabilityAnalyzer::Options transient_options;
+    transient_options.convention = c.convention;
+    core::ReliabilityAnalyzer::Options steady_options;
+    steady_options.convention = c.convention;
+    const auto curve = core::TransientReliabilityAnalyzer(transient_options)
+                           .reliability_curve(c.params, {5.0e5});
+    EXPECT_NEAR(curve[0].expected_reliability,
+                core::ReliabilityAnalyzer(steady_options)
+                    .analyze(c.params)
+                    .expected_reliability,
+                1e-8)
+        << c.name;
+  }
 }
 
 TEST(TransientReliability, MonotoneDecayFromHealthyStart) {
@@ -156,6 +195,33 @@ TEST(TransientReliability, UnavailabilityStatisticsAreConsistent) {
   EXPECT_LT(p_short, 0.01);
   EXPECT_NEAR(analyzer.unavailability_probability_by(params, 0.0), 0.0,
               1e-12);
+}
+
+TEST(TransientReliability, WeightedSplitLosesDecidabilityByWeight) {
+  // 1 + 4 modules weighted 1.5 / 1.0, f = 1: quota 4 where the counting
+  // threshold is 3, so the heavy module's loss alone leaves 4 of 5 modules
+  // answering with weight 4 — decidable — while losing it plus one light
+  // module leaves 3 modules (weight 3) that a counting voter would still
+  // call decidable. The unavailability target follows the weighted quota.
+  SystemParameters params = SystemParameters::paper_four_version();
+  params.n_versions = 5;
+  core::ModuleGroup heavy = params.inherited_group(1);
+  heavy.weight = 1.5;
+  params.groups = {heavy, params.inherited_group(4)};
+  ASSERT_DOUBLE_EQ(params.weighted_quota(), 4.0);
+  ASSERT_EQ(params.voting_threshold(), 3);
+
+  const core::TransientReliabilityAnalyzer analyzer;
+  const double mttu = analyzer.mean_time_to_unavailability(params);
+  const double lost_by = analyzer.unavailability_probability_by(params, 1e4);
+  // The counting rule read 1.53e9 s and 3e-6 here.
+  EXPECT_NEAR(mttu, 1.38e6, 0.01e6);
+  EXPECT_NEAR(lost_by, 4.9e-3, 0.1e-3);
+
+  // Unit weights keep the counting rule: the same split with weight 1.0
+  // loses decidability only with fewer than 3 operational modules.
+  params.groups[0].weight = 1.0;
+  EXPECT_GT(analyzer.mean_time_to_unavailability(params), 1e8);
 }
 
 // ---- simulated transient profile ------------------------------------------------

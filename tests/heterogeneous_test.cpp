@@ -216,21 +216,39 @@ TEST(WeightedVoting, MassRulesDecideAgainstTheQuota) {
 // ---- group reward model -----------------------------------------------------
 
 TEST(GroupRewards, SingleGroupMatchesGeneralizedReliability) {
-  const SystemParameters params = SystemParameters::paper_six_version();
-  const auto grouped = core::make_group_reliability_model(
-      params, RewardConvention::kGeneralized);
-  const core::GeneralizedReliability legacy(
-      params.n_versions,
-      VotingScheme::bft_rejuvenating(params.n_versions, params.max_faulty,
-                                     params.max_rejuvenating),
-      params.p, params.p_prime, params.alpha);
-  for (int i = 0; i <= params.n_versions; ++i)
-    for (int j = 0; i + j <= params.n_versions; ++j) {
-      const int k = params.n_versions - i - j;
-      EXPECT_DOUBLE_EQ(grouped->state_reliability({{i, j, k}}),
-                       legacy.state_reliability(i, j, k))
-          << "(" << i << "," << j << "," << k << ")";
+  // Bit for bit: the group model is the class reward of every scalar
+  // configuration outside the paper's verbatim functions.
+  struct Config {
+    int n, f, r;
+    bool rejuvenation;
+  };
+  for (const Config& c : {Config{4, 1, 0, false}, Config{6, 1, 1, true},
+                          Config{8, 1, 1, true}, Config{10, 2, 1, true},
+                          Config{11, 2, 2, true}}) {
+    SystemParameters params = SystemParameters::paper_six_version();
+    params.n_versions = c.n;
+    params.max_faulty = c.f;
+    params.max_rejuvenating = c.rejuvenation ? c.r : 1;
+    params.rejuvenation = c.rejuvenation;
+    const VotingScheme voting =
+        c.rejuvenation ? VotingScheme::bft_rejuvenating(c.n, c.f, c.r)
+                       : VotingScheme::bft(c.n, c.f);
+    for (const bool strict : {false, true}) {
+      const auto grouped = core::make_group_reliability_model(
+          params, strict ? RewardConvention::kStrict
+                         : RewardConvention::kGeneralized);
+      const core::GeneralizedReliability legacy(
+          c.n, voting, params.p, params.p_prime, params.alpha, strict);
+      for (int i = 0; i <= c.n; ++i)
+        for (int j = 0; i + j <= c.n; ++j) {
+          const int k = c.n - i - j;
+          EXPECT_EQ(grouped->state_reliability({{i, j, k}}),
+                    legacy.state_reliability(i, j, k))
+              << "N=" << c.n << " strict=" << strict << " (" << i << ","
+              << j << "," << k << ")";
+        }
     }
+  }
 }
 
 TEST(GroupRewards, ThreeGroupHandOracle) {
@@ -292,19 +310,21 @@ TEST(HeterogeneousStaged, StructureArtifactRoundTripsThroughCodec) {
   params.validate();
 
   const auto structure = core::staged_structure(params, /*use_cache=*/false);
-  ASSERT_FALSE(structure->group_classes.empty());
-  EXPECT_EQ(structure->group_classes.size(), structure->classes.size());
+  ASSERT_FALSE(structure->classes.empty());
+  for (const std::vector<int>& cls : structure->classes)
+    EXPECT_EQ(cls.size(), 6u);  // (healthy, compromised, down) per group
 
   const auto bytes = core::encode_structure_artifact(*structure);
   const auto decoded =
       core::decode_structure_artifact(bytes.data(), bytes.size(), params);
   EXPECT_EQ(decoded->classes, structure->classes);
-  EXPECT_EQ(decoded->group_classes, structure->group_classes);
   EXPECT_EQ(decoded->class_of_state, structure->class_of_state);
   ASSERT_EQ(decoded->state_class.size(), structure->state_class.size());
-  for (std::size_t i = 0; i < structure->state_class.size(); ++i)
-    EXPECT_EQ(decoded->state_class[i].groups,
-              structure->state_class[i].groups);
+  for (std::size_t i = 0; i < structure->state_class.size(); ++i) {
+    EXPECT_EQ(decoded->state_class[i].down, structure->state_class[i].down);
+    EXPECT_EQ(decoded->state_class[i].voter_up,
+              structure->state_class[i].voter_up);
+  }
 }
 
 TEST(HeterogeneousStaged, RepeatAnalysisHitsTheRewardsCache) {

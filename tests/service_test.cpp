@@ -359,6 +359,58 @@ TEST(RequestTest, RefusesTheRemovedSolverAndFallbackKeys) {
   }
 }
 
+TEST(RequestTest, RefusesKeysTheDecoderDoesNotRead) {
+  // A misspelled key must not silently keep its default: every level the
+  // decoder reads refuses a key it does not know, naming its path.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"id": 1, "method": "analyze", "params": {"intervall": 450}})",
+       "unknown key params.intervall"},
+      {R"({"id": 1, "method": "analyze", "parms": {"paper": "4v"}})",
+       "unknown key parms"},
+      {R"({"id": 1, "method": "ping", "params": {}})", "unknown key params"},
+      {R"({"id": 1, "method": "analyze", "sweep": {}})", "unknown key sweep"},
+      {R"({"id": 1, "method": "analyze",
+           "params": {"groups": [{"count": 3}, {"count": 3, "weigth": 2}]}})",
+       "unknown key params.groups[1].weigth"},
+      {R"({"id": 1, "method": "analyze", "params": {"groups": [{"alpha": 1}]}})",
+       "unknown key params.groups[0].alpha"},
+      {R"({"id": 1, "method": "analyze", "options": {"solver-config": ""}})",
+       "unknown key options.solver-config"},
+      {R"({"id": 1, "method": "sweep", "sweep": {"param": "mttc",
+           "from": 1, "to": 2, "pionts": 5}})",
+       "unknown key sweep.pionts"},
+      {R"({"id": 1, "method": "simulate", "simulate": {"replications": 4}})",
+       "unknown key simulate.replications"},
+      {R"({"id": 1, "method": "monitor", "monitor": {"update-every": 10}})",
+       "unknown key monitor.update-every"},
+  };
+  for (const auto& [text, message] : cases) {
+    const auto payload = parse(text);
+    ASSERT_TRUE(payload.has_value()) << text;
+    service::Request request;
+    std::string error;
+    EXPECT_FALSE(service::parse_request(*payload, &request, &error)) << text;
+    EXPECT_EQ(error, message) << text;
+  }
+  // Every key of every table still decodes.
+  const auto payload = parse(
+      R"({"id": 1, "method": "sweep", "deadline_ms": 50,
+          "params": {"paper": "6v", "n": 7, "f": 1, "r": 1,
+                     "rejuvenation": true, "mttc": 1500, "p-prime": 0.4,
+                     "detection-rate": 0.001, "alpha": 0.5,
+                     "groups": [{"count": 3, "weight": 1.5,
+                                 "repair-degradation": 0.1},
+                                {"count": 4, "mttr": 4}]},
+          "options": {"convention": "strict", "attachment": "appendix",
+                      "solver_config": "backend=dense"},
+          "sweep": {"param": "interval", "from": 200, "to": 900,
+                    "points": 4}})");
+  ASSERT_TRUE(payload.has_value());
+  service::Request request;
+  std::string error;
+  EXPECT_TRUE(service::parse_request(*payload, &request, &error)) << error;
+}
+
 TEST(RequestTest, ReusedRequestCarriesNothingOver) {
   // The server decodes into a fresh Request, but a caller that reuses one
   // must see each payload on its own: a refused field, an override or a
@@ -569,6 +621,20 @@ TEST(RequestTest, FlagToKeyMapForwardsOnlyTypedFlags) {
   ASSERT_TRUE(payload.has_value());
   ASSERT_TRUE(service::parse_request(*payload, &request, &error)) << error;
   EXPECT_EQ(request.options.convention, core::RewardConvention::kStrict);
+}
+
+TEST(RequestTest, FlagToKeyMapNamesTheFlagsItReads) {
+  // nvpcli refuses a flag the map does not carry for the command's method.
+  for (const char* flag : {"paper", "n", "interval", "p-prime", "groups",
+                           "convention", "solver-config", "deadline-ms"})
+    EXPECT_TRUE(service::cli_reads_flag("analyze", flag)) << flag;
+  EXPECT_TRUE(service::cli_reads_flag("sweep", "points"));
+  EXPECT_TRUE(service::cli_reads_flag("monitor", "update-every"));
+  EXPECT_TRUE(service::cli_reads_flag("stats", "deadline-ms"));
+  for (const char* flag : {"intervall", "weight", "points", "update_every"})
+    EXPECT_FALSE(service::cli_reads_flag("analyze", flag)) << flag;
+  EXPECT_FALSE(service::cli_reads_flag("stats", "paper"));
+  EXPECT_FALSE(service::cli_reads_flag("simulate", "points"));
 }
 
 TEST(RequestTest, RefusesTheInputsNvpcliOnceRan) {

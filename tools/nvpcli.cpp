@@ -31,15 +31,18 @@
 // their replacement.
 //
 // Exit code 0 on success; 1 on usage errors and refused inputs, including a
-// bad command-local flag (optimize --from/--to, sensitivity --step, the
-// crossovers grid, archspace --max-n/-f/-r/--top); 2 on model/solver errors
-// and on a bad common flag value.
+// flag the command does not read and a bad command-local flag (optimize
+// --from/--to, sensitivity --step, the crossovers grid, archspace
+// --max-n/-f/-r/--top); 2 on model/solver errors and on a bad common flag
+// value.
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -298,33 +301,120 @@ void dump_metrics() {
                  h.mean(), h.p50, h.p90, h.p99);
 }
 
-// The flags a command reads itself, outside the decoder, checked before any
-// work: the message of a bad one (naming the flag), or "" when all are fine.
+// The flags a command reads itself, outside the decoder. Each row names one
+// with the check its value must pass before any work (null: any value):
+// the message of a bad value, naming the flag, or "" when it is fine.
+struct LocalFlag {
+  const char* command;
+  const char* name;
+  std::string (*check)(const util::CliArgs& args);
+};
+
+const LocalFlag kLocalFlags[] = {
+    {"analyze", "model", nullptr},
+    {"analyze", "reward", nullptr},
+    {"simulate", "model", nullptr},
+    {"simulate", "reward", nullptr},
+    {"export", "model", nullptr},
+    {"export", "dot", nullptr},
+    {"optimize", "from",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_double("from", 100.0) > 0.0 ? "" : "--from must be > 0";
+     }},
+    {"optimize", "to",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_double("to", 3000.0) > args.get_double("from", 100.0)
+                  ? ""
+                  : "--to must be greater than --from";
+     }},
+    {"sensitivity", "step",
+     [](const util::CliArgs& args) -> std::string {
+       const double step = args.get_double("step", 0.1);
+       return step > 0.0 && step < 1.0 ? "" : "--step must lie in (0, 1)";
+     }},
+    {"crossovers", "vs", nullptr},
+    {"crossovers", "param",
+     [](const util::CliArgs& args) -> std::string {
+       return core::setter_for(args.get("param", "mttc"))
+                  ? ""
+                  : "--param must be one of " + core::sweepable_names();
+     }},
+    {"crossovers", "from", nullptr},
+    {"crossovers", "to",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_double("to", 0.0) > args.get_double("from", 0.0)
+                  ? ""
+                  : "--to must be greater than --from";
+     }},
+    {"crossovers", "points",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_int("points", 15) >= 2 ? "" : "--points must be >= 2";
+     }},
+    {"crossovers", "tolerance",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_double("tolerance", 1.0) > 0.0
+                  ? ""
+                  : "--tolerance must be > 0";
+     }},
+    {"archspace", "max-n",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_int("max-n", 4) >= 4 ? "" : "--max-n must be >= 4";
+     }},
+    {"archspace", "max-f",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_int("max-f", 1) >= 1 ? "" : "--max-f must be >= 1";
+     }},
+    {"archspace", "max-r",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_int("max-r", 0) >= 0 ? "" : "--max-r must be >= 0";
+     }},
+    {"archspace", "top",
+     [](const util::CliArgs& args) -> std::string {
+       return args.get_int("top", 0) >= 0 ? "" : "--top must be >= 0";
+     }},
+    {"archspace", "hetero", nullptr},
+    {"archspace", "hardened-mtc-factor", nullptr},
+    {"archspace", "hardened-weight", nullptr},
+    {"archspace", "hardened-repair-q", nullptr},
+    {"serve", "host", nullptr},
+    {"serve", "port", nullptr},
+    {"serve", "service-workers", nullptr},
+    {"serve", "queue-capacity", nullptr},
+    {"serve", "default-deadline-ms", nullptr},
+    {"serve", "send-timeout-ms", nullptr},
+    {"store", "target-mb", nullptr},
+};
+
+// Flags every command reads: where it runs and how it treats failures and
+// the persistent store.
+constexpr const char* kToolFlags[] = {"remote", "strict", "store",
+                                      "store-cap-mb"};
+
+// Refuses, before any work, a flag `command` does not read — one the
+// decoder does not map for `method` (the request the command decodes as),
+// no common, tool or command-local flag — and then a bad command-local
+// value: the message (naming the flag), or "" when all are fine.
 std::string check_local_flags(const std::string& command,
+                              const std::string& method,
                               const util::CliArgs& args) {
+  const auto named = [](const auto& names, const std::string& key) {
+    return std::find(std::begin(names), std::end(names), key) !=
+           std::end(names);
+  };
+  for (const std::string& key : args.keys()) {
+    const bool local = std::any_of(
+        std::begin(kLocalFlags), std::end(kLocalFlags),
+        [&](const LocalFlag& flag) {
+          return command == flag.command && key == flag.name;
+        });
+    if (!local && !service::cli_reads_flag(method, key) &&
+        !named(util::kCommonFlags, key) && !named(kToolFlags, key))
+      return "unknown flag --" + key + " for " + command;
+  }
   try {
-    if (command == "optimize") {
-      const double from = args.get_double("from", 100.0);
-      if (!(from > 0.0)) return "--from must be > 0";
-      if (!(args.get_double("to", 3000.0) > from))
-        return "--to must be greater than --from";
-    } else if (command == "sensitivity") {
-      const double step = args.get_double("step", 0.1);
-      if (!(step > 0.0 && step < 1.0)) return "--step must lie in (0, 1)";
-    } else if (command == "crossovers") {
-      if (!core::setter_for(args.get("param", "mttc")))
-        return "--param must be one of " + core::sweepable_names();
-      if (!(args.get_double("to", 0.0) > args.get_double("from", 0.0)))
-        return "--to must be greater than --from";
-      if (args.get_int("points", 15) < 2) return "--points must be >= 2";
-      if (!(args.get_double("tolerance", 1.0) > 0.0))
-        return "--tolerance must be > 0";
-    } else if (command == "archspace") {
-      if (args.get_int("max-n", 4) < 4) return "--max-n must be >= 4";
-      if (args.get_int("max-f", 1) < 1) return "--max-f must be >= 1";
-      if (args.get_int("max-r", 0) < 0) return "--max-r must be >= 0";
-      if (args.get_int("top", 0) < 0) return "--top must be >= 0";
-    }
+    for (const LocalFlag& flag : kLocalFlags)
+      if (command == flag.command && flag.check != nullptr)
+        if (std::string bad = flag.check(args); !bad.empty()) return bad;
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -968,13 +1058,14 @@ int main(int argc, char** argv) {
                    "of a --paper model\n");
       return 1;
     }
+    const std::string method =
+        wire_method || remote_only ? command : "analyze";
     service::Request request;
     std::string payload;
     std::string error;
     std::optional<service::wire::Value> decoded;
     try {
-      payload = service::cli_request_json(
-          1, wire_method || remote_only ? command : "analyze", args);
+      payload = service::cli_request_json(1, method, args);
       decoded = service::wire::parse(payload, &error);
     } catch (const std::invalid_argument& e) {
       error = e.what();
@@ -983,7 +1074,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    if (const std::string bad = check_local_flags(command, args);
+    if (const std::string bad = check_local_flags(command, method, args);
         !bad.empty()) {
       std::fprintf(stderr, "error: %s\n", bad.c_str());
       return 1;
